@@ -44,9 +44,20 @@ from .metrics_single import (
 )
 from .oracle import DEFAULT_CAP, oracle_ds_aurc, oracle_ds_f1
 from .scoring import (
+    FEATURES,
+    FIT_FEATURES,
+    FIT_LOGITS,
+    LOGITS,
+    METHODS,
+    FitSplit,
+    ScoreInputs,
+    ScoreOptions,
+    ScoringError,
+)
+
+# Not called here: perfbench/spans.py wraps these names in this module.
+from .scoring import (  # noqa: F401
     build_feature_bank,
-    default_k,
-    default_pca_dim,
     energy,
     fit_class_templates,
     fit_gaussian_stats,
@@ -93,20 +104,11 @@ def _tool_block() -> dict:
 # ---------------------------------------------------------------------------
 # score
 
-# method -> (needs logits, needs features, needs fit logits, needs fit features)
-_METHODS = {
-    "msp": (True, False, False, False),
-    "mls": (True, False, False, False),
-    "energy": (True, False, False, False),
-    "neg_entropy": (True, False, False, False),
-    "klm": (True, False, True, False),
-    "mds": (False, True, False, True),
-    "knn": (False, True, False, True),
-    "l1": (False, True, False, False),
-    "residual": (False, True, False, True),
-    "vim": (True, True, True, True),
-    "sirc_msp_l1": (True, True, False, True),
-    "sirc_msp_res": (True, True, False, True),
+_NEED_FLAGS = {
+    LOGITS: "--logits",
+    FEATURES: "--features",
+    FIT_LOGITS: "a logits --fit file",
+    FIT_FEATURES: "a features --fit file",
 }
 
 
@@ -128,15 +130,70 @@ def _align(logit_records, feature_records):
             )
 
 
+def _positive(flag: str, value):
+    if value is not None and value < 1:
+        raise UsageError(f"{flag} must be at least 1, got {value}")
+
+
+def _fit_matrix(path, loader, kind: str):
+    """The ID rows of a fit file, stacked, and their labels; the records are dropped."""
+    rows = _id_rows(loader(path))
+    if not rows:
+        raise UsageError(f"{kind} fit file has no id rows")
+    return _matrix(rows, kind), np.array([r.label for r in rows])
+
+
+def _channels(methods, inputs: ScoreInputs, fitted: dict, base) -> dict:
+    """Every requested channel as one vector; a row's failure names its sample."""
+    channels = {}
+    for name in methods:
+        try:
+            channels[name] = METHODS[name].score_batch(inputs, fitted[name])
+        except ScoringError as exc:
+            where = "" if exc.row is None else f" on sample {base[exc.row].sample_id!r}"
+            raise type(exc)(f"method {name!r} failed{where}: {exc}") from None
+    return channels
+
+
+# glibc's M_MMAP_THRESHOLD option and its default, 128 KiB
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 128 * 1024
+
+
+def _fix_mmap_threshold() -> None:
+    """Keep glibc serving blocks of 128 KiB and up from their own mappings.
+
+    glibc otherwise raises that threshold to the size of each such block
+    freed, so from the second score run in a process on, the fit-split
+    matrices and the SVD's buffers (2.5 MB each at 5000 x 64) come from the
+    heap. Where the holes they leave there happen to fall decides whether
+    the process's peak resident size grows by one more matrix, so the peak
+    differed by 2.5 MB between runs of the same workload. A fixed threshold
+    returns each block to the system when it is freed. This is
+    process-wide and does nothing without glibc.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    except (OSError, AttributeError):
+        pass
+
+
 def _cmd_score(args) -> int:
-    methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    _fix_mmap_threshold()
+    methods = list(dict.fromkeys(m.strip() for m in args.method.split(",") if m.strip()))
     if not methods:
         raise UsageError("--method needs at least one method name")
     for m in methods:
-        if m not in _METHODS:
+        if m not in METHODS:
             raise UsageError(
-                f"unknown method {m!r}; choose from {', '.join(sorted(_METHODS))}"
+                f"unknown method {m!r}; choose from {', '.join(sorted(METHODS))}"
             )
+    _positive("--k", args.k)
+    _positive("--pca-dim", args.pca_dim)
     if args.logits is None and args.features is None:
         raise UsageError("provide --logits and/or --features")
 
@@ -157,16 +214,16 @@ def _cmd_score(args) -> int:
     else:
         fit_features_path = fits[0] if fits else None
 
+    given = {
+        LOGITS: logit_records is not None,
+        FEATURES: feature_records is not None,
+        FIT_LOGITS: fit_logits_path is not None,
+        FIT_FEATURES: fit_features_path is not None,
+    }
     for m in methods:
-        needs_l, needs_f, needs_fl, needs_ff = _METHODS[m]
-        if needs_l and logit_records is None:
-            raise UsageError(f"method {m!r} requires --logits")
-        if needs_f and feature_records is None:
-            raise UsageError(f"method {m!r} requires --features")
-        if needs_fl and fit_logits_path is None:
-            raise UsageError(f"method {m!r} requires a logits --fit file")
-        if needs_ff and fit_features_path is None:
-            raise UsageError(f"method {m!r} requires a features --fit file")
+        for need in METHODS[m].needs:
+            if not given[need]:
+                raise UsageError(f"method {m!r} requires {_NEED_FLAGS[need]}")
 
     base = logit_records if logit_records is not None else feature_records
     if logit_records is None and any(r.origin is Origin.ID for r in base):
@@ -175,81 +232,36 @@ def _cmd_score(args) -> int:
             "model predictions; provide --logits"
         )
 
-    # fit artifacts, estimated on the ID rows of the fit split only
-    templates = stats = bank = basis = alpha = None
-    sirc = {}
+    # fit artifacts are estimated on the ID rows of the fit split only, all
+    # before any scoring; the fit matrices are dropped before the evaluation
+    # rows are stacked, so the two sets of matrices are never held together
+    fit_logits = fit_features = fit_labels = None
     if fit_logits_path:
-        fit_l = _id_rows(load_logits(fit_logits_path))
-        if not fit_l:
-            raise UsageError("logits fit file has no id rows")
-        fit_logit_mat = _matrix(fit_l, "logits")
+        fit_logits, _ = _fit_matrix(fit_logits_path, load_logits, "logits")
     if fit_features_path:
-        fit_f = _id_rows(load_features(fit_features_path))
-        if not fit_f:
-            raise UsageError("features fit file has no id rows")
-        fit_feature_mat = _matrix(fit_f, "features")
-    if "klm" in methods:
-        probs = np.stack([softmax(row) for row in fit_logit_mat])
-        templates = fit_class_templates(probs, fit_logit_mat.argmax(axis=1))
-    if "mds" in methods:
-        stats = fit_gaussian_stats(fit_feature_mat, [r.label for r in fit_f])
-    if "knn" in methods:
-        bank = build_feature_bank(fit_feature_mat)
-    if {"residual", "vim", "sirc_msp_res"} & set(methods):
-        dim = args.pca_dim or default_pca_dim(fit_feature_mat.shape[1])
-        basis = fit_principal_subspace(fit_feature_mat, dim)
-    if "vim" in methods:
-        alpha = fit_vim_alpha(fit_logit_mat, fit_feature_mat, basis)
-    if "sirc_msp_l1" in methods:
-        sirc["l1"] = fit_sirc_params([l1_feature_norm(f) for f in fit_feature_mat])
-    if "sirc_msp_res" in methods:
-        sirc["res"] = fit_sirc_params(
-            [residual_score(f, basis) for f in fit_feature_mat]
+        fit_features, fit_labels = _fit_matrix(
+            fit_features_path, load_features, "features"
         )
-
-    def score_one(method: str, i: int) -> float:
-        logits = logit_records[i].logits if logit_records else None
-        feats = feature_records[i].features if feature_records else None
-        if method == "msp":
-            return msp(logits)
-        if method == "mls":
-            return max_logit(logits)
-        if method == "energy":
-            return energy(logits, temperature=args.temperature)
-        if method == "neg_entropy":
-            return neg_entropy(logits)
-        if method == "klm":
-            return klm(softmax(logits), templates)
-        if method == "mds":
-            return mahalanobis(feats, stats)
-        if method == "knn":
-            return knn_score(feats, bank, args.k or default_k(bank.size))
-        if method == "l1":
-            return l1_feature_norm(feats)
-        if method == "residual":
-            return residual_score(feats, basis)
-        if method == "vim":
-            return vim(logits, feats, basis, alpha)
-        if method == "sirc_msp_l1":
-            p = sirc["l1"]
-            return sirc_combine(msp(logits), 1.0, l1_feature_norm(feats), p.a, p.b)
-        if method == "sirc_msp_res":
-            p = sirc["res"]
-            return sirc_combine(
-                msp(logits), 1.0, residual_score(feats, basis), p.a, p.b
-            )
-        raise AssertionError(method)
+    options = ScoreOptions(k=args.k, pca_dim=args.pca_dim, temperature=args.temperature)
+    split = FitSplit(fit_logits, fit_features, fit_labels, options)
+    fitted = {name: METHODS[name].fit(split) for name in methods}
+    del split, fit_logits, fit_features
 
     records = []
-    for i, rec in enumerate(base):
-        try:
-            channels = {m: score_one(m, i) for m in methods}
-        except DsevalError as exc:
-            raise type(exc)(f"method failed on sample {rec.sample_id!r}: {exc}")
-        correct = None
-        if rec.origin is Origin.ID:
-            correct = bool(int(logit_records[i].logits.argmax()) == rec.label)
-        records.append(SampleRecord(rec.sample_id, rec.origin, correct, channels))
+    if base:
+        inputs = ScoreInputs(
+            None if logit_records is None else _matrix(logit_records, "logits"),
+            None if feature_records is None else _matrix(feature_records, "features"),
+        )
+        channels = _channels(methods, inputs, fitted, base)
+        columns = [channels[m].tolist() for m in methods]
+        predicted = inputs.logits.argmax(axis=1) if inputs.logits is not None else None
+        for i, rec in enumerate(base):
+            correct = None
+            if rec.origin is Origin.ID:
+                correct = bool(int(predicted[i]) == rec.label)
+            scores = {m: col[i] for m, col in zip(methods, columns)}
+            records.append(SampleRecord(rec.sample_id, rec.origin, correct, scores))
     write_scores(build_eval_set(records), args.out)
     return 0
 

@@ -165,50 +165,55 @@ def write_scores(eval_set: EvalSet, path) -> None:
 
 
 def _load_vectors(path, min_dim: int, kind: str):
-    rows = _read_rows(path)
-    if not rows or rows[0][: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
-        raise ParseError(
-            f"row 1: expected header starting with {','.join(_VECTOR_PREFIX)}"
-        )
-    dim = len(rows[0]) - len(_VECTOR_PREFIX)
-    expected = [f"v{i}" for i in range(dim)]
-    if rows[0][len(_VECTOR_PREFIX) :] != expected:
-        raise SchemaError("row 1: vector columns must be named v0..v{K-1}")
-    if dim < min_dim:
-        raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
-    out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
+    # Rows are parsed as they are read: the text of a whole file, one string
+    # per cell, would take several times the memory of the parsed vectors.
+    with _open_read(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
             raise ParseError(
-                f"row {lineno}: expected {len(rows[0])} fields, got {len(row)}"
+                f"row 1: expected header starting with {','.join(_VECTOR_PREFIX)}"
             )
-        sample_id, domain, label_text = row[0], row[1], row[2]
-        if domain == "id":
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise SchemaError(
-                    f"row {lineno}, column 'label': id rows need an integer class "
-                    f"index, got {label_text!r}"
-                ) from None
-            origin = Origin.ID
-        elif domain == "ood":
-            if label_text != "":
-                raise SchemaError(
-                    f"row {lineno}, column 'label': ood rows must leave this empty"
+        dim = len(header) - len(_VECTOR_PREFIX)
+        expected = [f"v{i}" for i in range(dim)]
+        if header[len(_VECTOR_PREFIX) :] != expected:
+            raise SchemaError("row 1: vector columns must be named v0..v{K-1}")
+        if dim < min_dim:
+            raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
+        out = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ParseError(
+                    f"row {lineno}: expected {len(header)} fields, got {len(row)}"
                 )
-            origin, label = Origin.OOD, None
-        else:
-            raise SchemaError(
-                f"row {lineno}, column 'domain': expected 'id' or 'ood', got {domain!r}"
+            sample_id, domain, label_text = row[0], row[1], row[2]
+            if domain == "id":
+                try:
+                    label = int(label_text)
+                except ValueError:
+                    raise SchemaError(
+                        f"row {lineno}, column 'label': id rows need an integer class "
+                        f"index, got {label_text!r}"
+                    ) from None
+                origin = Origin.ID
+            elif domain == "ood":
+                if label_text != "":
+                    raise SchemaError(
+                        f"row {lineno}, column 'label': ood rows must leave this empty"
+                    )
+                origin, label = Origin.OOD, None
+            else:
+                raise SchemaError(
+                    f"row {lineno}, column 'domain': expected 'id' or 'ood', "
+                    f"got {domain!r}"
+                )
+            vec = np.array(
+                [
+                    _parse_float(cell, lineno, f"v{i}")
+                    for i, cell in enumerate(row[len(_VECTOR_PREFIX) :])
+                ]
             )
-        vec = np.array(
-            [
-                _parse_float(cell, lineno, f"v{i}")
-                for i, cell in enumerate(row[len(_VECTOR_PREFIX) :])
-            ]
-        )
-        out.append((sample_id, origin, label, vec))
+            out.append((sample_id, origin, label, vec))
     return out
 
 

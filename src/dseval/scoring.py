@@ -4,17 +4,26 @@ Every score is oriented so that higher means "more trustworthy / more ID".
 Fit artifacts (class templates, Gaussian stats, feature banks, principal
 subspaces, combiner parameters) are estimated once on a designated fit split
 and are immutable afterwards; scoring distinct samples never mutates them.
+
+:data:`METHODS` is the registry the CLI scores with: each method names its
+inputs, fits its artifact once and scores a whole matrix of rows at a time.
+The per-row functions (``msp``, ``knn_score``, ...) are the reference the
+batched scorers are tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .core import DsevalError, Origin
 
 __all__ = [
+    "ScoringError",
+    "OutOfRange",
     "NonPositiveTemperature",
     "EmptyClassTemplate",
     "SingularCovariance",
@@ -28,7 +37,6 @@ __all__ = [
     "FeatureBank",
     "PrincipalBasis",
     "SircParams",
-    "FitArtifacts",
     "softmax",
     "msp",
     "max_logit",
@@ -49,36 +57,58 @@ __all__ = [
     "vim",
     "fit_sirc_params",
     "sirc_combine",
+    "LOGITS",
+    "FEATURES",
+    "FIT_LOGITS",
+    "FIT_FEATURES",
+    "ScoreOptions",
+    "FitSplit",
+    "ScoreInputs",
+    "ScoreMethod",
+    "METHODS",
 ]
 
 PROB_CLAMP = 1e-12  # floor applied to probabilities before any log
 
 
-class NonPositiveTemperature(DsevalError):
+class ScoringError(DsevalError):
+    """Base of the scoring errors.
+
+    A batched scorer that fails on one input row sets ``row`` to its index.
+    """
+
+    row: int | None = None
+
+
+class OutOfRange(ScoringError, ValueError):
+    """A parameter, fitted value or score outside the range it must lie in."""
+
+
+class NonPositiveTemperature(ScoringError):
     pass
 
 
-class EmptyClassTemplate(DsevalError):
+class EmptyClassTemplate(ScoringError):
     pass
 
 
-class SingularCovariance(DsevalError):
+class SingularCovariance(ScoringError):
     pass
 
 
-class KTooLarge(DsevalError):
+class KTooLarge(ScoringError):
     pass
 
 
-class ZeroVector(DsevalError):
+class ZeroVector(ScoringError):
     pass
 
 
-class RankDeficient(DsevalError):
+class RankDeficient(ScoringError):
     pass
 
 
-class DegenerateSpread(DsevalError):
+class DegenerateSpread(ScoringError):
     pass
 
 
@@ -267,7 +297,7 @@ def fit_principal_subspace(features, d: int) -> PrincipalBasis:
     x = np.asarray(features, dtype=np.float64)
     n, dim = x.shape
     if not 1 <= d < dim:
-        raise ValueError(f"subspace dimension must satisfy 1 <= d < {dim}, got {d}")
+        raise OutOfRange(f"subspace dimension must satisfy 1 <= d < {dim}, got {d}")
     mean = x.mean(axis=0)
     _, s, vt = np.linalg.svd(x - mean, full_matrices=False)
     nonzero = int(np.count_nonzero(s > s[0] * max(n, dim) * np.finfo(np.float64).eps))
@@ -292,15 +322,15 @@ def fit_vim_alpha(logits, features, basis: PrincipalBasis) -> float:
     """
     logits = np.asarray(logits, dtype=np.float64)
     mean_logit = float(logits.max(axis=1).mean())
-    residuals = [-residual_score(f, basis) for f in np.asarray(features, dtype=np.float64)]
-    mean_residual = float(np.mean(residuals))
+    features = np.asarray(features, dtype=np.float64)
+    mean_residual = float(np.mean(_residual_norms(features, basis)))
     if mean_residual <= 0.0:
         raise RankDeficient(
             "fit features lie inside the principal subspace; residual scale is zero"
         )
     alpha = mean_logit / mean_residual
     if alpha <= 0.0:
-        raise ValueError(f"fitted alpha must be positive, got {alpha}")
+        raise OutOfRange(f"fitted alpha must be positive, got {alpha}")
     return alpha
 
 
@@ -334,19 +364,296 @@ def sirc_combine(s1: float, s1_max: float, s2: float, a: float, b: float) -> flo
     Returns -(s1_max - s1) * (1 + exp(-b * (s2 - a))).
     """
     if s1 > s1_max:
-        raise ValueError(f"s1={s1} exceeds its stated maximum {s1_max}")
+        raise OutOfRange(f"s1={s1} exceeds its stated maximum {s1_max}")
     return -(s1_max - s1) * (1.0 + np.exp(-b * (s2 - a)))
 
 
-@dataclass(frozen=True)
-class FitArtifacts:
-    """Immutable bundle of everything estimated on the fit split."""
+# ---------------------------------------------------------------------------
+# Batched scoring: the method registry.
+#
+# Each scorer takes whole matrices (one row per sample) and returns one score
+# per row. The temporaries that would be the largest over all rows (bank dot
+# products in knn, rows x classes x features in mds, the residual's
+# projections) are built one block of rows at a time, each block at most
+# BLOCK_BYTES, so peak memory does not grow with them.
 
-    class_templates: np.ndarray | None = None
-    gaussian_stats: GaussianStats | None = None
-    feature_bank: FeatureBank | None = None
-    principal_basis: PrincipalBasis | None = None
-    vim_alpha: float | None = None
-    sirc_l1: SircParams | None = None
-    sirc_res: SircParams | None = None
-    extra: dict = field(default_factory=dict)
+BLOCK_BYTES = 1 << 21
+
+
+def _row_blocks(n_rows: int, row_floats: int):
+    """Slices covering ``range(n_rows)``, each at most BLOCK_BYTES of float64 rows."""
+    step = max(1, BLOCK_BYTES // (8 * row_floats))
+    for lo in range(0, n_rows, step):
+        yield slice(lo, min(lo + step, n_rows))
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """softmax() of every row, with the same arithmetic."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _msp_rows(z: np.ndarray) -> np.ndarray:
+    return _softmax_rows(z).max(axis=1)
+
+
+def _l1_rows(x: np.ndarray) -> np.ndarray:
+    return np.abs(x).sum(axis=1)
+
+
+def _energy_rows(z: np.ndarray, temperature: float) -> np.ndarray:
+    """energy() of every row, with the same arithmetic."""
+    if temperature <= 0:
+        raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
+    z = z / temperature
+    m = z.max(axis=1)
+    return temperature * (m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
+
+
+def _neg_entropy_rows(z: np.ndarray) -> np.ndarray:
+    """neg_entropy() of every row, with the same arithmetic."""
+    p = _softmax_rows(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (p * np.log(p)).sum(axis=1)
+    # A row with an underflowed probability sums only its nonzero terms, as
+    # neg_entropy() does; summing a 0 in their place could reorder the sum.
+    for r in np.flatnonzero((p == 0.0).any(axis=1)):
+        nonzero = p[r][p[r] > 0]
+        out[r] = np.sum(nonzero * np.log(nonzero))
+    return out
+
+
+def _klm_rows(probs: np.ndarray, class_templates: np.ndarray) -> np.ndarray:
+    """klm() of every row, one template at a time (N x C temporaries, not N x C x C)."""
+    p = np.clip(probs, PROB_CLAMP, 1.0)
+    p /= p.sum(axis=1, keepdims=True)
+    log_p = np.log(p)
+    best = None
+    for log_t in np.log(class_templates):
+        kl = np.sum(p * (log_p - log_t), axis=1)
+        best = kl if best is None else np.minimum(best, kl)
+    return -best
+
+
+def _mahalanobis_rows(x: np.ndarray, stats: GaussianStats) -> np.ndarray:
+    """mahalanobis() of every row, bit for bit.
+
+    A matrix product gives every squared distance d'Cd to the class means;
+    it and mahalanobis()'s einsum are both sums of the D^2 products
+    d_j C_jk d_k, so they differ by at most about (D^2 + 2D + 3) eps times
+    |d|'|C||d| <= || |C| ||_2 |d|^2. Only the classes within ``slack`` (four
+    times that) of a row's nearest are recomputed with the einsum, so the
+    nearest class is never missed. The result equals mahalanobis() wherever
+    numpy's einsum gives a row the same value whatever rows surround it;
+    for 2-d features it does not (its summation order follows the row
+    count), and the two may differ in the last bit.
+    """
+    n_classes, dim = stats.means.shape
+    cov_inv = stats.cov_inv
+    eps = np.finfo(np.float64).eps
+    scale = 2 * (dim * dim + 2 * dim + 3) * eps * np.linalg.norm(np.abs(cov_inv), 2)
+    out = np.empty(x.shape[0])
+    for rows in _row_blocks(x.shape[0], 2 * n_classes * dim):
+        diff = x[rows, None, :] - stats.means
+        approx = np.einsum("nkd,nkd->nk", diff @ cov_inv, diff)
+        slack = scale * np.einsum("nkd,nkd->nk", diff, diff)
+        # `not >` keeps every class a NaN would hide
+        near = ~(approx - slack > (approx + slack).min(axis=1, keepdims=True))
+        row, cls = np.nonzero(near)
+        d = diff[row, cls]
+        best = np.full(diff.shape[0], np.inf)
+        np.minimum.at(best, row, np.einsum("ij,jk,ik->i", d, cov_inv, d))
+        out[rows] = -best
+    return out
+
+
+def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
+    """knn_score() of every row, bit for bit (Sun et al., ICML 2022).
+
+    Dot products with the bank (the Gram identity ||a-b||^2 = 2 - 2a.b for
+    unit vectors) pick the candidates; the score is then the k-th smallest of
+    their distances, computed with knn_score()'s own expression. Rounding in
+    the normalizations, the dot products and those distances can put two
+    bank vectors out of order only when their dots differ by less than about
+    (4D + 14) eps for D features, so a vector more than ``margin`` below the
+    k-th largest dot is no nearer than k candidates and cannot change the
+    k-th smallest distance. The margin is eight times that bound.
+    """
+    vectors = bank.vectors
+    size, dim = vectors.shape
+    if not 1 <= k <= size:
+        raise KTooLarge(f"k={k} outside [1, {size}]")
+    margin = 32 * (dim + 4) * np.finfo(np.float64).eps
+    step = max(1, BLOCK_BYTES // (8 * size))
+    queries = np.empty((step, dim))
+    dots = np.empty((step, size))
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], step):
+        n = min(step, x.shape[0] - lo)
+        for r in range(n):
+            try:
+                queries[r] = _unit(x[lo + r])
+            except ZeroVector as exc:
+                exc.row = lo + r
+                raise
+        np.matmul(queries[:n], vectors.T, out=dots[:n])
+        for r in range(n):
+            cut = np.partition(dots[r], size - k)[size - k] - margin
+            # `not <` keeps every candidate a NaN dot would hide
+            candidates = np.flatnonzero(~(dots[r] < cut))
+            dists = np.linalg.norm(vectors[candidates] - queries[r], axis=1)
+            out[lo + r] = -np.partition(dists, k - 1)[k - 1]
+    return out
+
+
+def _residual_norms(x: np.ndarray, basis: PrincipalBasis) -> np.ndarray:
+    """-residual_score() of every row, as matrix products (equal to about 1e-14)."""
+    out = np.empty(x.shape[0])
+    for rows in _row_blocks(x.shape[0], x.shape[1]):
+        centered = x[rows] - basis.mean
+        centered -= (centered @ basis.basis) @ basis.basis.T
+        out[rows] = np.linalg.norm(centered, axis=1)
+    return out
+
+
+def _sirc_rows(s1: np.ndarray, s1_max: float, s2: np.ndarray, params: SircParams):
+    """sirc_combine() of every row, with the same arithmetic."""
+    above = np.flatnonzero(s1 > s1_max)
+    if above.size:
+        exc = OutOfRange(f"s1={s1[above[0]]} exceeds its stated maximum {s1_max}")
+        exc.row = int(above[0])
+        raise exc
+    return -(s1_max - s1) * (1.0 + np.exp(-params.b * (s2 - params.a)))
+
+
+# Input names a method can need; the fit ones are the ID rows of the fit split.
+LOGITS, FEATURES = "logits", "features"
+FIT_LOGITS, FIT_FEATURES = "fit_logits", "fit_features"
+
+
+@dataclass(frozen=True)
+class ScoreOptions:
+    """Score settings; a ``None`` k or pca_dim takes its default from the fit split."""
+
+    k: int | None = None
+    pca_dim: int | None = None
+    temperature: float = 1.0
+
+
+class FitSplit:
+    """The ID rows of the fit split, stacked, and the options the fits read.
+
+    ``logits`` is N x C, ``features`` N x D and ``labels`` the N class labels
+    of the features file; each is ``None`` when that fit file is absent. The
+    principal basis, which three methods share, is fitted once on first use.
+    """
+
+    def __init__(self, logits=None, features=None, labels=None, options=ScoreOptions()):
+        self.logits = logits
+        self.features = features
+        self.labels = labels
+        self.options = options
+
+    @cached_property
+    def basis(self) -> PrincipalBasis:
+        d = self.options.pca_dim
+        if d is None:
+            d = default_pca_dim(self.features.shape[1])
+        return fit_principal_subspace(self.features, d)
+
+
+class ScoreInputs(NamedTuple):
+    """Stacked evaluation rows: logits N x C and features N x D, or ``None``."""
+
+    logits: np.ndarray | None
+    features: np.ndarray | None
+
+
+def _no_fit(split: FitSplit) -> None:
+    return None
+
+
+@dataclass(frozen=True)
+class ScoreMethod:
+    """One score: the inputs it needs, ``fit(split) -> artifact`` and
+    ``score_batch(inputs, artifact) -> one score per row``."""
+
+    needs: tuple[str, ...]
+    score_batch: Callable[[ScoreInputs, Any], np.ndarray]
+    fit: Callable[[FitSplit], Any] = _no_fit
+
+
+def _fit_templates(split: FitSplit) -> np.ndarray:
+    return fit_class_templates(_softmax_rows(split.logits), split.logits.argmax(axis=1))
+
+
+def _fit_knn(split: FitSplit) -> tuple[FeatureBank, int]:
+    bank = build_feature_bank(split.features)
+    k = split.options.k
+    return bank, default_k(bank.size) if k is None else k
+
+
+def _fit_vim(split: FitSplit) -> tuple[PrincipalBasis, float]:
+    return split.basis, fit_vim_alpha(split.logits, split.features, split.basis)
+
+
+def _fit_sirc_res(split: FitSplit) -> tuple[PrincipalBasis, SircParams]:
+    return split.basis, fit_sirc_params(-_residual_norms(split.features, split.basis))
+
+
+def _vim_batch(x: ScoreInputs, fitted) -> np.ndarray:
+    basis, alpha = fitted
+    return _energy_rows(x.logits, 1.0) + alpha * -_residual_norms(x.features, basis)
+
+
+def _sirc_res_batch(x: ScoreInputs, fitted) -> np.ndarray:
+    basis, params = fitted
+    return _sirc_rows(
+        _msp_rows(x.logits), 1.0, -_residual_norms(x.features, basis), params
+    )
+
+
+METHODS: dict[str, ScoreMethod] = {
+    "msp": ScoreMethod((LOGITS,), lambda x, _: _msp_rows(x.logits)),
+    "mls": ScoreMethod((LOGITS,), lambda x, _: x.logits.max(axis=1)),
+    "energy": ScoreMethod(
+        (LOGITS,),
+        lambda x, temperature: _energy_rows(x.logits, temperature),
+        fit=lambda split: split.options.temperature,
+    ),
+    "neg_entropy": ScoreMethod((LOGITS,), lambda x, _: _neg_entropy_rows(x.logits)),
+    "klm": ScoreMethod(
+        (LOGITS, FIT_LOGITS),
+        lambda x, templates: _klm_rows(_softmax_rows(x.logits), templates),
+        fit=_fit_templates,
+    ),
+    "mds": ScoreMethod(
+        (FEATURES, FIT_FEATURES),
+        lambda x, stats: _mahalanobis_rows(x.features, stats),
+        fit=lambda split: fit_gaussian_stats(split.features, split.labels),
+    ),
+    "knn": ScoreMethod(
+        (FEATURES, FIT_FEATURES),
+        lambda x, fitted: _knn_rows(x.features, *fitted),
+        fit=_fit_knn,
+    ),
+    "l1": ScoreMethod((FEATURES,), lambda x, _: _l1_rows(x.features)),
+    "residual": ScoreMethod(
+        (FEATURES, FIT_FEATURES),
+        lambda x, basis: -_residual_norms(x.features, basis),
+        fit=lambda split: split.basis,
+    ),
+    "vim": ScoreMethod(
+        (LOGITS, FEATURES, FIT_LOGITS, FIT_FEATURES), _vim_batch, fit=_fit_vim
+    ),
+    "sirc_msp_l1": ScoreMethod(
+        (LOGITS, FEATURES, FIT_FEATURES),
+        lambda x, params: _sirc_rows(
+            _msp_rows(x.logits), 1.0, _l1_rows(x.features), params
+        ),
+        fit=lambda split: fit_sirc_params(_l1_rows(split.features)),
+    ),
+    "sirc_msp_res": ScoreMethod(
+        (LOGITS, FEATURES, FIT_FEATURES), _sirc_res_batch, fit=_fit_sirc_res
+    ),
+}

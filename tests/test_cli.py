@@ -7,7 +7,7 @@ import pytest
 
 from dseval import Origin
 from dseval.cli import main
-from dseval.ingest import load_scores, write_scores, write_vector_file
+from dseval.ingest import load_logits, load_scores, write_scores, write_vector_file
 from dseval.scoring import (
     FeatureRecord,
     LogitRecord,
@@ -386,6 +386,87 @@ class TestScoreCommand:
         es = load_scores(out)
         assert len(es.channel_names) == 12
         assert es.n_id == 8 and es.n_ood == 4
+
+    def _score(self, paths, method, *flags, features=None, fit_logits=None):
+        return run(
+            [
+                "score",
+                "--logits", paths["logits"],
+                "--features", features or paths["features"],
+                "--fit", fit_logits or paths["fit_logits"],
+                "--fit", paths["fit_features"],
+                "--method", method,
+                *flags,
+                "--out", paths["logits"].parent / "out.csv",
+            ]
+        )
+
+    @staticmethod
+    def _error_line(capsys, kind):
+        err = capsys.readouterr().err
+        assert err.startswith(f"dseval: error: {kind}:"), err
+        assert err.count("\n") == 1, err
+        return err
+
+    @pytest.mark.parametrize("flag", ["--k", "--pca-dim"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_flags_below_one_rejected(self, vector_files, capsys, flag, value):
+        paths, *_ = vector_files
+        assert self._score(paths, "knn,residual", flag, value) == 2
+        err = self._error_line(capsys, "UsageError")
+        assert flag in err
+
+    def test_pca_dim_at_feature_dim(self, vector_files, capsys):
+        paths, *_ = vector_files  # 6-d features: the subspace must be smaller
+        assert self._score(paths, "residual", "--pca-dim", 6) == 1
+        self._error_line(capsys, "OutOfRange")
+
+    def test_vim_negative_alpha(self, vector_files, capsys, tmp_path):
+        paths, *_ = vector_files
+        shifted = tmp_path / "fit_logits_shifted.csv"
+        write_vector_file(
+            [
+                LogitRecord(r.sample_id, r.origin, r.label, r.logits - 50.0)
+                for r in load_logits(paths["fit_logits"])
+            ],
+            shifted,
+        )
+        assert self._score(paths, "vim", fit_logits=shifted) == 1
+        err = self._error_line(capsys, "OutOfRange")
+        assert "alpha" in err
+
+    def test_zero_feature_row_names_first_sample(self, vector_files, capsys, tmp_path):
+        paths, _, features, _ = vector_files
+        zeroed = tmp_path / "zeroed.csv"
+        write_vector_file(
+            [
+                FeatureRecord(r.sample_id, r.origin, r.label, 0.0 * r.features)
+                if i in (2, 9) else r
+                for i, r in enumerate(features)
+            ],
+            zeroed,
+        )
+        assert self._score(paths, "msp,knn", "--k", 3, features=zeroed) == 1
+        err = self._error_line(capsys, "ZeroVector")
+        assert repr(features[2].sample_id) in err
+        assert repr(features[9].sample_id) not in err
+
+    def test_zero_temperature(self, vector_files, capsys):
+        paths, *_ = vector_files
+        assert self._score(paths, "msp,energy", "--temperature", 0) == 1
+        self._error_line(capsys, "NonPositiveTemperature")
+
+    def test_k_larger_than_bank(self, vector_files, capsys):
+        paths, *_ = vector_files  # the bank holds the 24 fit rows
+        assert self._score(paths, "knn", "--k", 25) == 1
+        self._error_line(capsys, "KTooLarge")
+
+    def test_energy_temperature(self, vector_files):
+        paths, logits, *_ = vector_files
+        assert self._score(paths, "energy", "--temperature", 2) == 0
+        es = load_scores(paths["logits"].parent / "out.csv")
+        for row, rec in zip(es.records, logits):
+            assert row.scores["energy"] == energy(rec.logits, 2.0)
 
 
 def test_console_entry_point(tmp_path):

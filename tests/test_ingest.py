@@ -133,6 +133,27 @@ class TestVectorFiles:
         with pytest.raises(SchemaError):
             load_logits(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "row 1: expected header"),
+            ("\nx,id,0,0.0,1.0\n", "row 1: expected header"),
+            (
+                "sample_id,domain,label,v0,v1\nx,id,0,0.0,1.0\ny,id,0,0.0\n",
+                "row 3: expected 5 fields, got 4",
+            ),
+            (
+                "sample_id,domain,label,v0,v1\nx,id,0,0.0,1.0\ny,id,0,0.0,nan\n",
+                "row 3, column 'v1': non-finite value",
+            ),
+        ],
+    )
+    def test_malformed_rows_named(self, tmp_path, text, message):
+        path = tmp_path / "logits.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load_logits(path)
+
 
 class TestReports:
     def test_scaled_entries(self):

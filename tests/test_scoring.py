@@ -2,13 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dseval import scoring
+from dseval.core import DsevalError
 from dseval.scoring import (
+    METHODS,
     DegenerateSpread,
     EmptyClassTemplate,
+    FitSplit,
     KTooLarge,
     NonPositiveTemperature,
+    OutOfRange,
     RankDeficient,
+    ScoreInputs,
+    ScoreOptions,
     SingularCovariance,
     ZeroVector,
     build_feature_bank,
@@ -313,6 +322,22 @@ class TestSirc:
             sirc_combine(1.1, 1.0, 0.0, 0.0, 1.0)
 
 
+def test_value_errors_are_typed():
+    # each is a DsevalError, so the CLI reports it on one line, and still a
+    # ValueError for callers that catch that
+    x = np.random.default_rng(10).normal(0, 1, (5, 3))
+    basis = fit_principal_subspace(x, 2)
+    calls = [
+        lambda: fit_principal_subspace(x, 3),
+        lambda: fit_vim_alpha(np.full((5, 2), -50.0), x, basis),
+        lambda: sirc_combine(1.1, 1.0, 0.0, 0.0, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRange) as info:
+            call()
+        assert isinstance(info.value, DsevalError) and isinstance(info.value, ValueError)
+
+
 class TestOrientation:
     """Fit-set members must outscore far-away inputs for every method."""
 
@@ -348,3 +373,171 @@ class TestOrientation:
             p = softmax(rng.normal(0, 5, int(rng.integers(2, 12))))
             assert p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(p >= 0)
+
+
+# Per-row reference of every registered method, given its fitted artifact.
+REFERENCE = {
+    "msp": lambda z, f, a: msp(z),
+    "mls": lambda z, f, a: max_logit(z),
+    "energy": lambda z, f, a: energy(z, a),
+    "neg_entropy": lambda z, f, a: neg_entropy(z),
+    "klm": lambda z, f, a: klm(softmax(z), a),
+    "mds": lambda z, f, a: mahalanobis(f, a),
+    "knn": lambda z, f, a: knn_score(f, *a),
+    "l1": lambda z, f, a: l1_feature_norm(f),
+    "residual": lambda z, f, a: residual_score(f, a),
+    "vim": lambda z, f, a: vim(z, f, *a),
+    "sirc_msp_l1": lambda z, f, a: sirc_combine(
+        msp(z), 1.0, l1_feature_norm(f), a.a, a.b
+    ),
+    "sirc_msp_res": lambda z, f, a: sirc_combine(
+        msp(z), 1.0, residual_score(f, a[0]), a[1].a, a[1].b
+    ),
+}
+# Matrix products replace matrix-vector products in these, so the last bits
+# may differ; every other method must match its reference exactly.
+NEAR = {"residual", "vim", "sirc_msp_res"}
+
+
+def _batch_fixture(seed=30, n_classes=5, dim=6):
+    rng = np.random.default_rng(seed)
+    means = rng.normal(0.0, 1.5, (n_classes, dim))
+    fit_labels = rng.integers(0, n_classes, 80)
+    fit_features = means[fit_labels] + rng.normal(0, 1, (80, dim))
+    fit_logits = fit_features @ means.T + rng.normal(0, 1, (80, n_classes))
+    features = np.vstack([means[rng.integers(0, n_classes, 40)], np.zeros((20, dim))])
+    features += rng.normal(0, 1, features.shape)
+    features[0] = fit_features[3]  # a bank member
+    features[1] = -fit_features[3]  # its antipode
+    logits = features @ means.T + rng.normal(0, 1, (60, n_classes))
+    logits[2] = [900.0, 0.0, -900.0, 1.0, 2.0]  # probabilities that underflow to 0
+    split = FitSplit(fit_logits, fit_features, fit_labels, ScoreOptions(temperature=1.7))
+    return ScoreInputs(logits, features), split
+
+
+@pytest.mark.parametrize("block_bytes", [scoring.BLOCK_BYTES, 8])
+def test_batched_methods_match_per_row_references(monkeypatch, block_bytes):
+    monkeypatch.setattr(scoring, "BLOCK_BYTES", block_bytes)  # 8: one row per block
+    inputs, split = _batch_fixture()
+    assert set(METHODS) == set(REFERENCE)
+    for name, method in METHODS.items():
+        fitted = method.fit(split)
+        got = method.score_batch(inputs, fitted)
+        rows = zip(inputs.logits, inputs.features)
+        want = np.array([REFERENCE[name](z, f, fitted) for z, f in rows])
+        assert got.shape == want.shape, name
+        if name in NEAR:
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12, err_msg=name)
+        else:
+            assert np.array_equal(got, want), name
+
+
+def test_shared_basis_is_fitted_once():
+    _, split = _batch_fixture()
+    basis = METHODS["residual"].fit(split)
+    assert METHODS["vim"].fit(split)[0] is basis
+    assert METHODS["sirc_msp_res"].fit(split)[0] is basis
+
+
+def _knn_both(queries, bank_vectors, k):
+    bank = build_feature_bank(bank_vectors)
+    inputs = ScoreInputs(None, np.asarray(queries, dtype=np.float64))
+    got = METHODS["knn"].score_batch(inputs, (bank, k))
+    want = np.array([knn_score(q, bank, k) for q in inputs.features])
+    return got, want
+
+
+class TestBatchedKnn:
+    def test_bank_members_duplicates_and_antipodes(self):
+        rng = np.random.default_rng(31)
+        bank = rng.normal(0, 1, (12, 5))
+        bank = np.vstack([bank, bank[:4], bank[:2]])  # ties at the k-th neighbor
+        queries = np.vstack(
+            [bank[:6], -bank[:6], 3.0 * bank[:3], rng.normal(0, 1, (10, 5))]
+        )
+        for k in (1, 2, 3, 5, bank.shape[0]):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+    def test_near_duplicate_bank(self):
+        # dot products that differ only in the last bits: the Gram identity
+        # alone cannot order them
+        rng = np.random.default_rng(32)
+        base = rng.normal(0, 1, 8)
+        bank = base + rng.normal(0, 1e-9, (40, 8))
+        queries = np.vstack([base, bank[:5], base + rng.normal(0, 1e-12, (5, 8))])
+        for k in (1, 7, 40):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+    def test_first_zero_row_is_reported(self):
+        bank = build_feature_bank(np.eye(3))
+        queries = np.array([[1.0, 0, 0], [0.0, 0, 0], [0.0, 0, 0]])
+        with pytest.raises(ZeroVector) as info:
+            METHODS["knn"].score_batch(ScoreInputs(None, queries), (bank, 1))
+        assert info.value.row == 1
+
+    def test_k_outside_bank(self):
+        bank = build_feature_bank(np.eye(3))
+        for k in (0, 4):
+            with pytest.raises(KTooLarge):
+                METHODS["knn"].score_batch(ScoreInputs(None, np.eye(3)), (bank, k))
+
+
+def _mds_both(queries, features, labels):
+    stats = fit_gaussian_stats(features, labels)
+    inputs = ScoreInputs(None, np.asarray(queries, dtype=np.float64))
+    got = METHODS["mds"].score_batch(inputs, stats)
+    want = np.array([mahalanobis(q, stats) for q in inputs.features])
+    return got, want
+
+
+def test_batched_mahalanobis_ties():
+    # classes mirrored through the origin: the origin and every point on the
+    # mirror plane are equally far from two class means
+    rng = np.random.default_rng(33)
+    half = rng.normal(2.0, 1.0, (30, 4))
+    features = np.vstack([half, -half, half * [1, 1, -1, 1]])
+    labels = np.repeat([0, 1, 2], 30)
+    on_plane = rng.normal(0, 1, (10, 4)) * [1, 1, 0, 1]
+    queries = np.vstack([np.zeros(4), features[:5], on_plane])
+    got, want = _mds_both(queries, features, labels)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 100_000), n_classes=st.integers(1, 4), dim=st.integers(1, 5))
+def test_batched_mahalanobis_is_exact(seed, n_classes, dim):
+    rng = np.random.default_rng(seed)
+    labels = np.arange(4 * n_classes + 3 * dim) % n_classes
+    means = rng.normal(0, 2, (n_classes, dim))
+    features = rng.normal(0, 1, (labels.size, dim)) + means[labels]
+    queries = np.vstack([features[:4], rng.normal(0, 3, (6, dim))])
+    got, want = _mds_both(queries, features, labels)
+    if dim == 2:
+        # numpy's einsum sums 2-d quadratic forms in an order that depends
+        # on how many rows it is given, so the per-row reference itself
+        # would change in the last bit
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    else:
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 100_000),
+    n_bank=st.integers(1, 12),
+    dim=st.integers(1, 6),
+    quantize=st.booleans(),
+)
+def test_batched_knn_is_exact(seed, n_bank, dim, quantize):
+    rng = np.random.default_rng(seed)
+    bank = rng.normal(0, 1, (n_bank, dim))
+    queries = np.vstack([bank, rng.normal(0, 1, (6, dim))])
+    if quantize:  # small integer vectors: many exact ties and duplicates
+        bank, queries = np.round(bank), np.round(queries)
+        bank[~bank.any(axis=1)] = 1.0
+        queries[~queries.any(axis=1)] = -1.0
+    k = int(rng.integers(1, n_bank + 1))
+    got, want = _knn_both(queries, bank, k)
+    assert np.array_equal(got, want)
