@@ -36,7 +36,6 @@ from .dsmetrics import (
     confusion_counts,
     ds_aurc,
     ds_f1,
-    ds_risk_points,
     ds_sweep_fast,
     f1_from_counts,
     quantile_grid,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .core import DsevalError, EvalSet, Origin, SampleRecord, build_eval_set
+from .core import DsevalError, EvalSet, Origin
 from .dsmetrics import (
     DEFAULT_K_BINS,
     DEFAULT_T_GRID,
@@ -56,6 +56,7 @@ from .scoring import (
 )
 
 # Not called here: perfbench/spans.py wraps these names in this module.
+from .core import build_eval_set  # noqa: F401
 from .scoring import (  # noqa: F401
     build_feature_bank,
     energy,
@@ -78,6 +79,7 @@ from .scoring import (  # noqa: F401
 )
 from .selection import SelectionMode, apply_thresholds, select_thresholds, test_opt
 from .synth import (
+    InvalidConfig,
     config_from_dict,
     far_ood_config,
     generate,
@@ -112,10 +114,6 @@ _NEED_FLAGS = {
 }
 
 
-def _id_rows(records):
-    return [r for r in records if r.origin is Origin.ID]
-
-
 def _matrix(records, attr):
     return np.stack([getattr(r, attr) for r in records])
 
@@ -137,7 +135,7 @@ def _positive(flag: str, value):
 
 def _fit_matrix(path, loader, kind: str):
     """The ID rows of a fit file, stacked, and their labels; the records are dropped."""
-    rows = _id_rows(loader(path))
+    rows = [r for r in loader(path) if r.origin is Origin.ID]
     if not rows:
         raise UsageError(f"{kind} fit file has no id rows")
     return _matrix(rows, kind), np.array([r.label for r in rows])
@@ -247,22 +245,18 @@ def _cmd_score(args) -> int:
     fitted = {name: METHODS[name].fit(split) for name in methods}
     del split, fit_logits, fit_features
 
-    records = []
+    channels, correct = {}, [False] * len(base)
     if base:
         inputs = ScoreInputs(
             None if logit_records is None else _matrix(logit_records, "logits"),
             None if feature_records is None else _matrix(feature_records, "features"),
         )
         channels = _channels(methods, inputs, fitted, base)
-        columns = [channels[m].tolist() for m in methods]
-        predicted = inputs.logits.argmax(axis=1) if inputs.logits is not None else None
-        for i, rec in enumerate(base):
-            correct = None
-            if rec.origin is Origin.ID:
-                correct = bool(int(predicted[i]) == rec.label)
-            scores = {m: col[i] for m, col in zip(methods, columns)}
-            records.append(SampleRecord(rec.sample_id, rec.origin, correct, scores))
-    write_scores(build_eval_set(records), args.out)
+        if inputs.logits is not None:
+            predicted = inputs.logits.argmax(axis=1).tolist()
+            correct = [p == rec.label for p, rec in zip(predicted, base)]
+    ids, is_id = [rec.sample_id for rec in base], [rec.origin is Origin.ID for rec in base]
+    write_scores(EvalSet.from_columns(ids, is_id, correct, channels), args.out)
     return 0
 
 
@@ -281,6 +275,8 @@ def _single_block(eval_set: EvalSet, channel: str, thresholds, k_bins: int) -> d
 
 
 def _cmd_eval(args) -> int:
+    _positive("--grid", args.grid)
+    _positive("--bins", args.bins)
     eval_set = load_scores(args.scores)
     grid = ThresholdGrid.quantile(
         eval_set, args.id_channel, args.ood_channel, t_grid=args.grid
@@ -388,6 +384,7 @@ _MODE_FLAGS = {
 
 
 def _cmd_select(args) -> int:
+    _positive("--grid", args.grid)
     val_set = load_scores(args.val)
     test_set = load_scores(args.test)
     val_grid = ThresholdGrid.quantile(
@@ -454,7 +451,11 @@ def _cmd_synth(args) -> int:
         if not args.config:
             raise UsageError("--preset custom requires --config")
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = config_from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidConfig(f"malformed synth config: {exc}") from None
+        config = config_from_dict(data)
     else:
         if args.config:
             raise UsageError("--config is only valid with --preset custom")

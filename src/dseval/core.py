@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -80,29 +81,76 @@ class ThresholdPair:
 
 
 def accept_all_threshold(values: Sequence[float] | np.ndarray) -> float:
-    """A sentinel threshold strictly below every value, so ``>=`` accepts all."""
-    return float(np.min(values)) - 1.0
+    """A sentinel threshold strictly below every value, so ``>=`` accepts all:
+    ``min - 1``, or the next float below ``min`` once ``- 1`` no longer moves it."""
+    low = float(np.min(values))
+    below = low - 1.0
+    return below if below < low else math.nextafter(low, -math.inf)
 
 
 class EvalSet:
-    """Immutable mixed ID/OOD evaluation set with column access to channels.
+    """Immutable mixed ID/OOD evaluation set, held as columns.
 
-    Instances are built by :func:`build_eval_set`, are safe to share across
-    concurrent readers, and never mutate after construction.
+    Instances are built by :meth:`from_columns` (or from records by
+    :func:`build_eval_set`), are safe to share across concurrent readers,
+    and never mutate after construction.
     """
 
-    def __init__(self, records, channel_names, matrix, is_id, id_correct):
-        self._records: tuple[SampleRecord, ...] = records
-        self._channel_names: tuple[str, ...] = channel_names
-        self._matrix = matrix
-        self._is_id = is_id
-        self._id_correct = id_correct
-        for arr in (matrix, is_id, id_correct):
+    def __init__(self, sample_ids, is_id, id_correct, channel_names, matrix):
+        self._sample_ids, self._is_id, self._id_correct = sample_ids, is_id, id_correct
+        self._channel_names, self._matrix = channel_names, matrix
+        for arr in (sample_ids, is_id, id_correct, matrix):
             arr.setflags(write=False)
 
-    @property
+    @classmethod
+    def from_columns(cls, sample_ids, is_id, correct, channels: Mapping) -> "EvalSet":
+        """Validate equal-length columns, one entry per sample, and build the set.
+
+        ``sample_ids`` are strings, ``is_id`` and ``correct`` booleans, and
+        ``channels`` maps each channel name to its scores. ``correct`` is
+        read at ID rows only. Requires at least one sample, at least one ID
+        sample, finite scores and unique sample ids. Row order is preserved.
+        """
+        sample_ids = np.array(sample_ids, dtype=str)
+        n = sample_ids.size
+        if n == 0:
+            raise MixedSchema("cannot build an evaluation set from zero records")
+        is_id, correct = np.array(is_id, dtype=bool), np.asarray(correct, dtype=bool)
+        names = tuple(channels)
+        columns = [np.asarray(channels[name], dtype=np.float64) for name in names]
+        if any(col.shape != (n,) for col in (sample_ids, is_id, correct, *columns)):
+            raise MixedSchema(f"every column needs one entry for each of {n} samples")
+        matrix = np.column_stack(columns) if columns else np.empty((n, 0))
+        bad = np.argwhere(~np.isfinite(matrix))
+        if bad.size:
+            i, j = bad[0]
+            raise NonFiniteScore(
+                f"record {str(sample_ids[i])!r} channel {names[j]!r} has non-finite "
+                f"score {float(matrix[i, j])!r}"
+            )
+        if not is_id.any():
+            raise MissingCorrectness("an evaluation set needs at least one ID record")
+        _, first = np.unique(sample_ids, return_index=True)
+        if first.size < n:
+            repeat = str(sample_ids[np.setdiff1d(np.arange(n), first)[0]])
+            raise MixedSchema(f"sample id {repeat!r} appears more than once")
+        return cls(sample_ids, is_id, is_id & correct, names, matrix)
+
+    @cached_property
     def records(self) -> tuple[SampleRecord, ...]:
-        return self._records
+        """One record per row, derived from the columns on first use."""
+        names, ids = self._channel_names, self._sample_ids.tolist()
+        rows = zip(ids, self._is_id.tolist(), self._id_correct.tolist(), self._matrix.tolist())
+        return tuple(
+            SampleRecord(sid, Origin.ID, ok, dict(zip(names, row)))
+            if iid
+            else SampleRecord(sid, Origin.OOD, None, dict(zip(names, row)))
+            for sid, iid, ok, row in rows
+        )
+
+    @property
+    def sample_ids(self) -> np.ndarray:
+        return self._sample_ids
 
     @property
     def channel_names(self) -> tuple[str, ...]:
@@ -110,7 +158,7 @@ class EvalSet:
 
     @property
     def n_total(self) -> int:
-        return len(self._records)
+        return self._is_id.size
 
     @property
     def n_id(self) -> int:
@@ -159,52 +207,33 @@ class EvalSet:
 
 
 def build_eval_set(records: Sequence[SampleRecord]) -> EvalSet:
-    """Validate records and assemble an :class:`EvalSet`.
+    """Build an :class:`EvalSet` from records through :meth:`EvalSet.from_columns`.
 
-    Requires a non-empty record list with at least one ID sample, a uniform
-    channel schema, an origin-consistent correctness flag, and finite scores.
-    Input order is preserved.
+    Checks here only what records can get wrong and columns cannot: a
+    channel set that differs between records, and a correctness flag that
+    does not fit the origin. Input order is preserved.
     """
     records = tuple(records)
-    if not records:
-        raise MixedSchema("cannot build an evaluation set from zero records")
-
-    channel_names = tuple(records[0].scores.keys())
-    schema = frozenset(channel_names)
-    n = len(records)
-    matrix = np.empty((n, len(channel_names)), dtype=np.float64)
-    is_id = np.zeros(n, dtype=bool)
-    id_correct = np.zeros(n, dtype=bool)
-
-    for i, rec in enumerate(records):
+    names = tuple(records[0].scores) if records else ()
+    schema = frozenset(names)
+    for rec in records:
         if frozenset(rec.scores.keys()) != schema:
             raise MixedSchema(
                 f"record {rec.sample_id!r} has channels {sorted(rec.scores)} "
                 f"but the set schema is {sorted(schema)}"
             )
-        if rec.origin is Origin.ID:
-            if rec.correct is None:
-                raise MissingCorrectness(
-                    f"ID record {rec.sample_id!r} lacks a correctness flag"
-                )
-            is_id[i] = True
-            id_correct[i] = bool(rec.correct)
-        else:
-            if rec.correct is not None:
-                raise MissingCorrectness(
-                    f"OOD record {rec.sample_id!r} must not carry a correctness flag"
-                )
-        for j, name in enumerate(channel_names):
-            v = float(rec.scores[name])
-            if not math.isfinite(v):
-                raise NonFiniteScore(
-                    f"record {rec.sample_id!r} channel {name!r} has non-finite score {v!r}"
-                )
-            matrix[i, j] = v
-
-    if not is_id.any():
-        raise MissingCorrectness("an evaluation set needs at least one ID record")
-    return EvalSet(records, channel_names, matrix, is_id, id_correct)
+        if rec.origin is Origin.ID and rec.correct is None:
+            raise MissingCorrectness(f"ID record {rec.sample_id!r} lacks a correctness flag")
+        if rec.origin is not Origin.ID and rec.correct is not None:
+            raise MissingCorrectness(
+                f"OOD record {rec.sample_id!r} must not carry a correctness flag"
+            )
+    return EvalSet.from_columns(
+        [rec.sample_id for rec in records],
+        [rec.origin is Origin.ID for rec in records],
+        [bool(rec.correct) for rec in records],
+        {name: [float(rec.scores[name]) for rec in records] for name in names},
+    )
 
 
 def acceptance_set(

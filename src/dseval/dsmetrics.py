@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import DsevalError, EvalSet, ThresholdPair, accept_all_threshold
-from .metrics_single import BinnedCurve, RiskCoveragePoint, bin_risk_points
+from .metrics_single import BinnedCurve, bin_risk_points
 
 __all__ = [
     "EmptyGrid",
@@ -35,7 +35,6 @@ __all__ = [
     "f1_from_counts",
     "ds_sweep_fast",
     "ds_f1",
-    "ds_risk_points",
     "ds_aurc",
 ]
 
@@ -66,8 +65,8 @@ class ConfusionCounts:
 def quantile_grid(scores, t_grid: int, include_sentinel: bool = True) -> np.ndarray:
     """Equally spaced empirical quantile thresholds (nearest rank), deduplicated.
 
-    Optionally prepends the accept-all sentinel (channel minimum - 1), so a
-    full-coverage operating point is always reachable.
+    Optionally prepends the accept-all sentinel (:func:`accept_all_threshold`),
+    so a full-coverage operating point is always reachable.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -300,26 +299,6 @@ def ds_f1(
         best_pair=pair,
         surface=_surface(tables) if return_surface else None,
     )
-
-
-def ds_risk_points(
-    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid
-) -> list[RiskCoveragePoint]:
-    """One (coverage, risk) point per threshold pair."""
-    tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid)
-    cov = tables.coverage
-    risk = tables.risk
-    points = []
-    for i, tau_id in enumerate(tables.id_thresholds):
-        for j, tau_ood in enumerate(tables.ood_thresholds):
-            points.append(
-                RiskCoveragePoint(
-                    coverage=float(cov[i, j]),
-                    risk=float(risk[i, j]),
-                    threshold=ThresholdPair(float(tau_id), float(tau_ood)),
-                )
-            )
-    return points
 
 
 def ds_aurc(

@@ -17,13 +17,10 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .core import (
-    DsevalError,
-    EvalSet,
-    Origin,
-    SampleRecord,
-    build_eval_set,
-)
+from .core import DsevalError, EvalSet, NonFiniteScore, Origin
+
+# Not called here: perfbench/spans.py wraps this name in this module.
+from .core import build_eval_set  # noqa: F401
 from .dsmetrics import PairSurface
 from .metrics_single import BinnedCurve, RiskCoveragePoint
 from .scoring import FeatureRecord, LogitRecord
@@ -88,6 +85,13 @@ def _open_write(path):
         raise IoError(str(exc)) from None
 
 
+def _write_csv(path, header: list[str], rows: Iterable) -> None:
+    with _open_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _parse_float(text: str, row: int, column: str) -> float:
     try:
         value = float(text)
@@ -100,68 +104,69 @@ def _parse_float(text: str, row: int, column: str) -> float:
     return value
 
 
-def _read_rows(path):
-    with _open_read(path) as fh:
-        return list(csv.reader(fh))
+_SCORES_KEYS = {("id", "0"), ("id", "1"), ("ood", "")}  # valid (domain, correct) cells
+
+
+def _check_scores_row(row: list[str], lineno: int, header: list[str]) -> None:
+    """Raise the first problem of one scores row, checking its cells left to right."""
+    if len(row) != len(header):
+        raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+    domain, correct_text = row[1], row[2]
+    where = f"row {lineno}, column"
+    if domain not in ("id", "ood"):
+        raise SchemaError(f"{where} 'domain': expected 'id' or 'ood', got {domain!r}")
+    if domain == "id" and correct_text not in ("0", "1"):
+        raise SchemaError(f"{where} 'correct': id rows need 0 or 1, got {correct_text!r}")
+    if domain == "ood" and correct_text != "":
+        raise SchemaError(
+            f"{where} 'correct': ood rows must leave this empty, got {correct_text!r}"
+        )
+    for column, cell in zip(header[len(_SCORES_PREFIX) :], row[len(_SCORES_PREFIX) :]):
+        _parse_float(cell, lineno, column)
 
 
 def load_scores(path) -> EvalSet:
     """Read a scores CSV (header sample_id,domain,correct,<channel...>)."""
-    rows = _read_rows(path)
+    with _open_read(path) as fh:
+        rows = list(csv.reader(fh))
     if not rows or rows[0][: len(_SCORES_PREFIX)] != _SCORES_PREFIX:
         raise ParseError(
             f"row 1: expected header starting with {','.join(_SCORES_PREFIX)}"
         )
-    channels = rows[0][len(_SCORES_PREFIX) :]
+    header, body = rows[0], rows[1:]
+    channels = header[len(_SCORES_PREFIX) :]
     if not channels:
         raise SchemaError("row 1: scores file declares no channel columns")
-    records = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(rows[0]):
-            raise ParseError(
-                f"row {lineno}: expected {len(rows[0])} fields, got {len(row)}"
-            )
-        sample_id, domain, correct_text = row[0], row[1], row[2]
-        if domain == "id":
-            if correct_text not in ("0", "1"):
-                raise SchemaError(
-                    f"row {lineno}, column 'correct': id rows need 0 or 1, "
-                    f"got {correct_text!r}"
-                )
-            origin, correct = Origin.ID, correct_text == "1"
-        elif domain == "ood":
-            if correct_text != "":
-                raise SchemaError(
-                    f"row {lineno}, column 'correct': ood rows must leave this "
-                    f"empty, got {correct_text!r}"
-                )
-            origin, correct = Origin.OOD, None
-        else:
-            raise SchemaError(
-                f"row {lineno}, column 'domain': expected 'id' or 'ood', got {domain!r}"
-            )
-        scores = {
-            ch: _parse_float(cell, lineno, ch)
-            for ch, cell in zip(channels, row[len(_SCORES_PREFIX) :])
-        }
-        records.append(SampleRecord(sample_id, origin, correct, scores))
-    if not any(r.origin is Origin.ID for r in records):
-        raise EmptyIdPopulation("scores file contains no id rows")
-    return build_eval_set(records)
+    for k, name in enumerate(channels):
+        if name in channels[:k]:
+            raise SchemaError(f"row 1: channel {name!r} appears more than once")
+    if body and all(len(row) == len(header) for row in body):
+        ids, domains, corrects, *cells = zip(*body)
+        is_id = np.array(domains) == "id"
+        if is_id.any() and set(zip(domains, corrects)) <= _SCORES_KEYS:
+            try:
+                scores = {
+                    ch: np.fromiter(map(float, col), np.float64, len(body))
+                    for ch, col in zip(channels, cells)
+                }
+                return EvalSet.from_columns(ids, is_id, np.array(corrects) == "1", scores)
+            except (ValueError, NonFiniteScore):
+                pass
+    # a row is malformed, a score is not a finite number or no row is an id
+    # row: this scan names the first bad row as a row-by-row reader would
+    for lineno, row in enumerate(body, start=2):
+        _check_scores_row(row, lineno, header)
+    raise EmptyIdPopulation("scores file contains no id rows")
 
 
 def write_scores(eval_set: EvalSet, path) -> None:
     """Serialize an evaluation set back to the scores CSV format."""
-    channels = list(eval_set.channel_names)
-    with _open_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SCORES_PREFIX + channels)
-        for rec in eval_set.records:
-            correct = "" if rec.correct is None else str(int(rec.correct))
-            writer.writerow(
-                [rec.sample_id, rec.origin.value, correct]
-                + [_fmt(rec.scores[ch]) for ch in channels]
-            )
+    domains = np.where(eval_set.is_id, "id", "ood")
+    corrects = np.where(eval_set.is_id, np.where(eval_set.id_correct, "1", "0"), "")
+    # tolist() gives Python floats, whose repr is the shortest round trip
+    scores = [map(repr, eval_set.channel(ch).tolist()) for ch in eval_set.channel_names]
+    header = _SCORES_PREFIX + list(eval_set.channel_names)
+    _write_csv(path, header, zip(eval_set.sample_ids, domains, corrects, *scores))
 
 
 def _load_vectors(path, min_dim: int, kind: str):
@@ -361,33 +366,24 @@ def write_curve(curve_or_surface, path) -> None:
     """
     if isinstance(curve_or_surface, PairSurface):
         surface = curve_or_surface
-        rows = []
-        for i, tau_id in enumerate(surface.id_thresholds):
-            for j, tau_ood in enumerate(surface.ood_thresholds):
-                rows.append(
-                    (
-                        float(surface.coverage[i, j]),
-                        float(surface.risk[i, j]),
-                        float(surface.f1[i, j]),
-                        float(tau_id),
-                        float(tau_ood),
-                    )
-                )
-        rows.sort(key=lambda r: (r[0], r[1], r[3], r[4]))
-        with _open_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tau_id", "tau_ood", "coverage", "risk", "f1"])
-            for cov, risk, f1, tau_id, tau_ood in rows:
-                writer.writerow([_fmt(tau_id), _fmt(tau_ood), _fmt(cov), _fmt(risk), _fmt(f1)])
+        grid = np.meshgrid(surface.id_thresholds, surface.ood_thresholds, indexing="ij")
+        columns = [a.ravel() for a in (*grid, surface.coverage, surface.risk, surface.f1)]
+        tau_id, tau_ood, cov, risk, _ = columns
+        order = np.lexsort((tau_ood, tau_id, risk, cov))  # by coverage first
+        _write_csv(
+            path,
+            ["tau_id", "tau_ood", "coverage", "risk", "f1"],
+            zip(*(map(repr, col[order].tolist()) for col in columns)),
+        )
         return
 
     if isinstance(curve_or_surface, BinnedCurve):
-        curve = curve_or_surface
-        with _open_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["coverage", "risk", "threshold"])
-            for b in range(curve.k_bins):
-                writer.writerow([_fmt(b / curve.k_bins), _fmt(curve.values[b]), ""])
+        k_bins = curve_or_surface.k_bins
+        _write_csv(
+            path,
+            ["coverage", "risk", "threshold"],
+            ([_fmt(b / k_bins), _fmt(v), ""] for b, v in enumerate(curve_or_surface.values)),
+        )
         return
 
     points: Iterable[RiskCoveragePoint] = list(curve_or_surface)
@@ -397,8 +393,4 @@ def write_curve(curve_or_surface, path) -> None:
         ((p.coverage, p.risk, float(p.threshold)) for p in points),
         key=lambda r: (r[0], r[1], r[2]),
     )
-    with _open_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["coverage", "risk", "threshold"])
-        for cov, risk, tau in triples:
-            writer.writerow([_fmt(cov), _fmt(risk), _fmt(tau)])
+    _write_csv(path, ["coverage", "risk", "threshold"], (map(_fmt, t) for t in triples))

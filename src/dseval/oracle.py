@@ -8,6 +8,7 @@ to validate, not to perform.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .core import DsevalError, EvalSet, ThresholdPair
@@ -44,7 +45,8 @@ def _columns(eval_set: EvalSet, ch_id: str, ch_ood: str):
 
 def _candidate_thresholds(values: list[float]) -> list[float]:
     distinct = sorted(set(values))
-    return [distinct[0] - 1.0] + distinct
+    below = distinct[0] - 1.0  # at huge magnitudes - 1 does not move it
+    return [below if below < distinct[0] else math.nextafter(below, -math.inf)] + distinct
 
 
 def oracle_ds_f1(

@@ -12,7 +12,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import DsevalError, EvalSet, Origin, SampleRecord, build_eval_set
+from .core import DsevalError, EvalSet
+
+# Not called here: perfbench/spans.py wraps this name in this module.
+from .core import build_eval_set  # noqa: F401
 
 __all__ = [
     "InvalidConfig",
@@ -62,6 +65,8 @@ def _validate(config: SynthConfig) -> None:
         raise InvalidConfig("n_id must be >= 1")
     if config.n_ood < 0:
         raise InvalidConfig("n_ood must be >= 0")
+    if config.seed < 0:
+        raise InvalidConfig("seed must be >= 0")
     if not 0.0 < config.id_accuracy <= 1.0:
         raise InvalidConfig("id_accuracy must be in (0, 1]")
     for name in ("correct", "wrong", "ood"):
@@ -86,26 +91,17 @@ def generate(config: SynthConfig) -> EvalSet:
     """Draw an evaluation set; identical configs give bit-identical sets."""
     _validate(config)
     n_correct = int(round(config.n_id * config.id_accuracy))
-    n_wrong = config.n_id - n_correct
     rng = np.random.default_rng(config.seed)
     blocks = [
-        (_draw(rng, config.correct, n_correct), Origin.ID, True),
-        (_draw(rng, config.wrong, n_wrong), Origin.ID, False),
-        (_draw(rng, config.ood, config.n_ood), Origin.OOD, None),
+        (config.correct, n_correct),
+        (config.wrong, config.n_id - n_correct),
+        (config.ood, config.n_ood),
     ]
-    records = []
-    for scores, origin, correct in blocks:
-        prefix = "id" if origin is Origin.ID else "ood"
-        for row in scores:
-            records.append(
-                SampleRecord(
-                    sample_id=f"{prefix}-{len(records):06d}",
-                    origin=origin,
-                    correct=correct,
-                    scores={CHANNEL_ID: float(row[0]), CHANNEL_OOD: float(row[1])},
-                )
-            )
-    return build_eval_set(records)
+    scores = np.vstack([_draw(rng, pop, n) for pop, n in blocks])
+    rows = np.arange(len(scores))
+    ids = [f"id-{i:06d}" if i < config.n_id else f"ood-{i:06d}" for i in rows.tolist()]
+    channels = {CHANNEL_ID: scores[:, 0], CHANNEL_OOD: scores[:, 1]}
+    return EvalSet.from_columns(ids, rows < config.n_id, rows < n_correct, channels)
 
 
 # Preset populations: the OOD population mirrors the correct population on
@@ -152,7 +148,8 @@ def config_to_dict(config: SynthConfig) -> dict:
 def config_from_dict(data: dict) -> SynthConfig:
     try:
         pops = {
-            name: PopulationParams(**data[name]) for name in ("correct", "wrong", "ood")
+            name: PopulationParams(**{k: float(v) for k, v in data[name].items()})
+            for name in ("correct", "wrong", "ood")
         }
         return SynthConfig(
             n_id=int(data["n_id"]),
@@ -161,5 +158,5 @@ def config_from_dict(data: dict) -> SynthConfig:
             seed=int(data["seed"]),
             **pops,
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise InvalidConfig(f"malformed synth config: {exc}") from None

@@ -16,6 +16,7 @@ from dseval.scoring import (
     knn_score,
     msp,
 )
+from dseval.synth import config_to_dict, far_ood_config
 from conftest import make_fixture_set
 
 
@@ -486,6 +487,61 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+_FAR = config_to_dict(far_ood_config(10, 10))
+
+
+def test_eval_at_huge_magnitudes(tmp_path):
+    # at |score| ~ 1e17, min - 1 == min; the accept-all sentinel must still
+    # order the threshold grid
+    es = make_fixture_set()
+    rows = [
+        (r.sample_id, r.origin.value, "" if r.correct is None else str(int(r.correct)),
+         repr(1e17 + 64.0 * round(10 * r.scores["s_id"])),
+         repr(-1e17 + 64.0 * round(10 * r.scores["s_ood"])))
+        for r in es.records
+    ]
+    scores = tmp_path / "huge.csv"
+    scores.write_text(
+        "sample_id,domain,correct,s_id,s_ood\n" + "".join(",".join(r) + "\n" for r in rows)
+    )
+    out = tmp_path / "report.json"
+    args = ["eval", "--scores", scores, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*args, "--oracle", "--surface", tmp_path / "surface.csv", "--out", out]) == 0
+    report = read_json(out)
+    assert report["oracle_check"]["max_abs_diff"] == 0.0
+    assert report["double"]["ds_f1"]["raw"] == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, kind",
+    [
+        (["eval", "--grid", 0], None, 2, "UsageError"),
+        (["eval", "--grid", -3], None, 2, "UsageError"),
+        (["eval", "--bins", 0], None, 2, "UsageError"),
+        (["select", "--grid", 0], None, 2, "UsageError"),
+        (["synth", "--seed", -1], None, 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"], "{not json", 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"], json.dumps({**_FAR, "n_id": "abc"}), 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"], json.dumps({**_FAR, "seed": 1.5e400}), 1,
+         "InvalidConfig"),
+        (["synth", "--preset", "custom"], "[1, 2]", 1, "InvalidConfig"),
+    ],
+)
+def test_bad_flags_give_one_line(tmp_path, capsys, fixture_csv, argv, config, code, kind):
+    if config is not None:
+        (tmp_path / "config.json").write_text(config)
+        argv = [*argv, "--config", tmp_path / "config.json"]
+    inputs = {
+        "eval": ["--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"],
+        "select": ["--val", fixture_csv, "--test", fixture_csv],
+        "synth": [],
+    }[argv[0]]
+    assert run([*argv, *inputs, "--out", tmp_path / "out"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"dseval: error: {kind}:"), err
+    assert err.count("\n") == 1, err
 
 
 def test_errors_are_single_line(tmp_path, capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dseval import (
+    EvalSet,
     MissingCorrectness,
     MixedSchema,
     NonFiniteScore,
@@ -71,6 +72,104 @@ class TestBuildEvalSet:
         es = build_eval_set([_rec("i", Origin.ID, True, 0.0, 0.0)])
         with pytest.raises(ValueError):
             es.channel("a")[0] = 1.0
+        for column in (es.sample_ids, es.is_id, es.id_correct):
+            with pytest.raises(ValueError):
+                column[0] = column[0]
+
+    def test_repeated_sample_id_names_first_repeat(self):
+        records = [
+            _rec("x", Origin.ID, True, 0.0, 0.0),
+            _rec("y", Origin.OOD, None, 0.0, 0.0),
+            _rec("y", Origin.ID, False, 1.0, 1.0),
+            _rec("x", Origin.OOD, None, 1.0, 1.0),
+        ]
+        with pytest.raises(MixedSchema, match="sample id 'y' appears more than once"):
+            build_eval_set(records)
+
+
+class TestFromColumns:
+    def test_columns(self):
+        es = EvalSet.from_columns(
+            ["i0", "i1", "o0"], [True, True, False], [True, False, True], {"a": [1.0, 2.0, 3.0]}
+        )
+        assert es.sample_ids.tolist() == ["i0", "i1", "o0"]
+        assert es.is_id.tolist() == [True, True, False]
+        # correctness is read at ID rows only
+        assert es.id_correct.tolist() == [True, False, False]
+        assert es.channel("a").tolist() == [1.0, 2.0, 3.0]
+        assert es.n_id == 2 and es.n_ood == 1 and len(es) == 3
+
+    def test_inputs_are_copied(self):
+        scores = np.array([1.0, 2.0])
+        is_id = np.array([True, False])
+        es = EvalSet.from_columns(["a", "b"], is_id, [True, False], {"s": scores})
+        scores[0] = 9.0
+        is_id[1] = True
+        assert scores.flags.writeable and is_id.flags.writeable
+        assert es.channel("s").tolist() == [1.0, 2.0] and es.n_id == 1
+
+    def test_records_are_derived_once_on_first_read(self):
+        es = EvalSet.from_columns(["a", "b"], [True, False], [False, True], {"s": [1.0, 2.0]})
+        assert "records" not in vars(es)
+        assert es.records == (
+            SampleRecord("a", Origin.ID, False, {"s": 1.0}),
+            SampleRecord("b", Origin.OOD, None, {"s": 2.0}),
+        )
+        assert es.records is es.records
+
+    @pytest.mark.parametrize(
+        "ids, is_id, correct, channels, error, needle",
+        [
+            ([], [], [], {"a": []}, MixedSchema, "zero records"),
+            (["i", "o"], [True], [True, False], {"a": [0.0, 0.0]}, MixedSchema, "one entry"),
+            (["i", "o"], [True, False], [True, False], {"a": [0.0]}, MixedSchema, "one entry"),
+            (["i"], [True], [True], {"a": [0.0], "b": [np.inf]}, NonFiniteScore,
+             "record 'i' channel 'b' has non-finite score inf"),
+            (["o"], [False], [False], {"a": [0.0]}, MissingCorrectness, "at least one ID"),
+            (["a", "b", "b", "a"], [True] * 4, [True] * 4, {"s": [0.0] * 4}, MixedSchema,
+             "sample id 'b' appears more than once"),
+        ],
+    )
+    def test_rejected(self, ids, is_id, correct, channels, error, needle):
+        with pytest.raises(error, match=needle):
+            EvalSet.from_columns(ids, is_id, correct, channels)
+
+
+_record_lists = st.integers(1, 30).flatmap(
+    lambda n: st.lists(
+        st.tuples(
+            st.sampled_from([(Origin.ID, True), (Origin.ID, False), (Origin.OOD, None)]),
+            st.floats(-1e300, 1e300),
+            st.floats(-1e300, 1e300),
+        ),
+        min_size=n,
+        max_size=n,
+    )
+).filter(lambda rows: any(origin is Origin.ID for (origin, _), _a, _b in rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_record_lists)
+def test_records_and_columns_agree(rows):
+    records = [
+        SampleRecord(f"s{k}", origin, correct, {"b": b, "a": a})
+        for k, ((origin, correct), a, b) in enumerate(rows)
+    ]
+    from_records = build_eval_set(records)
+    from_columns = EvalSet.from_columns(
+        [r.sample_id for r in records],
+        [r.origin is Origin.ID for r in records],
+        [bool(r.correct) for r in records],
+        {"b": [r.scores["b"] for r in records], "a": [r.scores["a"] for r in records]},
+    )
+    for es in (from_records, from_columns):
+        assert es.channel_names == ("b", "a")
+        assert es.sample_ids.tolist() == from_records.sample_ids.tolist()
+        assert es.is_id.tolist() == from_records.is_id.tolist()
+        assert es.id_correct.tolist() == from_records.id_correct.tolist()
+        for ch in ("a", "b"):
+            assert es.channel(ch).tobytes() == from_records.channel(ch).tobytes()
+        assert es.records == tuple(records)
 
 
 class TestAcceptanceSet:
@@ -153,6 +252,18 @@ def test_order_invariance_under_increasing_transform(seed, tau_id_tenths, tau_oo
         transformed, "a", "b", ThresholdPair(float(np.exp(tau_id)), tau_ood**3)
     )
     assert before.tolist() == after.tolist()
+
+
+@pytest.mark.parametrize("low", [1e17, -1e17, 3e300, -1.7e308])
+def test_accept_all_sentinel_at_huge_magnitudes(low):
+    sentinel = accept_all_threshold([abs(low), low])
+    assert sentinel < low
+    assert sentinel == np.nextafter(low, -np.inf)
+
+
+def test_accept_all_sentinel_is_min_minus_one():
+    assert accept_all_threshold([0.25, -3.5, 7.0]) == -4.5
+    assert accept_all_threshold([1e15]) == 1e15 - 1.0
 
 
 def test_one_sentinel_reduces_to_single_axis(fixture_set):

@@ -16,7 +16,6 @@ from dseval import (
     confusion_counts,
     ds_aurc,
     ds_f1,
-    ds_risk_points,
     ds_sweep_fast,
     f1_from_counts,
     quantile_grid,
@@ -129,7 +128,7 @@ class TestDsF1:
         assert surf.f1.shape == (len(grid.id_thresholds), len(grid.ood_thresholds))
 
 
-class TestDsRiskPoints:
+class TestSweepCoverageRisk:
     def test_fixture_points(self, fixture_set):
         grid = ThresholdGrid(
             id_thresholds=np.array([-0.4, 0.75, 2.0]),
@@ -137,17 +136,15 @@ class TestDsRiskPoints:
             id_has_sentinel=True,
             ood_has_sentinel=True,
         )
-        points = {
-            (p.threshold.tau_id, p.threshold.tau_ood): p
-            for p in ds_risk_points(fixture_set, "s_id", "s_ood", grid)
-        }
-        sentinel = points[(-0.4, -0.95)]
-        assert sentinel.coverage == 1.0
-        quoted = points[(0.75, 0.5)]
-        assert quoted.coverage == pytest.approx(2 / 3)
-        assert quoted.risk == 0.0
-        above = points[(2.0, 0.5)]
-        assert above.coverage == 0.0 and above.risk == 0.0
+        tables = ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+        assert tables.coverage.shape == tables.risk.shape == (3, 2)
+        # (tau_id, tau_ood) = (-0.4, -0.95): the sentinel pair
+        assert tables.coverage[0, 0] == 1.0
+        # (0.75, 0.5)
+        assert tables.coverage[1, 1] == pytest.approx(2 / 3)
+        assert tables.risk[1, 1] == 0.0
+        # (2.0, 0.5)
+        assert tables.coverage[2, 1] == 0.0 and tables.risk[2, 1] == 0.0
 
 
 class TestDsAurc:

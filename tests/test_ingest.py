@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dseval import Origin, ThresholdGrid, ds_f1
+from dseval import MixedSchema, Origin, ThresholdGrid, ds_f1
 from dseval.ingest import (
     AURC_SCALE,
     METRIC_SCALE,
@@ -75,6 +75,38 @@ def test_bad_rows_are_diagnosed(tmp_path, row, error, needle):
         load_scores(path)
     assert "row 7" in str(excinfo.value)
     assert needle in str(excinfo.value)
+
+
+def test_loaded_set_holds_columns_only(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(FIXTURE_CSV)
+    es = load_scores(path)
+    assert "records" not in vars(es)
+    assert es.sample_ids.tolist() == ["A", "B", "C", "X", "Y"]
+    assert es.id_correct.tolist() == [True, True, False, False, False]
+
+
+def test_repeated_channel_name_rejected(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("sample_id,domain,correct,a,b,a\nA,id,1,0.1,0.2,0.3\n")
+    with pytest.raises(SchemaError, match="row 1: channel 'a' appears more than once"):
+        load_scores(path)
+
+
+def test_repeated_sample_id_rejected(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(FIXTURE_CSV + "Z,ood,,0.1,0.1\nB,ood,,0.5,0.5\nZ,id,1,0.5,0.5\n")
+    with pytest.raises(MixedSchema, match="sample id 'B' appears more than once"):
+        load_scores(path)
+
+
+def test_first_bad_row_wins_over_a_later_one(tmp_path):
+    # row 7 holds a non-finite score and row 8 a bad domain: the error names
+    # row 7, as a row-by-row reader would
+    path = tmp_path / "scores.csv"
+    path.write_text(FIXTURE_CSV + "Z,id,1,inf,0.5\nW,weird,1,0.5,0.5\n")
+    with pytest.raises(ParseError, match="row 7, column 's_id': non-finite value 'inf'"):
+        load_scores(path)
 
 
 def test_missing_header(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dseval import Origin, SampleRecord, build_eval_set
+from dseval import Origin, SampleRecord, ThresholdGrid, build_eval_set, ds_f1
 from dseval.oracle import CapExceeded, oracle_auroc, oracle_ds_aurc, oracle_ds_f1
 from conftest import make_random_set
 
@@ -28,6 +28,29 @@ def test_accept_all_floor():
         accept_all_f1 = 2 * n_correct / (es.n_total + es.n_id)
         value, _ = oracle_ds_f1(es, "a", "b")
         assert value >= accept_all_f1 - 1e-15
+
+
+def test_huge_magnitudes_match_the_sweep():
+    # at |score| ~ 1e17, min - 1 == min: the accept-all sentinel must still
+    # sit strictly below every score on both paths
+    rng = np.random.default_rng(8)
+    raw = make_random_set(rng, n=25)
+    es = build_eval_set(
+        [
+            SampleRecord(r.sample_id, r.origin, r.correct, {
+                "a": 1e17 + 16.0 * round(r.scores["a"]),
+                "b": -1e17 + 16.0 * round(r.scores["b"]),
+            })
+            for r in raw.records
+        ]
+    )
+    grid = ThresholdGrid.exhaustive(es, "a", "b")
+    assert grid.id_thresholds[0] < es.channel("a").min()
+    assert grid.ood_thresholds[0] < es.channel("b").min()
+    fast = ds_f1(es, "a", "b", grid)
+    value, pair = oracle_ds_f1(es, "a", "b")
+    assert fast.value == value
+    assert fast.best_pair == pair
 
 
 def test_cap_enforced():

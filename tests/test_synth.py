@@ -86,6 +86,13 @@ def test_invalid_configs():
         )
     with pytest.raises(InvalidConfig):
         config_from_dict({"n_id": 5})
+    with pytest.raises(InvalidConfig):
+        generate(far_ood_config(10, 10, seed=-1))
+    fields = config_to_dict(far_ood_config(10, 10))
+    for key, value in [("n_id", "abc"), ("correct", {"mean_s_id": "abc", "mean_s_ood": 0}),
+                       ("wrong", [1, 2]), ("ood", {"mean_s_id": None, "mean_s_ood": 0})]:
+        with pytest.raises(InvalidConfig):
+            config_from_dict({**fields, key: value})
 
 
 def test_config_round_trip():
