@@ -30,12 +30,15 @@ from .dsmetrics import (
     DsResult,
     EmptyGrid,
     EmptyScores,
+    GridTooLarge,
     PairSurface,
     SweepTables,
     ThresholdGrid,
     confusion_counts,
     ds_aurc,
+    ds_aurc_from_tables,
     ds_f1,
+    ds_f1_from_tables,
     ds_sweep_fast,
     f1_from_counts,
     quantile_grid,

@@ -13,14 +13,14 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dsmetrics
 from .core import DsevalError, EvalSet, Origin
 from .dsmetrics import (
     DEFAULT_K_BINS,
     DEFAULT_T_GRID,
     ThresholdGrid,
-    ds_aurc,
-    ds_f1,
+    ds_aurc_from_tables,
+    ds_f1_from_tables,
 )
 from .ingest import (
     AURC_SCALE,
@@ -57,6 +57,7 @@ from .scoring import (
 
 # Not called here: perfbench/spans.py wraps these names in this module.
 from .core import build_eval_set  # noqa: F401
+from .dsmetrics import ds_aurc, ds_f1  # noqa: F401
 from .scoring import (  # noqa: F401
     build_feature_bank,
     energy,
@@ -281,6 +282,9 @@ def _cmd_eval(args) -> int:
     grid = ThresholdGrid.quantile(
         eval_set, args.id_channel, args.ood_channel, t_grid=args.grid
     )
+    # the one sweep both DS metrics reduce; looked up on the module so that
+    # a wrapper installed there sees the call
+    tables = dsmetrics.ds_sweep_fast(eval_set, args.id_channel, args.ood_channel, grid)
     axis = {args.id_channel: grid.id_thresholds, args.ood_channel: grid.ood_thresholds}
     single = {
         ch: _single_block(eval_set, ch, thresholds, args.bins)
@@ -300,12 +304,9 @@ def _cmd_eval(args) -> int:
         }
 
     want_surface = args.surface is not None
-    f1_result = ds_f1(
-        eval_set, args.id_channel, args.ood_channel, grid, return_surface=want_surface
-    )
-    aurc_result = ds_aurc(
-        eval_set, args.id_channel, args.ood_channel, grid, k_bins=args.bins
-    )
+    f1_result = ds_f1_from_tables(tables, return_surface=want_surface)
+    aurc_result = ds_aurc_from_tables(tables, k_bins=args.bins)
+    del tables  # the surface holds only the arrays it exports
     if want_surface:
         write_curve(f1_result.surface, args.surface)
 
@@ -346,10 +347,11 @@ def _cmd_eval(args) -> int:
                 f"--oracle cross-check is capped at {DEFAULT_CAP} samples"
             )
         exhaust = ThresholdGrid.exhaustive(eval_set, args.id_channel, args.ood_channel)
-        fast_f1 = ds_f1(eval_set, args.id_channel, args.ood_channel, exhaust).value
-        fast_aurc = ds_aurc(
-            eval_set, args.id_channel, args.ood_channel, exhaust, k_bins=args.bins
-        ).value
+        tables = dsmetrics.ds_sweep_fast(
+            eval_set, args.id_channel, args.ood_channel, exhaust
+        )
+        fast_f1 = ds_f1_from_tables(tables).value
+        fast_aurc = ds_aurc_from_tables(tables, k_bins=args.bins).value
         ref_f1, _ = oracle_ds_f1(eval_set, args.id_channel, args.ood_channel)
         ref_aurc = oracle_ds_aurc(
             eval_set, args.id_channel, args.ood_channel, k_bins=args.bins

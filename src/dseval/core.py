@@ -88,6 +88,16 @@ def accept_all_threshold(values: Sequence[float] | np.ndarray) -> float:
     return below if below < low else math.nextafter(low, -math.inf)
 
 
+def _nul_suffixed(sample_ids):
+    """The first id that ends in NUL, or None; one join finds most sets clean."""
+    try:
+        if "\0" not in "".join(sample_ids):
+            return None
+    except TypeError:  # not every id is a str
+        pass
+    return next((s for s in sample_ids if isinstance(s, str) and s.endswith("\0")), None)
+
+
 class EvalSet:
     """Immutable mixed ID/OOD evaluation set, held as columns.
 
@@ -109,12 +119,16 @@ class EvalSet:
         ``sample_ids`` are strings, ``is_id`` and ``correct`` booleans, and
         ``channels`` maps each channel name to its scores. ``correct`` is
         read at ID rows only. Requires at least one sample, at least one ID
-        sample, finite scores and unique sample ids. Row order is preserved.
+        sample, finite scores and unique sample ids, none ending in NUL (a
+        numpy string column drops trailing NULs). Row order is preserved.
         """
+        nul = _nul_suffixed(sample_ids)
         sample_ids = np.array(sample_ids, dtype=str)
         n = sample_ids.size
         if n == 0:
             raise MixedSchema("cannot build an evaluation set from zero records")
+        if nul is not None:
+            raise MixedSchema(f"sample id {nul!r} ends in a NUL character")
         is_id, correct = np.array(is_id, dtype=bool), np.asarray(correct, dtype=bool)
         names = tuple(channels)
         columns = [np.asarray(channels[name], dtype=np.float64) for name in names]

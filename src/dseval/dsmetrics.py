@@ -9,7 +9,12 @@ TA + FR = n_id and TA + FA = |accepted| exact.
 DS-F1 maximises F1 over the grid product of thresholds. DS-AURC bins the
 (coverage, risk) cloud of all pairs and keeps the minimum risk per coverage
 bin. ``ds_sweep_fast`` produces the full count tables for every pair in
-O(N log N + T_id * T_ood) via two-dimensional suffix sums.
+O(N log N + T_id * T_ood) via two-dimensional suffix sums, accumulated in
+place in the histogram buffers; it refuses grids whose tables would exceed
+``MAX_SWEEP_CELLS`` cells with :class:`GridTooLarge`. One sweep feeds both
+metrics: :func:`ds_f1_from_tables` and :func:`ds_aurc_from_tables` reduce a
+computed :class:`SweepTables` block by block, holding no table-sized
+buffer, and :func:`ds_f1` / :func:`ds_aurc` are sweep plus reduction.
 """
 
 from __future__ import annotations
@@ -20,11 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from .core import DsevalError, EvalSet, ThresholdPair, accept_all_threshold
-from .metrics_single import BinnedCurve, bin_risk_points
+from .metrics_single import BinnedCurve
 
 __all__ = [
     "EmptyGrid",
     "EmptyScores",
+    "GridTooLarge",
     "ConfusionCounts",
     "ThresholdGrid",
     "SweepTables",
@@ -36,10 +42,17 @@ __all__ = [
     "ds_sweep_fast",
     "ds_f1",
     "ds_aurc",
+    "ds_f1_from_tables",
+    "ds_aurc_from_tables",
 ]
 
 DEFAULT_T_GRID = 512
 DEFAULT_K_BINS = 200
+# Largest (T_id + 1) * (T_ood + 1) a sweep accepts: three int64 tables of
+# this many cells take about 1.6 GB.
+MAX_SWEEP_CELLS = 1 << 26
+# Cells per block in the reductions, so each of their buffers is 512 KB.
+_BLOCK_CELLS = 1 << 16
 
 
 class EmptyGrid(DsevalError):
@@ -47,6 +60,10 @@ class EmptyGrid(DsevalError):
 
 
 class EmptyScores(DsevalError):
+    pass
+
+
+class GridTooLarge(DsevalError):
     pass
 
 
@@ -208,12 +225,23 @@ class SweepTables:
         return np.where(acc > 0, r, 0.0)
 
 
-def _suffix_table(bin_id, bin_ood, mask, shape):
-    h = np.bincount(
-        bin_id[mask] * shape[1] + bin_ood[mask], minlength=shape[0] * shape[1]
+def _suffix_table(bin_id, bin_ood, mask, shape) -> np.ndarray:
+    """Count of ``mask`` samples at or above each threshold pair.
+
+    Samples in bin 0 of either axis pass no threshold there and are left
+    out; the rest are histogrammed on ``shape`` cells and suffix-summed in
+    place, first along the contiguous OOD axis, then row by row from the
+    last ID row up.
+    """
+    keep = mask & (bin_id > 0) & (bin_ood > 0)
+    counts = np.bincount(
+        (bin_id[keep] - 1) * shape[1] + (bin_ood[keep] - 1), minlength=shape[0] * shape[1]
     ).reshape(shape)
-    suffix = np.cumsum(np.cumsum(h[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-    return suffix[1:, 1:]
+    flipped = counts[:, ::-1]
+    np.cumsum(flipped, axis=1, out=flipped)
+    for i in range(shape[0] - 2, -1, -1):
+        counts[i] += counts[i + 1]
+    return counts
 
 
 def ds_sweep_fast(
@@ -222,26 +250,42 @@ def ds_sweep_fast(
     """Count tables for every threshold pair via 2-D bucketing and suffix sums.
 
     Each sample is bucketed once per axis (its bin is the number of grid
-    thresholds it passes); suffix-summing the three population histograms
-    yields, for every pair, counts identical to :func:`confusion_counts`.
+    thresholds it passes); suffix-summing the population histograms yields,
+    for every pair, counts identical to :func:`confusion_counts`. Raises
+    :class:`GridTooLarge`, before allocating any table, when
+    (T_id + 1) * (T_ood + 1) exceeds ``MAX_SWEEP_CELLS``.
     """
     tid = grid.id_thresholds
     tod = grid.ood_thresholds
+    cells = (tid.size + 1) * (tod.size + 1)
+    if cells > MAX_SWEEP_CELLS:
+        raise GridTooLarge(
+            f"a {tid.size} x {tod.size} threshold grid needs {cells} cells per count "
+            f"table, above the budget of {MAX_SWEEP_CELLS}; use a coarser grid"
+        )
     bin_id = np.searchsorted(tid, eval_set.channel(ch_id), side="right")
     bin_ood = np.searchsorted(tod, eval_set.channel(ch_ood), side="right")
-    shape = (tid.size + 1, tod.size + 1)
+    shape = (tid.size, tod.size)
     ta = _suffix_table(bin_id, bin_ood, eval_set.id_correct, shape)
-    wrong = _suffix_table(bin_id, bin_ood, eval_set.id_wrong, shape)
-    ood = _suffix_table(bin_id, bin_ood, ~eval_set.is_id, shape)
+    accepted_id = _suffix_table(bin_id, bin_ood, eval_set.id_wrong, shape)
+    accepted_id += ta
     return SweepTables(
         id_thresholds=tid,
         ood_thresholds=tod,
         ta=ta,
-        accepted_id=ta + wrong,
-        accepted_ood=ood,
+        accepted_id=accepted_id,
+        accepted_ood=_suffix_table(bin_id, bin_ood, ~eval_set.is_id, shape),
         n_id=eval_set.n_id,
         n_ood=eval_set.n_ood,
     )
+
+
+def _row_blocks(tables: SweepTables):
+    """Slices of whole ID-threshold rows, about ``_BLOCK_CELLS`` cells each."""
+    n_rows, n_cols = tables.ta.shape
+    step = max(1, _BLOCK_CELLS // n_cols)
+    for start in range(0, n_rows, step):
+        yield slice(start, start + step)
 
 
 @dataclass(frozen=True)
@@ -273,6 +317,69 @@ def _surface(tables: SweepTables) -> PairSurface:
     )
 
 
+def ds_f1_from_tables(tables: SweepTables, return_surface: bool = False) -> DsResult:
+    """Maximum F1 over the pairs of computed tables, with the achieving pair.
+
+    Ties are broken by the lexicographically smallest (tau_ood, tau_id), so
+    reported operating points are reproducible. F1 is taken one block of
+    rows at a time as 2 * (TA / (accepted + n_id)), which equals
+    ``tables.f1`` exactly (doubling is exact in binary floating point).
+    """
+    best, at = -1.0, None
+    for rows in _row_blocks(tables):
+        f1 = np.add(tables.accepted_id[rows], tables.accepted_ood[rows], dtype=np.float64)
+        f1 += tables.n_id
+        np.divide(tables.ta[rows], f1, out=f1)
+        f1 *= 2.0
+        top = float(f1.max())
+        if top < best:
+            continue
+        hit = f1 == top
+        j = int(hit.any(axis=0).argmax())
+        here = (j, rows.start + int(hit[:, j].argmax()))
+        if top > best or here < at:
+            best, at = top, here
+    j, i = at
+    pair = ThresholdPair(
+        tau_id=float(tables.id_thresholds[i]), tau_ood=float(tables.ood_thresholds[j])
+    )
+    return DsResult(
+        value=best,
+        best_pair=pair,
+        surface=_surface(tables) if return_surface else None,
+    )
+
+
+def ds_aurc_from_tables(
+    tables: SweepTables, k_bins: int = DEFAULT_K_BINS, return_surface: bool = False
+) -> DsResult:
+    """DS-AURC of computed tables; see :func:`ds_aurc`.
+
+    Works one block of rows at a time. A pair's coverage bin depends only
+    on its accepted-ID count, so the bin of every count 0..n_id is computed
+    once and looked up; bins and risks equal those that
+    :func:`~dseval.metrics_single.bin_risk_points` gets from
+    ``tables.coverage`` and ``tables.risk``.
+    """
+    if k_bins < 1:
+        raise ValueError("k_bins must be >= 1")
+    bin_of = BinnedCurve.bin_index(np.arange(tables.n_id + 1) / tables.n_id, k_bins)
+    minima = np.full(k_bins, np.inf)
+    for rows in _row_blocks(tables):
+        accepted_id = tables.accepted_id[rows]
+        accepted = accepted_id + tables.accepted_ood[rows]
+        risk = np.subtract(accepted, tables.ta[rows], dtype=np.float64)
+        # empty acceptance keeps risk 0: FA = 0 there
+        np.divide(risk, accepted, out=risk, where=accepted > 0)
+        np.minimum.at(minima, bin_of[accepted_id].ravel(), risk.ravel())
+    curve = BinnedCurve.from_minima(minima)
+    return DsResult(
+        value=float(np.sum(curve.values)) / k_bins,
+        curve=curve,
+        surface=_surface(tables) if return_surface else None,
+    )
+
+
 def ds_f1(
     eval_set: EvalSet,
     ch_id: str,
@@ -286,19 +393,7 @@ def ds_f1(
     reported operating points are reproducible.
     """
     tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid)
-    f1 = tables.f1
-    best = float(f1.max())
-    rows, cols = np.nonzero(f1 == best)
-    j = int(cols.min())
-    i = int(rows[cols == j].min())
-    pair = ThresholdPair(
-        tau_id=float(tables.id_thresholds[i]), tau_ood=float(tables.ood_thresholds[j])
-    )
-    return DsResult(
-        value=best,
-        best_pair=pair,
-        surface=_surface(tables) if return_surface else None,
-    )
+    return ds_f1_from_tables(tables, return_surface)
 
 
 def ds_aurc(
@@ -317,10 +412,4 @@ def ds_aurc(
     if k_bins < 1:
         raise ValueError("k_bins must be >= 1")
     tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid)
-    curve = bin_risk_points(tables.coverage.ravel(), tables.risk.ravel(), k_bins)
-    value = float(np.sum(curve.values)) / k_bins
-    return DsResult(
-        value=value,
-        curve=curve,
-        surface=_surface(tables) if return_surface else None,
-    )
+    return ds_aurc_from_tables(tables, k_bins, return_surface)

@@ -366,15 +366,20 @@ def write_curve(curve_or_surface, path) -> None:
     """
     if isinstance(curve_or_surface, PairSurface):
         surface = curve_or_surface
-        grid = np.meshgrid(surface.id_thresholds, surface.ood_thresholds, indexing="ij")
-        columns = [a.ravel() for a in (*grid, surface.coverage, surface.risk, surface.f1)]
-        tau_id, tau_ood, cov, risk, _ = columns
-        order = np.lexsort((tau_ood, tau_id, risk, cov))  # by coverage first
-        _write_csv(
-            path,
-            ["tau_id", "tau_ood", "coverage", "risk", "f1"],
-            zip(*(map(repr, col[order].tolist()) for col in columns)),
-        )
+        # lexsort is stable, so pairs tied on (coverage, risk) stay in flat
+        # order, which is (tau_id, tau_ood) order: both axes strictly increase
+        order = np.lexsort((surface.risk.ravel(), surface.coverage.ravel()))
+        i, j = np.divmod(order, surface.ood_thresholds.size)
+        # each threshold is formatted once and picked per row
+        taus = [
+            np.array(list(map(repr, axis.tolist())), dtype=object)[at]
+            for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j))
+        ]
+        values = [
+            map(repr, col.ravel()[order].tolist())
+            for col in (surface.coverage, surface.risk, surface.f1)
+        ]
+        _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], zip(*taus, *values))
         return
 
     if isinstance(curve_or_surface, BinnedCurve):

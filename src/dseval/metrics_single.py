@@ -60,6 +60,24 @@ class BinnedCurve:
     values: np.ndarray
     filled: np.ndarray
 
+    @staticmethod
+    def bin_index(coverages: np.ndarray, k_bins: int) -> np.ndarray:
+        """floor(coverage * k_bins), clamped to the last bin."""
+        return np.minimum((coverages * k_bins).astype(np.int64), k_bins - 1)
+
+    @classmethod
+    def from_minima(cls, minima: np.ndarray) -> "BinnedCurve":
+        """Fill the bins of per-bin minimum risks, ``inf`` where no point fell.
+
+        Empty bins between filled ones are linearly interpolated on the bin
+        index; empty bins outside the filled range extend the nearest filled
+        value.
+        """
+        filled = np.isfinite(minima)
+        filled_idx = np.flatnonzero(filled)
+        values = np.interp(np.arange(minima.size), filled_idx, minima[filled_idx])
+        return cls(k_bins=minima.size, values=values, filled=filled)
+
 
 def coverage(eval_set: EvalSet, channel: str, tau: float) -> float:
     """Fraction of ID samples with channel score >= tau."""
@@ -117,21 +135,16 @@ def bin_risk_points(
 ) -> BinnedCurve:
     """Bin points by coverage, keep the per-bin minimum risk, fill empty bins.
 
-    Bin index is floor(coverage * k_bins) clamped to the last bin. Empty bins
-    between filled ones are linearly interpolated on the bin index; empty bins
-    outside the filled range extend the nearest filled value.
+    Bins are assigned by :meth:`BinnedCurve.bin_index` and empty bins filled
+    as :meth:`BinnedCurve.from_minima` describes.
     """
     if k_bins < 1:
         raise ValueError("k_bins must be >= 1")
     coverages = np.asarray(coverages, dtype=np.float64)
     risks = np.asarray(risks, dtype=np.float64)
-    idx = np.minimum((coverages * k_bins).astype(np.int64), k_bins - 1)
     values = np.full(k_bins, np.inf)
-    np.minimum.at(values, idx, risks)
-    filled = np.isfinite(values)
-    filled_idx = np.flatnonzero(filled)
-    out = np.interp(np.arange(k_bins), filled_idx, values[filled_idx])
-    return BinnedCurve(k_bins=k_bins, values=out, filled=filled)
+    np.minimum.at(values, BinnedCurve.bin_index(coverages, k_bins), risks)
+    return BinnedCurve.from_minima(values)
 
 
 def aurc(points: Sequence[RiskCoveragePoint], k_bins: int) -> float:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dseval import Origin
+from dseval import Origin, dsmetrics
 from dseval.cli import main
 from dseval.ingest import load_logits, load_scores, write_scores, write_vector_file
 from dseval.scoring import (
@@ -558,3 +558,48 @@ def test_errors_are_single_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("dseval: error: IoError:")
     assert err.strip().count("\n") == 0
+
+
+def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    assert run(["synth", "--n-id", 5000, "--n-ood", 5000, "--seed", 3, "--out", scores]) == 0
+    es = load_scores(scores)
+    assert np.unique(es.channel("s_id")).size == np.unique(es.channel("s_ood")).size == 10_000
+    out = tmp_path / "report.json"
+    args = ["eval", "--scores", scores, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*args, "--grid", 10_000, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dseval: error: GridTooLarge: a 10001 x 10001 threshold grid"), err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
+class TestSweepCount:
+    """Each subcommand sweeps only as often as it has distinct grids to reduce."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        calls = []
+        sweep = dsmetrics.ds_sweep_fast
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(dsmetrics, "ds_sweep_fast", counted)
+        return calls
+
+    def test_eval_sweeps_once(self, sweeps, fixture_csv, tmp_path):
+        args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+        assert run([*args, "--surface", tmp_path / "s.csv", "--out", tmp_path / "r.json"]) == 0
+        assert len(sweeps) == 1
+
+    def test_eval_oracle_sweeps_the_exhaustive_grid_once(self, sweeps, fixture_csv, tmp_path):
+        args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+        assert run([*args, "--oracle", "--out", tmp_path / "r.json"]) == 0
+        assert len(sweeps) == 2
+
+    def test_select_sweeps_val_and_test_once_each(self, sweeps, fixture_csv, tmp_path):
+        args = ["select", "--val", fixture_csv, "--test", fixture_csv]
+        assert run([*args, "--out", tmp_path / "r.json"]) == 0
+        assert len(sweeps) == 2

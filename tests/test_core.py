@@ -128,11 +128,20 @@ class TestFromColumns:
             (["o"], [False], [False], {"a": [0.0]}, MissingCorrectness, "at least one ID"),
             (["a", "b", "b", "a"], [True] * 4, [True] * 4, {"s": [0.0] * 4}, MixedSchema,
              "sample id 'b' appears more than once"),
+            # a numpy string column would store these as 'a' and ''
+            (["a\0", "b"], [True, False], [True, False], {"s": [0.0, 0.0]}, MixedSchema,
+             r"sample id 'a\\x00' ends in a NUL character"),
+            (["b", "\0"], [True, False], [True, False], {"s": [0.0, 0.0]}, MixedSchema,
+             r"sample id '\\x00' ends in a NUL character"),
         ],
     )
     def test_rejected(self, ids, is_id, correct, channels, error, needle):
         with pytest.raises(error, match=needle):
             EvalSet.from_columns(ids, is_id, correct, channels)
+
+    def test_inner_nul_is_kept(self):
+        es = EvalSet.from_columns(["a\0b", "c"], [True, False], [True, False], {"s": [0, 1]})
+        assert es.sample_ids.tolist() == ["a\0b", "c"]
 
 
 _record_lists = st.integers(1, 30).flatmap(

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,21 +9,27 @@ from hypothesis import strategies as st
 from dseval import (
     EmptyGrid,
     EmptyScores,
+    EvalSet,
+    GridTooLarge,
     Origin,
     SampleRecord,
     ThresholdGrid,
     ThresholdPair,
     aurc,
     best_f1_single,
+    bin_risk_points,
     build_eval_set,
     confusion_counts,
     ds_aurc,
+    ds_aurc_from_tables,
     ds_f1,
+    ds_f1_from_tables,
     ds_sweep_fast,
     f1_from_counts,
     quantile_grid,
     risk_coverage_curve,
 )
+from dseval import dsmetrics
 from dseval.oracle import oracle_ds_aurc
 from conftest import make_random_set
 
@@ -237,6 +246,155 @@ class TestSweepFast:
         t = ds_sweep_fast(es, "a", "b", grid)
         assert np.all(t.ta + t.fr == es.n_id)
         assert np.all(t.ta + t.fa == t.accepted_total)
+
+
+def _naive_tables(es, grid):
+    """TA, accepted-ID and accepted-OOD tables by a double cumsum over full histograms."""
+    bin_id = np.searchsorted(grid.id_thresholds, es.channel("a"), side="right")
+    bin_ood = np.searchsorted(grid.ood_thresholds, es.channel("b"), side="right")
+    shape = (grid.id_thresholds.size + 1, grid.ood_thresholds.size + 1)
+
+    def suffix(mask):
+        h = np.zeros(shape, dtype=np.int64)
+        np.add.at(h, (bin_id[mask], bin_ood[mask]), 1)
+        return np.cumsum(np.cumsum(h[::-1, ::-1], axis=0), axis=1)[::-1, ::-1][1:, 1:]
+
+    return suffix(es.id_correct), suffix(es.is_id), suffix(~es.is_id)
+
+
+_POPULATIONS = {
+    "mixed": ((True, True), (True, False), (False, False)),
+    "no_ood": ((True, True), (True, False)),
+    "all_correct": ((True, True), (False, False)),
+    "all_wrong": ((True, False), (False, False)),
+}
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A small set with tied scores at some magnitude, and a grid over it."""
+    kinds = _POPULATIONS[draw(st.sampled_from(sorted(_POPULATIONS)))]
+    n = draw(st.integers(1, 30))
+    rows = draw(st.lists(st.sampled_from(kinds), min_size=n, max_size=n))
+    rows[0] = kinds[0]  # at least one ID row
+    scale = draw(st.sampled_from([1.0, 1e17, 1e300]))
+    a, b = (
+        np.array(draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))) * scale / 6
+        for _ in range(2)
+    )
+    es = EvalSet.from_columns(
+        [f"s{i}" for i in range(n)],
+        [is_id for is_id, _ in rows],
+        [ok for _, ok in rows],
+        {"a": a, "b": b},
+    )
+    shape = draw(st.sampled_from(["exhaustive", "quantile", "one", "free"]))
+    sentinel = draw(st.booleans())
+    if shape == "exhaustive":
+        return es, ThresholdGrid.exhaustive(es, "a", "b", sentinel)
+    if shape == "quantile":  # skinny either way round
+        t_id, t_ood = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+        return es, ThresholdGrid(
+            quantile_grid(a, t_id, sentinel), quantile_grid(b, t_ood, sentinel)
+        )
+    if shape == "one":  # one threshold on the ID axis, and maybe on the OOD axis
+        one = np.array([draw(st.sampled_from(a.tolist()))])
+        ood = np.array([float(b.max())]) if draw(st.booleans()) else np.unique(b)
+        return es, ThresholdGrid(one, ood)
+    axes = [  # thresholds that need not be data values
+        np.unique(draw(st.lists(st.integers(-8, 8), min_size=1, max_size=20))) * scale / 6
+        for _ in range(2)
+    ]
+    return es, ThresholdGrid(*axes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_sweep_cases(), picks=st.lists(st.tuples(st.integers(0), st.integers(0)), max_size=5))
+def test_sweep_matches_references(case, picks):
+    es, grid = case
+    tables = ds_sweep_fast(es, "a", "b", grid)
+    ta, accepted_id, accepted_ood = _naive_tables(es, grid)
+    assert tables.ta.dtype == tables.accepted_id.dtype == np.int64
+    assert np.array_equal(tables.ta, ta)
+    assert np.array_equal(tables.accepted_id, accepted_id)
+    assert np.array_equal(tables.accepted_ood, accepted_ood)
+    for i, j in picks:
+        i, j = i % grid.id_thresholds.size, j % grid.ood_thresholds.size
+        pair = ThresholdPair(float(grid.id_thresholds[i]), float(grid.ood_thresholds[j]))
+        c = confusion_counts(es, "a", "b", pair)
+        assert (c.ta, c.accepted_id, c.accepted_ood) == (
+            tables.ta[i, j], tables.accepted_id[i, j], tables.accepted_ood[i, j]
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_sweep_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]), k_bins=st.integers(1, 12))
+def test_block_reductions_match_table_formulas(case, block, k_bins):
+    """At any block size, the reductions equal the whole-table formulas."""
+    es, grid = case
+    tables = ds_sweep_fast(es, "a", "b", grid)
+    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block):
+        f1 = ds_f1_from_tables(tables)
+        aurc_result = ds_aurc_from_tables(tables, k_bins)
+    best = float(tables.f1.max())
+    rows, cols = np.nonzero(tables.f1 == best)
+    j = int(cols.min())
+    i = int(rows[cols == j].min())
+    assert f1.value == best
+    assert f1.best_pair == ThresholdPair(
+        float(grid.id_thresholds[i]), float(grid.ood_thresholds[j])
+    )
+    curve = bin_risk_points(tables.coverage.ravel(), tables.risk.ravel(), k_bins)
+    assert np.array_equal(aurc_result.curve.values, curve.values)
+    assert np.array_equal(aurc_result.curve.filled, curve.filled)
+    assert aurc_result.value == float(np.sum(curve.values)) / k_bins
+
+
+def test_sweep_refuses_oversized_grid_before_allocating(fixture_set):
+    axis = np.arange(100_000, dtype=np.float64)
+    grid = ThresholdGrid(axis, axis.copy())
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match="100000 x 100000 threshold grid"):
+            ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_sweep_takes_the_cell_budget_exactly(fixture_set):
+    grid = ThresholdGrid(np.arange(9, dtype=np.float64), np.array([0.0]))  # 10 x 2 cells
+    with mock.patch.object(dsmetrics, "MAX_SWEEP_CELLS", 20):
+        assert ds_sweep_fast(fixture_set, "s_id", "s_ood", grid).ta.shape == (9, 1)
+    with mock.patch.object(dsmetrics, "MAX_SWEEP_CELLS", 19):
+        with pytest.raises(GridTooLarge):
+            ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+
+
+def test_eval_metrics_peak_memory():
+    """One sweep and both reductions hold at most five int64 tables at once."""
+    rng = np.random.default_rng(5)
+    n = 4000
+    es = EvalSet.from_columns(
+        [f"s{i}" for i in range(n)],
+        rng.random(n) < 0.6,
+        rng.random(n) < 0.7,
+        {"a": rng.normal(size=n), "b": rng.normal(size=n)},
+    )
+    grid = ThresholdGrid.quantile(es, "a", "b", t_grid=512)
+    assert grid.id_thresholds.size == grid.ood_thresholds.size == 513
+    table_bytes = 513 * 513 * 8
+    tracemalloc.start()
+    try:
+        tables = ds_sweep_fast(es, "a", "b", grid)
+        ds_f1_from_tables(tables)
+        ds_aurc_from_tables(tables, k_bins=200)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current >= 3 * table_bytes
+    assert peak <= 5 * table_bytes
 
 
 def test_empty_grid_rejected():

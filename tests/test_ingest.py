@@ -93,6 +93,13 @@ def test_repeated_channel_name_rejected(tmp_path):
         load_scores(path)
 
 
+def test_nul_suffixed_sample_id_rejected(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text(FIXTURE_CSV + "Z\0,ood,,0.1,0.1\n")
+    with pytest.raises(MixedSchema, match=r"sample id 'Z\\x00' ends in a NUL character"):
+        load_scores(path)
+
+
 def test_repeated_sample_id_rejected(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text(FIXTURE_CSV + "Z,ood,,0.1,0.1\nB,ood,,0.5,0.5\nZ,id,1,0.5,0.5\n")
