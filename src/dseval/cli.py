@@ -282,9 +282,6 @@ def _cmd_eval(args) -> int:
     grid = ThresholdGrid.quantile(
         eval_set, args.id_channel, args.ood_channel, t_grid=args.grid
     )
-    # the one sweep both DS metrics reduce; looked up on the module so that
-    # a wrapper installed there sees the call
-    tables = dsmetrics.ds_sweep_fast(eval_set, args.id_channel, args.ood_channel, grid)
     axis = {args.id_channel: grid.id_thresholds, args.ood_channel: grid.ood_thresholds}
     single = {
         ch: _single_block(eval_set, ch, thresholds, args.bins)
@@ -304,6 +301,9 @@ def _cmd_eval(args) -> int:
         }
 
     want_surface = args.surface is not None
+    # the one sweep both DS metrics reduce; looked up on the module so that
+    # a wrapper installed there sees the call
+    tables = dsmetrics.ds_sweep_fast(eval_set, args.id_channel, args.ood_channel, grid)
     f1_result = ds_f1_from_tables(tables, return_surface=want_surface)
     aurc_result = ds_aurc_from_tables(tables, k_bins=args.bins)
     del tables  # the surface holds only the arrays it exports

@@ -19,7 +19,7 @@ buffer, and :func:`ds_f1` / :func:`ds_aurc` are sweep plus reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,6 +51,9 @@ DEFAULT_K_BINS = 200
 # Largest (T_id + 1) * (T_ood + 1) a sweep accepts: three int64 tables of
 # this many cells take about 1.6 GB.
 MAX_SWEEP_CELLS = 1 << 26
+# Narrowest table row that the ID-axis suffix sum adds row by row; on
+# narrower tables a strided cumsum is faster than one call per row.
+_ROW_ADD_CELLS = 128
 # Cells per block in the reductions, so each of their buffers is 512 KB.
 _BLOCK_CELLS = 1 << 16
 
@@ -230,8 +233,9 @@ def _suffix_table(bin_id, bin_ood, mask, shape) -> np.ndarray:
 
     Samples in bin 0 of either axis pass no threshold there and are left
     out; the rest are histogrammed on ``shape`` cells and suffix-summed in
-    place, first along the contiguous OOD axis, then row by row from the
-    last ID row up.
+    place, first along the contiguous OOD axis, then along the ID axis: by
+    row adds from the last ID row up when rows hold at least
+    ``_ROW_ADD_CELLS`` cells, else by one strided ``cumsum``.
     """
     keep = mask & (bin_id > 0) & (bin_ood > 0)
     counts = np.bincount(
@@ -239,8 +243,13 @@ def _suffix_table(bin_id, bin_ood, mask, shape) -> np.ndarray:
     ).reshape(shape)
     flipped = counts[:, ::-1]
     np.cumsum(flipped, axis=1, out=flipped)
-    for i in range(shape[0] - 2, -1, -1):
-        counts[i] += counts[i + 1]
+    if shape[1] >= _ROW_ADD_CELLS:
+        for i in range(shape[0] - 2, -1, -1):
+            counts[i] += counts[i + 1]
+    else:
+        # per-row adds cost about 1 us each, too much on tall, narrow tables
+        flipped = counts[::-1]
+        np.cumsum(flipped, axis=0, out=flipped)
     return counts
 
 
@@ -350,9 +359,7 @@ def ds_f1_from_tables(tables: SweepTables, return_surface: bool = False) -> DsRe
     )
 
 
-def ds_aurc_from_tables(
-    tables: SweepTables, k_bins: int = DEFAULT_K_BINS, return_surface: bool = False
-) -> DsResult:
+def ds_aurc_from_tables(tables: SweepTables, k_bins: int = DEFAULT_K_BINS) -> DsResult:
     """DS-AURC of computed tables; see :func:`ds_aurc`.
 
     Works one block of rows at a time. A pair's coverage bin depends only
@@ -373,11 +380,7 @@ def ds_aurc_from_tables(
         np.divide(risk, accepted, out=risk, where=accepted > 0)
         np.minimum.at(minima, bin_of[accepted_id].ravel(), risk.ravel())
     curve = BinnedCurve.from_minima(minima)
-    return DsResult(
-        value=float(np.sum(curve.values)) / k_bins,
-        curve=curve,
-        surface=_surface(tables) if return_surface else None,
-    )
+    return DsResult(value=float(np.sum(curve.values)) / k_bins, curve=curve)
 
 
 def ds_f1(
@@ -412,4 +415,7 @@ def ds_aurc(
     if k_bins < 1:
         raise ValueError("k_bins must be >= 1")
     tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid)
-    return ds_aurc_from_tables(tables, k_bins, return_surface)
+    result = ds_aurc_from_tables(tables, k_bins)
+    if return_surface:
+        return replace(result, surface=_surface(tables))
+    return result

@@ -136,6 +136,15 @@ class TestDsF1:
         surf = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
         assert surf.f1.shape == (len(grid.id_thresholds), len(grid.ood_thresholds))
 
+    def test_aurc_surface_on_request_only(self, fixture_set):
+        grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
+        assert ds_aurc(fixture_set, "s_id", "s_ood", grid).surface is None
+        plain = ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=7)
+        with_surface = ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=7, return_surface=True)
+        assert with_surface.value == plain.value
+        surf = with_surface.surface
+        assert np.array_equal(surf.f1, ds_sweep_fast(fixture_set, "s_id", "s_ood", grid).f1)
+
 
 class TestSweepCoverageRisk:
     def test_fixture_points(self, fixture_set):
@@ -309,10 +318,15 @@ def _sweep_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=_sweep_cases(), picks=st.lists(st.tuples(st.integers(0), st.integers(0)), max_size=5))
-def test_sweep_matches_references(case, picks):
+@given(
+    case=_sweep_cases(),
+    picks=st.lists(st.tuples(st.integers(0), st.integers(0)), max_size=5),
+    row_add_cells=st.sampled_from([1, 1 << 30]),  # row adds, or one strided cumsum
+)
+def test_sweep_matches_references(case, picks, row_add_cells):
     es, grid = case
-    tables = ds_sweep_fast(es, "a", "b", grid)
+    with mock.patch.object(dsmetrics, "_ROW_ADD_CELLS", row_add_cells):
+        tables = ds_sweep_fast(es, "a", "b", grid)
     ta, accepted_id, accepted_ood = _naive_tables(es, grid)
     assert tables.ta.dtype == tables.accepted_id.dtype == np.int64
     assert np.array_equal(tables.ta, ta)
