@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__, dsmetrics
-from .core import DsevalError, EvalSet, Origin
+from .core import DsevalError, EvalSet
 from .dsmetrics import (
     DEFAULT_K_BINS,
     DEFAULT_T_GRID,
@@ -115,18 +115,14 @@ _NEED_FLAGS = {
 }
 
 
-def _matrix(records, attr):
-    return np.stack([getattr(r, attr) for r in records])
-
-
-def _align(logit_records, feature_records):
-    if len(logit_records) != len(feature_records):
+def _align(logits, features) -> None:
+    if logits.sample_ids.size != features.sample_ids.size:
         raise UsageError("logits and features files hold different sample counts")
-    for lr, fr in zip(logit_records, feature_records):
-        if lr.sample_id != fr.sample_id or lr.origin is not fr.origin:
-            raise UsageError(
-                f"logits/features row mismatch at sample {lr.sample_id!r}"
-            )
+    differs = (logits.sample_ids != features.sample_ids) | (logits.is_id != features.is_id)
+    if differs.any():
+        raise UsageError(
+            f"logits/features row mismatch at sample {logits.sample_ids[differs.argmax()]!r}"
+        )
 
 
 def _positive(flag: str, value):
@@ -135,21 +131,23 @@ def _positive(flag: str, value):
 
 
 def _fit_matrix(path, loader, kind: str):
-    """The ID rows of a fit file, stacked, and their labels; the records are dropped."""
-    rows = [r for r in loader(path) if r.origin is Origin.ID]
-    if not rows:
+    """The ID rows of a fit file and their labels; ``None, None`` without a file."""
+    if path is None:
+        return None, None
+    fit = loader(path)
+    if not fit.is_id.any():
         raise UsageError(f"{kind} fit file has no id rows")
-    return _matrix(rows, kind), np.array([r.label for r in rows])
+    return fit.matrix[fit.is_id], fit.labels[fit.is_id]
 
 
-def _channels(methods, inputs: ScoreInputs, fitted: dict, base) -> dict:
+def _channels(methods, inputs: ScoreInputs, fitted: dict, sample_ids) -> dict:
     """Every requested channel as one vector; a row's failure names its sample."""
     channels = {}
     for name in methods:
         try:
             channels[name] = METHODS[name].score_batch(inputs, fitted[name])
         except ScoringError as exc:
-            where = "" if exc.row is None else f" on sample {base[exc.row].sample_id!r}"
+            where = "" if exc.row is None else f" on sample {sample_ids[exc.row]!r}"
             raise type(exc)(f"method {name!r} failed{where}: {exc}") from None
     return channels
 
@@ -196,68 +194,49 @@ def _cmd_score(args) -> int:
     if args.logits is None and args.features is None:
         raise UsageError("provide --logits and/or --features")
 
-    logit_records = load_logits(args.logits) if args.logits else None
-    feature_records = load_features(args.features) if args.features else None
-    if logit_records is not None and feature_records is not None:
-        _align(logit_records, feature_records)
+    logits = load_logits(args.logits) if args.logits else None
+    features = load_features(args.features) if args.features else None
+    if logits is not None and features is not None:
+        _align(logits, features)
 
     fits = args.fit or []
     if len(fits) > 2:
         raise UsageError("--fit may be given at most twice (logits fit, features fit)")
-    fit_logits_path = fit_features_path = None
-    if args.logits and args.features:
-        fit_logits_path = fits[0] if len(fits) >= 1 else None
-        fit_features_path = fits[1] if len(fits) >= 2 else None
-    elif args.logits:
-        fit_logits_path = fits[0] if fits else None
-    else:
-        fit_features_path = fits[0] if fits else None
-
-    given = {
-        LOGITS: logit_records is not None,
-        FEATURES: feature_records is not None,
-        FIT_LOGITS: fit_logits_path is not None,
-        FIT_FEATURES: fit_features_path is not None,
-    }
+    kinds = [k for k, path in ((LOGITS, args.logits), (FEATURES, args.features)) if path]
+    # the --fit files pair up with the inputs given, in order: logits first
+    fit_paths = dict(zip([FIT_LOGITS if k == LOGITS else FIT_FEATURES for k in kinds], fits))
+    given = {*kinds, *fit_paths}
     for m in methods:
         for need in METHODS[m].needs:
-            if not given[need]:
+            if need not in given:
                 raise UsageError(f"method {m!r} requires {_NEED_FLAGS[need]}")
 
-    base = logit_records if logit_records is not None else feature_records
-    if logit_records is None and any(r.origin is Origin.ID for r in base):
+    base = logits if logits is not None else features
+    if logits is None and base.is_id.any():
         raise UsageError(
             "scores for ID rows need a correctness flag, which is derived from "
             "model predictions; provide --logits"
         )
 
     # fit artifacts are estimated on the ID rows of the fit split only, all
-    # before any scoring; the fit matrices are dropped before the evaluation
-    # rows are stacked, so the two sets of matrices are never held together
-    fit_logits = fit_features = fit_labels = None
-    if fit_logits_path:
-        fit_logits, _ = _fit_matrix(fit_logits_path, load_logits, "logits")
-    if fit_features_path:
-        fit_features, fit_labels = _fit_matrix(
-            fit_features_path, load_features, "features"
-        )
+    # before any scoring; the fit matrices are dropped once they are fitted
+    fit_logits, _ = _fit_matrix(fit_paths.get(FIT_LOGITS), load_logits, "logits")
+    fit_features, fit_labels = _fit_matrix(fit_paths.get(FIT_FEATURES), load_features, "features")
     options = ScoreOptions(k=args.k, pca_dim=args.pca_dim, temperature=args.temperature)
     split = FitSplit(fit_logits, fit_features, fit_labels, options)
     fitted = {name: METHODS[name].fit(split) for name in methods}
     del split, fit_logits, fit_features
 
-    channels, correct = {}, [False] * len(base)
-    if base:
+    channels, correct = {}, np.zeros(base.is_id.size, dtype=bool)
+    if base.is_id.size:
         inputs = ScoreInputs(
-            None if logit_records is None else _matrix(logit_records, "logits"),
-            None if feature_records is None else _matrix(feature_records, "features"),
+            None if logits is None else logits.matrix,
+            None if features is None else features.matrix,
         )
-        channels = _channels(methods, inputs, fitted, base)
-        if inputs.logits is not None:
-            predicted = inputs.logits.argmax(axis=1).tolist()
-            correct = [p == rec.label for p, rec in zip(predicted, base)]
-    ids, is_id = [rec.sample_id for rec in base], [rec.origin is Origin.ID for rec in base]
-    write_scores(EvalSet.from_columns(ids, is_id, correct, channels), args.out)
+        channels = _channels(methods, inputs, fitted, base.sample_ids)
+        if logits is not None:
+            correct = logits.matrix.argmax(axis=1) == logits.labels
+    write_scores(EvalSet.from_columns(base.sample_ids, base.is_id, correct, channels), args.out)
     return 0
 
 

@@ -13,11 +13,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .core import DsevalError, EvalSet, NonFiniteScore, Origin
+from .core import DsevalError, EvalSet, NonFiniteScore
 
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .core import build_eval_set  # noqa: F401
@@ -36,6 +37,7 @@ __all__ = [
     "MetricReport",
     "load_scores",
     "write_scores",
+    "VectorColumns",
     "load_logits",
     "load_features",
     "write_vector_file",
@@ -169,9 +171,55 @@ def write_scores(eval_set: EvalSet, path) -> None:
     _write_csv(path, header, zip(eval_set.sample_ids, domains, corrects, *scores))
 
 
-def _load_vectors(path, min_dim: int, kind: str):
-    # Rows are parsed as they are read: the text of a whole file, one string
-    # per cell, would take several times the memory of the parsed vectors.
+@dataclass(frozen=True)
+class VectorColumns:
+    """A logits or features file as columns: object ``sample_ids``, the ``is_id``
+    mask, int64 ``labels`` (read at ID rows only) and the N x K float64 ``matrix``."""
+
+    sample_ids: np.ndarray
+    is_id: np.ndarray
+    labels: np.ndarray
+    matrix: np.ndarray
+
+
+def _vector_rows(reader, width: int, ids: list, is_id: list, labels: list):
+    """Check each row's field count, domain and label, record them and yield its cells."""
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise ParseError(f"row {lineno}: expected {width} fields, got {len(row)}")
+        domain, label_text = row[1], row[2]
+        if domain == "id":
+            try:
+                label = int(label_text)
+            except ValueError:
+                raise SchemaError(
+                    f"row {lineno}, column 'label': id rows need an integer class "
+                    f"index, got {label_text!r}"
+                ) from None
+            if not -(2**63) <= label < 2**63:
+                raise SchemaError(
+                    f"row {lineno}, column 'label': class index {label_text!r} "
+                    "does not fit in int64"
+                )
+        elif domain == "ood":
+            if label_text != "":
+                raise SchemaError(
+                    f"row {lineno}, column 'label': ood rows must leave this empty"
+                )
+            label = 0
+        else:
+            raise SchemaError(
+                f"row {lineno}, column 'domain': expected 'id' or 'ood', got {domain!r}"
+            )
+        ids.append(row[0])
+        is_id.append(domain == "id")
+        labels.append(label)
+        yield row[len(_VECTOR_PREFIX) :]
+
+
+def _load_vectors(path, min_dim: int, kind: str) -> VectorColumns:
+    # One pass: each row is checked and its cells parsed as the reader yields
+    # it, so no cell text outlives its row.
     with _open_read(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -179,76 +227,46 @@ def _load_vectors(path, min_dim: int, kind: str):
             raise ParseError(
                 f"row 1: expected header starting with {','.join(_VECTOR_PREFIX)}"
             )
-        dim = len(header) - len(_VECTOR_PREFIX)
-        expected = [f"v{i}" for i in range(dim)]
-        if header[len(_VECTOR_PREFIX) :] != expected:
+        columns = header[len(_VECTOR_PREFIX) :]
+        if columns != [f"v{i}" for i in range(len(columns))]:
             raise SchemaError("row 1: vector columns must be named v0..v{K-1}")
-        if dim < min_dim:
+        if len(columns) < min_dim:
             raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"row {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            sample_id, domain, label_text = row[0], row[1], row[2]
-            if domain == "id":
-                try:
-                    label = int(label_text)
-                except ValueError:
-                    raise SchemaError(
-                        f"row {lineno}, column 'label': id rows need an integer class "
-                        f"index, got {label_text!r}"
-                    ) from None
-                origin = Origin.ID
-            elif domain == "ood":
-                if label_text != "":
-                    raise SchemaError(
-                        f"row {lineno}, column 'label': ood rows must leave this empty"
-                    )
-                origin, label = Origin.OOD, None
-            else:
-                raise SchemaError(
-                    f"row {lineno}, column 'domain': expected 'id' or 'ood', "
-                    f"got {domain!r}"
-                )
-            vec = np.array(
-                [
-                    _parse_float(cell, lineno, f"v{i}")
-                    for i, cell in enumerate(row[len(_VECTOR_PREFIX) :])
-                ]
-            )
-            out.append((sample_id, origin, label, vec))
-    return out
+        ids, is_id, labels = [], [], []
+        cells = chain.from_iterable(_vector_rows(reader, len(header), ids, is_id, labels))
+        try:
+            matrix = np.fromiter(map(float, cells), np.float64)
+        except (ValueError, ParseError, SchemaError):
+            matrix = None
+        if matrix is None or not np.isfinite(matrix).all():
+            # a row is malformed or a cell is not a finite number: a second
+            # read names the first bad row and cell as a row-by-row reader would
+            fh.seek(0)
+            rows = _vector_rows(islice(csv.reader(fh), 1, None), len(header), [], [], [])
+            for lineno, row in enumerate(rows, start=2):
+                for column, cell in zip(columns, row):
+                    _parse_float(cell, lineno, column)
+            raise IoError(f"{path} changed while it was read")
+    ids, is_id, labels = np.array(ids, object), np.array(is_id, bool), np.array(labels, np.int64)
+    return VectorColumns(ids, is_id, labels, matrix.reshape(-1, len(columns)))
 
 
-def load_logits(path) -> list[LogitRecord]:
-    return [
-        LogitRecord(sid, origin, label, vec)
-        for sid, origin, label, vec in _load_vectors(path, min_dim=2, kind="logits")
-    ]
+def load_logits(path) -> VectorColumns:
+    return _load_vectors(path, min_dim=2, kind="logits")
 
 
-def load_features(path) -> list[FeatureRecord]:
-    return [
-        FeatureRecord(sid, origin, label, vec)
-        for sid, origin, label, vec in _load_vectors(path, min_dim=1, kind="features")
-    ]
+def load_features(path) -> VectorColumns:
+    return _load_vectors(path, min_dim=1, kind="features")
 
 
 def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> None:
     """Serialize logit/feature records (mainly for fixtures and round trips)."""
-    first = records[0]
-    vec0 = first.logits if isinstance(first, LogitRecord) else first.features
-    with _open_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_VECTOR_PREFIX + [f"v{i}" for i in range(len(vec0))])
-        for rec in records:
-            vec = rec.logits if isinstance(rec, LogitRecord) else rec.features
-            label = "" if rec.label is None else str(rec.label)
-            writer.writerow(
-                [rec.sample_id, rec.origin.value, label] + [_fmt(v) for v in vec]
-            )
+    vectors = [r.logits if isinstance(r, LogitRecord) else r.features for r in records]
+    rows = (
+        [r.sample_id, r.origin.value, "" if r.label is None else str(r.label), *map(_fmt, vec)]
+        for r, vec in zip(records, vectors)
+    )
+    _write_csv(path, _VECTOR_PREFIX + [f"v{i}" for i in range(len(vectors[0]))], rows)
 
 
 def scaled(raw: float, scale: float = METRIC_SCALE) -> dict[str, float]:

@@ -352,7 +352,7 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err.startswith("dseval: error: UsageError:") and err.count("\n") == 1
 
-    def test_features_only_cannot_derive_correctness(self, tmp_path, vector_files):
+    def test_features_only_cannot_derive_correctness(self, tmp_path, vector_files, capsys):
         paths, *_ = vector_files
         code = run(
             [
@@ -364,6 +364,8 @@ class TestScoreCommand:
             ]
         )
         assert code == 2
+        err = self._error_line(capsys, "UsageError")
+        assert "scores for ID rows need a correctness flag" in err and "--logits" in err
 
     def test_all_methods_run(self, tmp_path, vector_files):
         paths, logits, *_ = vector_files
@@ -425,16 +427,78 @@ class TestScoreCommand:
     def test_vim_negative_alpha(self, vector_files, capsys, tmp_path):
         paths, *_ = vector_files
         shifted = tmp_path / "fit_logits_shifted.csv"
+        fit = load_logits(paths["fit_logits"])
+        assert fit.is_id.all()
         write_vector_file(
             [
-                LogitRecord(r.sample_id, r.origin, r.label, r.logits - 50.0)
-                for r in load_logits(paths["fit_logits"])
+                LogitRecord(sid, Origin.ID, int(label), z - 50.0)
+                for sid, label, z in zip(fit.sample_ids, fit.labels, fit.matrix)
             ],
             shifted,
         )
         assert self._score(paths, "vim", fit_logits=shifted) == 1
         err = self._error_line(capsys, "OutOfRange")
         assert "alpha" in err
+
+    def test_row_count_mismatch(self, vector_files, capsys, tmp_path):
+        paths, _, features, _ = vector_files
+        short = tmp_path / "short.csv"
+        write_vector_file(features[:-1], short)
+        assert self._score(paths, "msp,l1", features=short) == 2
+        err = self._error_line(capsys, "UsageError")
+        assert "logits and features files hold different sample counts" in err
+
+    @pytest.mark.parametrize("change", ["id", "domain"])
+    def test_sample_mismatch_names_first_sample(self, vector_files, capsys, tmp_path, change):
+        paths, logits, features, _ = vector_files
+
+        def changed(r):
+            if change == "id":
+                return FeatureRecord(r.sample_id + "x", r.origin, r.label, r.features)
+            if r.origin is Origin.ID:
+                return FeatureRecord(r.sample_id, Origin.OOD, None, r.features)
+            return FeatureRecord(r.sample_id, Origin.ID, 0, r.features)
+
+        mismatched = tmp_path / "mismatched.csv"
+        write_vector_file(
+            [changed(r) if i in (3, 9) else r for i, r in enumerate(features)], mismatched
+        )
+        assert self._score(paths, "msp,l1", features=mismatched) == 2
+        err = self._error_line(capsys, "UsageError")
+        assert f"logits/features row mismatch at sample {logits[3].sample_id!r}" in err
+        assert repr(logits[9].sample_id) not in err
+
+    @pytest.mark.parametrize("kind, method", [("logits", "klm"), ("features", "mds")])
+    def test_fit_file_without_id_rows(self, vector_files, capsys, tmp_path, kind, method):
+        paths, logits, features, _ = vector_files
+        rows = logits if kind == "logits" else features
+        ood_only = tmp_path / "ood_only.csv"
+        write_vector_file([r for r in rows if r.origin is Origin.OOD], ood_only)
+        if kind == "logits":
+            code = self._score(paths, method, fit_logits=ood_only)
+        else:
+            code = self._score({**paths, "fit_features": ood_only}, method)
+        assert code == 2
+        err = self._error_line(capsys, "UsageError")
+        assert f"{kind} fit file has no id rows" in err
+
+    def test_empty_fit_path(self, vector_files, capsys, tmp_path):
+        paths, *_ = vector_files
+        argv = ["score", "--logits", paths["logits"], "--fit", "", "--method", "klm"]
+        assert run([*argv, "--out", tmp_path / "x.csv"]) == 1
+        self._error_line(capsys, "IoError")
+
+    def test_fit_label_beyond_int64(self, vector_files, capsys, tmp_path):
+        paths, *_ = vector_files
+        text = paths["fit_features"].read_text().splitlines()
+        row = text[2].split(",")
+        row[2] = "99999999999999999999999"
+        text[2] = ",".join(row)
+        huge = tmp_path / "huge_label.csv"
+        huge.write_text("\n".join(text) + "\n")
+        assert self._score({**paths, "fit_features": huge}, "mds") == 1
+        err = self._error_line(capsys, "SchemaError")
+        assert "row 3, column 'label'" in err and "99999999999999999999999" in err
 
     def test_zero_feature_row_names_first_sample(self, vector_files, capsys, tmp_path):
         paths, _, features, _ = vector_files

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseval import MixedSchema, Origin, ThresholdGrid, ds_f1
 from dseval.ingest import (
@@ -135,24 +138,65 @@ def test_missing_file_is_io_error(tmp_path):
         load_scores(tmp_path / "absent.csv")
 
 
+_VEC = "sample_id,domain,label,v0,v1\n"
+
+
 class TestVectorFiles:
+    @staticmethod
+    def _round_trip(records, path, loader, attr):
+        write_vector_file(records, path)
+        loaded = loader(path)
+        assert loaded.sample_ids.tolist() == [r.sample_id for r in records]
+        assert loaded.is_id.tolist() == [r.origin is Origin.ID for r in records]
+        assert loaded.labels.dtype == np.int64
+        assert [int(k) for k, r in zip(loaded.labels, records) if r.label is not None] == [
+            r.label for r in records if r.label is not None
+        ]
+        vectors = np.stack([getattr(r, attr) for r in records])
+        assert loaded.matrix.dtype == np.float64 and loaded.matrix.shape == vectors.shape
+        # bit for bit, so -0.0 and 0.0 differ
+        assert np.array_equal(loaded.matrix.view(np.uint64), vectors.view(np.uint64))
+
     def test_logits_round_trip(self, tmp_path):
+        edge = [-0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308, -1e308]
         records = [
             LogitRecord("a", Origin.ID, 1, np.array([0.5, 1.5, -0.25])),
             LogitRecord("b", Origin.OOD, None, np.array([0.1, 0.2, 0.3])),
+            LogitRecord("c", Origin.ID, 2**63 - 1, np.array(edge[:3])),
+            LogitRecord("d", Origin.ID, -(2**63), np.array(edge[3:])),
+            LogitRecord("e", Origin.OOD, None, np.array([1.7976931348623157e308, 0.0, -0.0])),
         ]
-        path = tmp_path / "logits.csv"
-        write_vector_file(records, path)
-        loaded = load_logits(path)
-        assert loaded[0].label == 1 and loaded[1].label is None
-        assert np.array_equal(loaded[0].logits, records[0].logits)
+        self._round_trip(records, tmp_path / "logits.csv", load_logits, "logits")
 
     def test_features_round_trip(self, tmp_path):
         records = [FeatureRecord("a", Origin.ID, 0, np.array([1.25]))]
-        path = tmp_path / "features.csv"
-        write_vector_file(records, path)
-        loaded = load_features(path)
-        assert np.array_equal(loaded[0].features, records[0].features)
+        self._round_trip(records, tmp_path / "features.csv", load_features, "features")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+                st.one_of(st.none(), st.integers(-(2**63), 2**63 - 1)),
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+            ),
+            max_size=8,
+        )
+    )
+    def test_round_trip_property(self, tmp_path_factory, rows):
+        records = [
+            FeatureRecord(
+                sid, Origin.OOD if label is None else Origin.ID, label, np.array(vec)
+            )
+            for sid, label, vec in rows
+        ]
+        path = tmp_path_factory.mktemp("vectors") / "features.csv"
+        if records:
+            self._round_trip(records, path, load_features, "features")
+        else:
+            path.write_text("sample_id,domain,label,v0,v1,v2\n")
+            loaded = load_features(path)
+            assert loaded.matrix.shape == (0, 3) and loaded.sample_ids.size == 0
 
     def test_label_on_ood_rejected(self, tmp_path):
         path = tmp_path / "logits.csv"
@@ -177,20 +221,36 @@ class TestVectorFiles:
         [
             ("", "row 1: expected header"),
             ("\nx,id,0,0.0,1.0\n", "row 1: expected header"),
-            (
-                "sample_id,domain,label,v0,v1\nx,id,0,0.0,1.0\ny,id,0,0.0\n",
-                "row 3: expected 5 fields, got 4",
-            ),
-            (
-                "sample_id,domain,label,v0,v1\nx,id,0,0.0,1.0\ny,id,0,0.0,nan\n",
-                "row 3, column 'v1': non-finite value",
-            ),
+            (_VEC + "x,id,0,0.0,1.0\ny,id,0,0.0\n", "row 3: expected 5 fields, got 4"),
+            (_VEC + "x,id,0,0.0,1.0\ny,id,0,0.0,nan\n", "row 3, column 'v1': non-finite value"),
+            # rows in order: the first bad row is named, whatever comes after it
+            (_VEC + "x,id,0,0.0,abc\ny,test,0,0.0,1.0\n", "row 2, column 'v1': cannot parse 'abc'"),
+            (_VEC + "x,test,0,0.0,1.0\ny,id,0,0.0,abc\n", "row 2, column 'domain'"),
+            (_VEC + "x,id,0,0.0\ny,id,0,0.0,nan\n", "row 2: expected 5 fields, got 4"),
+            (_VEC + "x,id,0,nan,0.0\ny,test,0,0.0,1.0\n", "row 2, column 'v0': non-finite"),
+            (_VEC + "x,id,0,inf,0.0\ny,id,0,0.0,abc\n", "row 2, column 'v0': non-finite"),
+            (_VEC + "x,id,0,0.0,1.0\ny,id,0,0.0,abc\nz,id,0,nan,0.0\n", "row 3, column 'v1'"),
+            # within a row: fields, domain and label before cells, cells left to right
+            (_VEC + "x,test,0,abc,1.0\n", "row 2, column 'domain'"),
+            (_VEC + "x,id,one,abc,1.0\n", "row 2, column 'label'"),
+            (_VEC + "x,ood,0,abc,1.0\n", "row 2, column 'label'"),
+            (_VEC + "x,id,99999999999999999999999,abc,1.0\n", "row 2, column 'label'"),
+            (_VEC + "x,id,0,abc,nan\n", "row 2, column 'v0': cannot parse"),
+            (_VEC + "x,id,0,nan,abc\n", "row 2, column 'v0': non-finite"),
+            # the cell is quoted as written
+            (_VEC + "x,id,0,0.0,inf\n", "row 2, column 'v1': non-finite value 'inf'"),
+            (_VEC + "x,id,0,0.0,1e999\n", "row 2, column 'v1': non-finite value '1e999'"),
+            (_VEC + "x,id,0,0.0,-Infinity\n", "non-finite value '-Infinity'"),
+            (_VEC + "x,id,0,0.0,abc\n", "row 2, column 'v1': cannot parse 'abc' as a number"),
+            (_VEC + "x,id,0,0.0,\n", "row 2, column 'v1': cannot parse '' as a number"),
         ],
     )
     def test_malformed_rows_named(self, tmp_path, text, message):
         path = tmp_path / "logits.csv"
         path.write_text(text)
-        with pytest.raises(ParseError, match=message):
+        # a bad domain or label is a schema error, anything else a parse error
+        error = SchemaError if "'domain'" in message or "'label'" in message else ParseError
+        with pytest.raises(error, match=re.escape(message)):
             load_logits(path)
 
 
