@@ -257,6 +257,9 @@ def _single_block(eval_set: EvalSet, channel: str, thresholds, k_bins: int) -> d
 def _cmd_eval(args) -> int:
     _positive("--grid", args.grid)
     _positive("--bins", args.bins)
+    if args.id_channel == args.ood_channel:
+        # the report holds one single-score block per channel
+        raise UsageError("--id-channel and --ood-channel must name different channels")
     eval_set = load_scores(args.scores)
     grid = ThresholdGrid.quantile(
         eval_set, args.id_channel, args.ood_channel, t_grid=args.grid

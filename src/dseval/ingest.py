@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat, starmap
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -69,10 +70,6 @@ class IoError(DsevalError):
     pass
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _open_read(path):
     try:
         return open(path, "r", newline="", encoding="utf-8")
@@ -87,11 +84,62 @@ def _open_write(path):
         raise IoError(str(exc)) from None
 
 
-def _write_csv(path, header: list[str], rows: Iterable) -> None:
+def _read_csv(path, parse):
+    """Open ``path`` as UTF-8 text and return ``parse(fh)``.
+
+    If ``parse`` fails, a byte that is not UTF-8 is reported before what it
+    found, by the file line of the first such byte: encoding belongs to the
+    whole file, and the text decoder reads blocks ahead of the CSV reader.
+    """
+    with _open_read(path) as fh:
+        try:
+            return parse(fh)
+        except (DsevalError, UnicodeDecodeError) as exc:
+            failure = exc
+    with open(path, "rb") as fh:
+        # a line break never sits inside a UTF-8 sequence, so lines decode alone
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(
+                    f"line {lineno}: byte {line[exc.start]:#04x} is not valid UTF-8"
+                ) from None
+    if isinstance(failure, UnicodeDecodeError):
+        raise IoError(f"{path} changed while it was read")
+    raise failure
+
+
+def _csv_rows(fh):
+    """The rows of a CSV file; a row the reader rejects is a ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"row {reader.line_num}: {exc}") from None
+
+
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _csv_cells(cells: list[str]) -> list[str]:
+    """``cells`` as csv.writer writes them in rows of more than one field: a
+    cell that holds a comma, a quote, CR or LF is wrapped in quotes with its
+    quotes doubled, and any other cell is written as it is."""
+    if _NEEDS_QUOTES.search("".join(cells)) is None:
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+
+
+def _write_csv(path, header: list[str], columns: list[Iterable[str]]) -> None:
+    """Write ``header`` and then one row per position of ``columns`` in the
+    bytes csv.writer would write. A column yields cells ready to write
+    (free text goes through ``_csv_cells``); one cell may hold several
+    fields already joined by commas."""
+    line = ",".join(["{}"] * len(columns)) + "\r\n"
     with _open_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(_csv_cells(header)) + "\r\n")
+        fh.writelines(starmap(line.format, zip(*columns)))
 
 
 def _parse_float(text: str, row: int, column: str) -> float:
@@ -104,9 +152,6 @@ def _parse_float(text: str, row: int, column: str) -> float:
     if not math.isfinite(value):
         raise ParseError(f"row {row}, column {column!r}: non-finite value {text!r}")
     return value
-
-
-_SCORES_KEYS = {("id", "0"), ("id", "1"), ("ood", "")}  # valid (domain, correct) cells
 
 
 def _check_scores_row(row: list[str], lineno: int, header: list[str]) -> None:
@@ -127,48 +172,77 @@ def _check_scores_row(row: list[str], lineno: int, header: list[str]) -> None:
         _parse_float(cell, lineno, column)
 
 
-def load_scores(path) -> EvalSet:
-    """Read a scores CSV (header sample_id,domain,correct,<channel...>)."""
-    with _open_read(path) as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][: len(_SCORES_PREFIX)] != _SCORES_PREFIX:
+# the (domain, correct) cells of a valid scores row: bit 0 is_id, bit 1 correct
+_SCORES_FLAGS = {("id", "1"): 3, ("id", "0"): 1, ("ood", ""): 0}
+
+
+def _score_cells(rows, width: int, ids: list, flags: bytearray):
+    """Record each row's id and flags and yield its score cells; a row with
+    the wrong field count or flags raises ValueError or KeyError."""
+    for row in rows:
+        if len(row) != width:
+            raise ValueError
+        flags.append(_SCORES_FLAGS[row[1], row[2]])
+        ids.append(row[0])
+        yield row[len(_SCORES_PREFIX) :]
+
+
+def _parse_scores(fh) -> EvalSet:
+    # One pass: each row is checked and its cells parsed as the reader yields
+    # it, so no cell text outlives its row.
+    rows = _csv_rows(fh)
+    header = next(rows, None)
+    if not header or header[: len(_SCORES_PREFIX)] != _SCORES_PREFIX:
         raise ParseError(
             f"row 1: expected header starting with {','.join(_SCORES_PREFIX)}"
         )
-    header, body = rows[0], rows[1:]
     channels = header[len(_SCORES_PREFIX) :]
     if not channels:
         raise SchemaError("row 1: scores file declares no channel columns")
     for k, name in enumerate(channels):
+        if not name:
+            raise SchemaError(f"row 1: channel {k + 1} has an empty name")
         if name in channels[:k]:
             raise SchemaError(f"row 1: channel {name!r} appears more than once")
-    if body and all(len(row) == len(header) for row in body):
-        ids, domains, corrects, *cells = zip(*body)
-        is_id = np.array(domains) == "id"
-        if is_id.any() and set(zip(domains, corrects)) <= _SCORES_KEYS:
-            try:
-                scores = {
-                    ch: np.fromiter(map(float, col), np.float64, len(body))
-                    for ch, col in zip(channels, cells)
-                }
-                return EvalSet.from_columns(ids, is_id, np.array(corrects) == "1", scores)
-            except (ValueError, NonFiniteScore):
-                pass
+    ids, flags = [], bytearray()
+    cells = chain.from_iterable(_score_cells(rows, len(header), ids, flags))
+    try:
+        matrix = np.fromiter(map(float, cells), np.float64).reshape(-1, len(channels))
+        codes = np.frombuffer(flags, np.uint8)
+        is_id = (codes & 1).astype(bool)
+        if is_id.any():
+            return EvalSet.from_columns(
+                ids, is_id, (codes & 2).astype(bool), dict(zip(channels, matrix.T))
+            )
+    except (ValueError, KeyError, ParseError, NonFiniteScore):
+        pass
     # a row is malformed, a score is not a finite number or no row is an id
-    # row: this scan names the first bad row as a row-by-row reader would
-    for lineno, row in enumerate(body, start=2):
+    # row: a second read names the first bad row as a row-by-row reader would
+    fh.seek(0)
+    for lineno, row in enumerate(islice(_csv_rows(fh), 1, None), start=2):
         _check_scores_row(row, lineno, header)
     raise EmptyIdPopulation("scores file contains no id rows")
 
 
+def load_scores(path) -> EvalSet:
+    """Read a scores CSV (header sample_id,domain,correct,<channel...>)."""
+    return _read_csv(path, _parse_scores)
+
+
+# the domain and correct fields of a scores row, indexed by is_id + id_correct
+_SCORES_FLAG_CELLS = np.array(["ood,", "id,0", "id,1"], dtype=object)
+
+
 def write_scores(eval_set: EvalSet, path) -> None:
     """Serialize an evaluation set back to the scores CSV format."""
-    domains = np.where(eval_set.is_id, "id", "ood")
-    corrects = np.where(eval_set.is_id, np.where(eval_set.id_correct, "1", "0"), "")
+    flags = _SCORES_FLAG_CELLS[eval_set.is_id + eval_set.id_correct.astype(np.intp)]
     # tolist() gives Python floats, whose repr is the shortest round trip
     scores = [map(repr, eval_set.channel(ch).tolist()) for ch in eval_set.channel_names]
-    header = _SCORES_PREFIX + list(eval_set.channel_names)
-    _write_csv(path, header, zip(eval_set.sample_ids, domains, corrects, *scores))
+    _write_csv(
+        path,
+        _SCORES_PREFIX + list(eval_set.channel_names),
+        [_csv_cells(eval_set.sample_ids.tolist()), flags.tolist(), *scores],
+    )
 
 
 @dataclass(frozen=True)
@@ -217,56 +291,66 @@ def _vector_rows(reader, width: int, ids: list, is_id: list, labels: list):
         yield row[len(_VECTOR_PREFIX) :]
 
 
-def _load_vectors(path, min_dim: int, kind: str) -> VectorColumns:
+def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
     # One pass: each row is checked and its cells parsed as the reader yields
     # it, so no cell text outlives its row.
-    with _open_read(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
-            raise ParseError(
-                f"row 1: expected header starting with {','.join(_VECTOR_PREFIX)}"
-            )
-        columns = header[len(_VECTOR_PREFIX) :]
-        if columns != [f"v{i}" for i in range(len(columns))]:
-            raise SchemaError("row 1: vector columns must be named v0..v{K-1}")
-        if len(columns) < min_dim:
-            raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
-        ids, is_id, labels = [], [], []
-        cells = chain.from_iterable(_vector_rows(reader, len(header), ids, is_id, labels))
-        try:
-            matrix = np.fromiter(map(float, cells), np.float64)
-        except (ValueError, ParseError, SchemaError):
-            matrix = None
-        if matrix is None or not np.isfinite(matrix).all():
-            # a row is malformed or a cell is not a finite number: a second
-            # read names the first bad row and cell as a row-by-row reader would
-            fh.seek(0)
-            rows = _vector_rows(islice(csv.reader(fh), 1, None), len(header), [], [], [])
-            for lineno, row in enumerate(rows, start=2):
-                for column, cell in zip(columns, row):
-                    _parse_float(cell, lineno, column)
-            raise IoError(f"{path} changed while it was read")
+    rows = _csv_rows(fh)
+    header = next(rows, None)
+    if not header or header[: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
+        raise ParseError(
+            f"row 1: expected header starting with {','.join(_VECTOR_PREFIX)}"
+        )
+    columns = header[len(_VECTOR_PREFIX) :]
+    if columns != [f"v{i}" for i in range(len(columns))]:
+        raise SchemaError("row 1: vector columns must be named v0..v{K-1}")
+    if len(columns) < min_dim:
+        raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
+    ids, is_id, labels = [], [], []
+    cells = chain.from_iterable(_vector_rows(rows, len(header), ids, is_id, labels))
+    try:
+        matrix = np.fromiter(map(float, cells), np.float64)
+    except (ValueError, ParseError, SchemaError):
+        matrix = None
+    if matrix is None or not np.isfinite(matrix).all():
+        # a row is malformed or a cell is not a finite number: a second
+        # read names the first bad row and cell as a row-by-row reader would
+        fh.seek(0)
+        rows = _vector_rows(islice(_csv_rows(fh), 1, None), len(header), [], [], [])
+        for lineno, row in enumerate(rows, start=2):
+            for column, cell in zip(columns, row):
+                _parse_float(cell, lineno, column)
+        raise IoError(f"{fh.name} changed while it was read")
     ids, is_id, labels = np.array(ids, object), np.array(is_id, bool), np.array(labels, np.int64)
     return VectorColumns(ids, is_id, labels, matrix.reshape(-1, len(columns)))
 
 
 def load_logits(path) -> VectorColumns:
-    return _load_vectors(path, min_dim=2, kind="logits")
+    return _read_csv(path, lambda fh: _parse_vectors(fh, min_dim=2, kind="logits"))
 
 
 def load_features(path) -> VectorColumns:
-    return _load_vectors(path, min_dim=1, kind="features")
+    return _read_csv(path, lambda fh: _parse_vectors(fh, min_dim=1, kind="features"))
 
 
 def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> None:
     """Serialize logit/feature records (mainly for fixtures and round trips)."""
     vectors = [r.logits if isinstance(r, LogitRecord) else r.features for r in records]
+    # domain, label and vector joined per row: no table of every cell's text
     rows = (
-        [r.sample_id, r.origin.value, "" if r.label is None else str(r.label), *map(_fmt, vec)]
+        ",".join(
+            [
+                r.origin.value,
+                "" if r.label is None else str(r.label),
+                *map(repr, np.asarray(vec, np.float64).tolist()),
+            ]
+        )
         for r, vec in zip(records, vectors)
     )
-    _write_csv(path, _VECTOR_PREFIX + [f"v{i}" for i in range(len(vectors[0]))], rows)
+    _write_csv(
+        path,
+        _VECTOR_PREFIX + [f"v{i}" for i in range(len(vectors[0]))],
+        [_csv_cells([r.sample_id for r in records]), rows],
+    )
 
 
 def scaled(raw: float, scale: float = METRIC_SCALE) -> dict[str, float]:
@@ -390,22 +474,22 @@ def write_curve(curve_or_surface, path) -> None:
         i, j = np.divmod(order, surface.ood_thresholds.size)
         # each threshold is formatted once and picked per row
         taus = [
-            np.array(list(map(repr, axis.tolist())), dtype=object)[at]
+            np.array(list(map(repr, axis.tolist())), dtype=object)[at].tolist()
             for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j))
         ]
         values = [
             map(repr, col.ravel()[order].tolist())
             for col in (surface.coverage, surface.risk, surface.f1)
         ]
-        _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], zip(*taus, *values))
+        _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [*taus, *values])
         return
 
     if isinstance(curve_or_surface, BinnedCurve):
+        values = curve_or_surface.values.tolist()
         k_bins = curve_or_surface.k_bins
+        coverage = [repr(b / k_bins) for b in range(len(values))]
         _write_csv(
-            path,
-            ["coverage", "risk", "threshold"],
-            ([_fmt(b / k_bins), _fmt(v), ""] for b, v in enumerate(curve_or_surface.values)),
+            path, ["coverage", "risk", "threshold"], [coverage, map(repr, values), repeat("")]
         )
         return
 
@@ -416,4 +500,6 @@ def write_curve(curve_or_surface, path) -> None:
         ((p.coverage, p.risk, float(p.threshold)) for p in points),
         key=lambda r: (r[0], r[1], r[2]),
     )
-    _write_csv(path, ["coverage", "risk", "threshold"], (map(_fmt, t) for t in triples))
+    _write_csv(
+        path, ["coverage", "risk", "threshold"], [map(repr, map(float, c)) for c in zip(*triples)]
+    )

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from dseval import Origin, dsmetrics
+from dseval import Origin, ThresholdGrid, best_f1_single, ds_f1, dsmetrics
 from dseval.cli import main
 from dseval.ingest import load_logits, load_scores, write_scores, write_vector_file
 from dseval.scoring import (
@@ -26,6 +26,20 @@ def run(args):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+# the third line's sample id replaced by a byte that is not UTF-8, or by a
+# field longer than the CSV reader's limit, and the message that names it
+_DAMAGE = {
+    "byte": (b"\xff", "line 3: byte 0xff is not valid UTF-8"),
+    "field": (b"y" * 200_000, "row 3: field larger than field limit (131072)"),
+}
+
+
+def _damage(path, damage):
+    lines = path.read_bytes().split(b"\r\n")
+    lines[2] = _DAMAGE[damage][0] + lines[2][lines[2].index(b","):]
+    path.write_bytes(b"\r\n".join(lines))
 
 
 @pytest.fixture
@@ -125,20 +139,21 @@ class TestEvalCommand:
         assert report["double"]["ds_aurc"]["display"] == 0.0
         assert report["single"]["s_id"]["aurc"]["display"] == 0.0
 
-    def test_same_channel_on_both_axes(self, fixture_csv, tmp_path):
+    def test_same_channel_on_both_axes(self, fixture_csv, tmp_path, capsys):
+        # the report keys its single-score blocks by channel, so one channel on
+        # both axes would silently leave one block
         out = tmp_path / "report.json"
-        run(
-            [
-                "eval",
-                "--scores", fixture_csv,
-                "--id-channel", "s_id",
-                "--ood-channel", "s_id",
-                "--out", out,
-            ]
-        )
-        report = read_json(out)
-        single = report["single"]["s_id"]["f1"]["raw"]
-        assert report["double"]["ds_f1"]["raw"] == pytest.approx(single, abs=1e-12)
+        args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_id"]
+        assert run([*args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("dseval: error: UsageError: --id-channel and --ood-channel"), err
+        assert err.count("\n") == 1, err
+        assert not out.exists()
+        # the library still reduces a pair on one channel to its single-score F1
+        es = make_fixture_set()
+        grid = ThresholdGrid.quantile(es, "s_id", "s_id")
+        single, _ = best_f1_single(es, "s_id", grid.id_thresholds)
+        assert ds_f1(es, "s_id", "s_id", grid).value == pytest.approx(single, abs=1e-12)
 
     def test_constant_ood_channel_matches_single(self, tmp_path):
         es = make_fixture_set()
@@ -516,6 +531,15 @@ class TestScoreCommand:
         assert repr(features[2].sample_id) in err
         assert repr(features[9].sample_id) not in err
 
+    @pytest.mark.parametrize("kind", ["logits", "features"])
+    @pytest.mark.parametrize("damage", sorted(_DAMAGE))
+    def test_unreadable_vector_file(self, vector_files, capsys, kind, damage):
+        paths, *_ = vector_files
+        _damage(paths[kind], damage)
+        assert self._score(paths, "msp,l1") == 1
+        err = self._error_line(capsys, "ParseError")
+        assert _DAMAGE[damage][1] in err
+
     def test_zero_temperature(self, vector_files, capsys):
         paths, *_ = vector_files
         assert self._score(paths, "msp,energy", "--temperature", 0) == 1
@@ -605,6 +629,16 @@ def test_bad_flags_give_one_line(tmp_path, capsys, fixture_csv, argv, config, co
     assert run([*argv, *inputs, "--out", tmp_path / "out"]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"dseval: error: {kind}:"), err
+    assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("damage", sorted(_DAMAGE))
+def test_unreadable_scores_file(fixture_csv, tmp_path, capsys, damage):
+    _damage(fixture_csv, damage)
+    args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*args, "--out", tmp_path / "r.json"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"dseval: error: ParseError: {_DAMAGE[damage][1]}"), err
     assert err.count("\n") == 1, err
 
 

@@ -1,12 +1,15 @@
+import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseval import MixedSchema, Origin, ThresholdGrid, ds_f1
+from dseval import EvalSet, MixedSchema, Origin, SampleRecord, ThresholdGrid, build_eval_set, ds_f1
+from dseval.cli import main
 from dseval.ingest import (
     AURC_SCALE,
     METRIC_SCALE,
@@ -133,12 +136,140 @@ def test_no_id_rows(tmp_path):
         load_scores(path)
 
 
-def test_missing_file_is_io_error(tmp_path):
-    with pytest.raises(IoError):
-        load_scores(tmp_path / "absent.csv")
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # rows in order: the first bad row is named, whatever comes after it
+        ("Z,id,1,0.5\nW,id,1,nan,0.5\n", ParseError, "row 2: expected 5 fields, got 4"),
+        ("Z,weird,1,0.5,0.5\nW,id,1,abc,0.5\n", SchemaError, "row 2, column 'domain'"),
+        ("", EmptyIdPopulation, "scores file contains no id rows"),
+    ],
+)
+def test_first_bad_row_named_across_rows(tmp_path, rows, error, message):
+    path = tmp_path / "scores.csv"
+    path.write_text("sample_id,domain,correct,s_id,s_ood\n" + rows)
+    with pytest.raises(error, match=re.escape(message)):
+        load_scores(path)
+
+
+def test_empty_channel_name_rejected(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("sample_id,domain,correct,s_id,s_ood,\nA,id,1,0.1,0.2,0.3\n")
+    with pytest.raises(SchemaError, match="row 1: channel 3 has an empty name"):
+        load_scores(path)
 
 
 _VEC = "sample_id,domain,label,v0,v1\n"
+_LOADERS = {
+    "scores": (load_scores, "sample_id,domain,correct,s_id,s_ood\n"),
+    "logits": (load_logits, _VEC),
+    "features": (load_features, _VEC),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_bad_byte_outranks_an_earlier_bad_row(tmp_path, kind):
+    # the byte sits well past the text decoder's read-ahead from row 2
+    loader, header = _LOADERS[kind]
+    rows = "x,weird,1,0.5,0.5\n" + "".join(f"r{i},ood,,0.5,0.5\n" for i in range(2000))
+    path = tmp_path / "data.csv"
+    path.write_bytes((header + rows).encode() + b"z,ood,,0.5,\xe9\n")
+    with pytest.raises(ParseError, match="^line 2003: byte 0xe9 is not valid UTF-8$"):
+        loader(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_field_over_the_reader_limit(tmp_path, kind):
+    loader, header = _LOADERS[kind]
+    path = tmp_path / "data.csv"
+    path.write_text(header + "x,ood,,0.5,0.5\n" + "y" * 200_000 + ",ood,,0.5,0.5\n")
+    with pytest.raises(ParseError, match=r"^row 3: field larger than field limit \(131072\)$"):
+        loader(path)
+    # an earlier bad row is named first
+    path.write_text(header + "x,ood,,0.5,nan\n" + "y" * 200_000 + ",ood,,0.5,0.5\n")
+    with pytest.raises(ParseError, match="^row 2, column '(s_ood|v1)': non-finite"):
+        loader(path)
+
+
+def test_load_scores_peak_memory(tmp_path):
+    # One pass holds no table of cell text. The tracemalloc peak is about
+    # 4.8x the bytes the loaded set holds; reading every row's cells before
+    # parsing any reached about 11x.
+    path = tmp_path / "scores.csv"
+    assert main(["synth", "--n-id", "10000", "--n-ood", "10000", "--seed", "3",
+                 "--out", str(path)]) == 0
+    load_scores(path)
+    tracemalloc.start()
+    try:
+        es = load_scores(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (es.sample_ids, es.is_id, es.id_correct))
+    held += sum(es.channel(ch).nbytes for ch in es.channel_names)
+    assert peak <= 7 * held, (peak, held)
+
+
+def test_zero_channel_set_writes_its_rows(tmp_path):
+    es = build_eval_set(
+        [SampleRecord("A", Origin.ID, True, {}), SampleRecord("X", Origin.OOD, None, {})]
+    )
+    path = tmp_path / "scores.csv"
+    write_scores(es, path)
+    assert path.read_bytes() == b"sample_id,domain,correct\r\nA,id,1\r\nX,ood,\r\n"
+
+
+def _csv_writer_scores(eval_set, path):
+    """The scores file as csv.writer writes it: the reference for write_scores."""
+    columns = [eval_set.channel(ch).tolist() for ch in eval_set.channel_names]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "domain", "correct", *eval_set.channel_names])
+        for sid, is_id, ok, *scores in zip(
+            eval_set.sample_ids.tolist(), eval_set.is_id.tolist(),
+            eval_set.id_correct.tolist(), *columns,
+        ):
+            flags = ["id", "1" if ok else "0"] if is_id else ["ood", ""]
+            writer.writerow([sid, *flags, *map(repr, scores)])
+
+
+# free text that csv.writer must quote, and text it must not
+_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "\t", "é", "a"]), max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ids=st.lists(_TEXT, min_size=1, max_size=6, unique=True),
+    channels=st.lists(_TEXT, max_size=3, unique=True),
+    data=st.data(),
+)
+def test_write_scores_matches_csv_writer(tmp_path_factory, ids, channels, data):
+    n = len(ids)
+    is_id = [True] + data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    correct = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    scores = {ch: data.draw(st.lists(finite, min_size=n, max_size=n)) for ch in channels}
+    es = EvalSet.from_columns(ids, is_id, correct, scores)
+    work = tmp_path_factory.mktemp("scores")
+    write_scores(es, work / "ours.csv")
+    _csv_writer_scores(es, work / "reference.csv")
+    assert (work / "ours.csv").read_bytes() == (work / "reference.csv").read_bytes()
+    if not channels or "" in channels:
+        with pytest.raises(SchemaError, match="row 1: "):
+            load_scores(work / "ours.csv")
+        return
+    loaded = load_scores(work / "ours.csv")
+    assert loaded.sample_ids.tolist() == ids
+    assert loaded.channel_names == tuple(channels)
+    assert loaded.is_id.tolist() == es.is_id.tolist()
+    assert loaded.id_correct.tolist() == es.id_correct.tolist()
+    for ch in channels:
+        assert np.array_equal(loaded.channel(ch).view(np.uint64), es.channel(ch).view(np.uint64))
+
+
+def test_missing_file_is_io_error(tmp_path):
+    with pytest.raises(IoError):
+        load_scores(tmp_path / "absent.csv")
 
 
 class TestVectorFiles:
