@@ -36,9 +36,8 @@ from .dsmetrics import (
     ThresholdGrid,
     confusion_counts,
     ds_aurc,
-    ds_aurc_from_tables,
     ds_f1,
-    ds_f1_from_tables,
+    ds_metrics,
     ds_sweep_fast,
     f1_from_counts,
     quantile_grid,

@@ -13,14 +13,13 @@ import sys
 
 import numpy as np
 
-from . import __version__, dsmetrics
+from . import __version__
 from .core import DsevalError, EvalSet
 from .dsmetrics import (
     DEFAULT_K_BINS,
     DEFAULT_T_GRID,
     ThresholdGrid,
-    ds_aurc_from_tables,
-    ds_f1_from_tables,
+    ds_metrics,
 )
 from .ingest import (
     AURC_SCALE,
@@ -283,12 +282,10 @@ def _cmd_eval(args) -> int:
         }
 
     want_surface = args.surface is not None
-    # the one sweep both DS metrics reduce; looked up on the module so that
-    # a wrapper installed there sees the call
-    tables = dsmetrics.ds_sweep_fast(eval_set, args.id_channel, args.ood_channel, grid)
-    f1_result = ds_f1_from_tables(tables, return_surface=want_surface)
-    aurc_result = ds_aurc_from_tables(tables, k_bins=args.bins)
-    del tables  # the surface holds only the arrays it exports
+    f1_result, aurc_result = ds_metrics(
+        eval_set, args.id_channel, args.ood_channel, grid,
+        k_bins=args.bins, return_surface=want_surface,
+    )
     if want_surface:
         write_curve(f1_result.surface, args.surface)
 
@@ -329,16 +326,14 @@ def _cmd_eval(args) -> int:
                 f"--oracle cross-check is capped at {DEFAULT_CAP} samples"
             )
         exhaust = ThresholdGrid.exhaustive(eval_set, args.id_channel, args.ood_channel)
-        tables = dsmetrics.ds_sweep_fast(
-            eval_set, args.id_channel, args.ood_channel, exhaust
+        fast_f1, fast_aurc = ds_metrics(
+            eval_set, args.id_channel, args.ood_channel, exhaust, k_bins=args.bins
         )
-        fast_f1 = ds_f1_from_tables(tables).value
-        fast_aurc = ds_aurc_from_tables(tables, k_bins=args.bins).value
         ref_f1, _ = oracle_ds_f1(eval_set, args.id_channel, args.ood_channel)
         ref_aurc = oracle_ds_aurc(
             eval_set, args.id_channel, args.ood_channel, k_bins=args.bins
         )
-        diff = max(abs(fast_f1 - ref_f1), abs(fast_aurc - ref_aurc))
+        diff = max(abs(fast_f1.value - ref_f1), abs(fast_aurc.value - ref_aurc))
         report["oracle_check"] = {
             "ds_f1": ref_f1,
             "ds_aurc": ref_aurc,

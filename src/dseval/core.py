@@ -144,9 +144,13 @@ class EvalSet:
             )
         if not is_id.any():
             raise MissingCorrectness("an evaluation set needs at least one ID record")
-        _, first = np.unique(sample_ids, return_index=True)
-        if first.size < n:
-            repeat = str(sample_ids[np.setdiff1d(np.arange(n), first)[0]])
+        # a stable sort keeps equal ids in row order, so each one after the
+        # first in its run is a repeat
+        order = np.argsort(sample_ids, kind="stable")
+        ordered = sample_ids[order]
+        repeats = order[1:][ordered[1:] == ordered[:-1]]
+        if repeats.size:
+            repeat = str(sample_ids[repeats.min()])
             raise MixedSchema(f"sample id {repeat!r} appears more than once")
         return cls(sample_ids, is_id, is_id & correct, names, matrix)
 

@@ -8,19 +8,17 @@ TA + FR = n_id and TA + FA = |accepted| exact.
 
 DS-F1 maximises F1 over the grid product of thresholds. DS-AURC bins the
 (coverage, risk) cloud of all pairs and keeps the minimum risk per coverage
-bin. ``ds_sweep_fast`` produces the full count tables for every pair in
-O(N log N + T_id * T_ood) via two-dimensional suffix sums, accumulated in
-place in the histogram buffers; it refuses grids whose tables would exceed
-``MAX_SWEEP_CELLS`` cells with :class:`GridTooLarge`. One sweep feeds both
-metrics: :func:`ds_f1_from_tables` and :func:`ds_aurc_from_tables` reduce a
-computed :class:`SweepTables` block by block, holding no table-sized
-buffer, and :func:`ds_f1` / :func:`ds_aurc` are sweep plus reduction.
+bin. One count engine builds the counts of every pair by 2-D suffix sums in
+O(N log N + T_id * T_ood), a block of ID-threshold rows at a time, and hands
+each block to the reductions at once: :func:`ds_f1`, :func:`ds_aurc` and
+:func:`ds_metrics` (both from one sweep) hold no count table. Only a pair
+surface needs the tables, which :func:`ds_sweep_fast` fills from the same
+engine. Grids above ``MAX_SWEEP_CELLS`` cells raise :class:`GridTooLarge`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,20 +40,22 @@ __all__ = [
     "ds_sweep_fast",
     "ds_f1",
     "ds_aurc",
-    "ds_f1_from_tables",
-    "ds_aurc_from_tables",
+    "ds_metrics",
 ]
 
 DEFAULT_T_GRID = 512
 DEFAULT_K_BINS = 200
-# Largest (T_id + 1) * (T_ood + 1) a sweep accepts: three int64 tables of
-# this many cells take about 1.6 GB.
+# Largest (T_id + 1) * (T_ood + 1) a sweep accepts. A streamed sweep holds no
+# table, so for it this bounds time: DS-F1 plus DS-AURC take about 1.5 s here
+# on one core of a 2-vCPU VM. The tables of ds_sweep_fast, which a pair
+# surface needs, take about 1.6 GB at this many cells.
 MAX_SWEEP_CELLS = 1 << 26
-# Narrowest table row that the ID-axis suffix sum adds row by row; on
-# narrower tables a strided cumsum is faster than one call per row.
-_ROW_ADD_CELLS = 128
-# Cells per block in the reductions, so each of their buffers is 512 KB.
+# Cells per block of the count engine, so each of its three count layers
+# and each reduction buffer takes 512 KB.
 _BLOCK_CELLS = 1 << 16
+# Narrowest row that the ID-axis suffix sum adds row by row; on narrower
+# blocks a strided cumsum is faster than one call per row.
+_ROW_ADD_COLS = 128
 
 
 class EmptyGrid(DsevalError):
@@ -196,105 +196,87 @@ class SweepTables:
     accepted_id: np.ndarray
     accepted_ood: np.ndarray
     n_id: int
-    n_ood: int
-
-    @cached_property
-    def accepted_total(self) -> np.ndarray:
-        return self.accepted_id + self.accepted_ood
-
-    @cached_property
-    def fa(self) -> np.ndarray:
-        return self.accepted_total - self.ta
-
-    @cached_property
-    def fr(self) -> np.ndarray:
-        return self.n_id - self.ta
-
-    @cached_property
-    def f1(self) -> np.ndarray:
-        # algebraically 2*precision*recall/(precision+recall); exact with the
-        # empty-acceptance convention F1=0 since TA=0 there
-        return 2.0 * self.ta / (self.accepted_total + self.n_id)
-
-    @cached_property
-    def coverage(self) -> np.ndarray:
-        return self.accepted_id / self.n_id
-
-    @cached_property
-    def risk(self) -> np.ndarray:
-        acc = self.accepted_total
-        with np.errstate(invalid="ignore", divide="ignore"):
-            r = self.fa / acc
-        return np.where(acc > 0, r, 0.0)
 
 
-def _suffix_table(bin_id, bin_ood, mask, shape) -> np.ndarray:
-    """Count of ``mask`` samples at or above each threshold pair.
+def _check_budget(grid: ThresholdGrid) -> None:
+    tid, tod = grid.id_thresholds.size, grid.ood_thresholds.size
+    cells = (tid + 1) * (tod + 1)
+    if cells > MAX_SWEEP_CELLS:
+        raise GridTooLarge(
+            f"a {tid} x {tod} threshold grid needs {cells} cells per count "
+            f"table, above the budget of {MAX_SWEEP_CELLS}; use a coarser grid"
+        )
 
-    Samples in bin 0 of either axis pass no threshold there and are left
-    out; the rest are histogrammed on ``shape`` cells and suffix-summed in
-    place, first along the contiguous OOD axis, then along the ID axis: by
-    row adds from the last ID row up when rows hold at least
-    ``_ROW_ADD_CELLS`` cells, else by one strided ``cumsum``.
+
+def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers) -> None:
+    """The count engine: hands every block of ID-threshold rows to each consumer.
+
+    Each sample is bucketed once per axis (its bin is the number of grid
+    thresholds it passes) and sorted once by the block its ID bin falls in.
+    From the last ID row up, each block of about ``_BLOCK_CELLS`` cells is
+    histogrammed into one reused buffer, suffix-summed in place along both
+    axes and offset by the row carried from the block below. Then
+    ``consumer(start, ta, accepted_id, accepted_ood)`` gets views of table
+    rows ``start:start + len(ta)``, valid until it returns, with counts
+    identical to :func:`confusion_counts` at every pair.
     """
-    keep = mask & (bin_id > 0) & (bin_ood > 0)
-    counts = np.bincount(
-        (bin_id[keep] - 1) * shape[1] + (bin_ood[keep] - 1), minlength=shape[0] * shape[1]
-    ).reshape(shape)
-    flipped = counts[:, ::-1]
-    np.cumsum(flipped, axis=1, out=flipped)
-    if shape[1] >= _ROW_ADD_CELLS:
-        for i in range(shape[0] - 2, -1, -1):
-            counts[i] += counts[i + 1]
-    else:
-        # per-row adds cost about 1 us each, too much on tall, narrow tables
-        flipped = counts[::-1]
-        np.cumsum(flipped, axis=0, out=flipped)
-    return counts
+    _check_budget(grid)
+    n_rows, n_cols = grid.id_thresholds.size, grid.ood_thresholds.size
+    step = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
+    row = np.searchsorted(grid.id_thresholds, eval_set.channel(ch_id), side="right")
+    col = np.searchsorted(grid.ood_thresholds, eval_set.channel(ch_ood), side="right")
+    # bin 0 on either axis passes no threshold there; layer 0 of a block
+    # counts correct ID samples, layer 1 misclassified ID, layer 2 OOD
+    keep = (row > 0) & (col > 0)
+    layer = 2 - eval_set.is_id[keep].astype(np.int64) - eval_set.id_correct[keep]
+    # counted from the last row, rows fall into blocks of `step`; a row sits
+    # `step - 1 - offset` rows into the buffer, so a short top block fills its tail
+    block, offset = np.divmod(n_rows - row[keep], step)
+    key = (step - 1 - offset) * (3 * n_cols) + layer * n_cols + col[keep] - 1
+    ends = np.cumsum(np.bincount(block, minlength=-(-n_rows // step))).tolist()
+    if len(ends) > 1:  # a stable sort of small integers is a radix sort
+        key = key[np.argsort(block.astype(np.min_scalar_type(len(ends))), kind="stable")]
+    del row, col, keep, layer, block, offset
+    buf = np.empty((step, 3, n_cols), dtype=np.int64)
+    carry = np.zeros((3, n_cols), dtype=np.int64)
+    for b, begin, end in zip(range(len(ends)), [0, *ends], ends):
+        n = min(step, n_rows - b * step)
+        counts = buf[step - n :]
+        counts.fill(0)
+        np.add.at(buf.reshape(-1), key[begin:end], 1)
+        flipped = counts[..., ::-1]
+        np.cumsum(flipped, axis=2, out=flipped)
+        counts[-1] += carry
+        if n_cols >= _ROW_ADD_COLS:
+            for i in range(n - 2, -1, -1):
+                counts[i] += counts[i + 1]
+        else:  # one call per row costs too much on narrow rows
+            flipped = counts[::-1]
+            np.cumsum(flipped, axis=0, out=flipped)
+        carry[...] = counts[0]
+        counts[:, 1] += counts[:, 0]
+        for consume in consumers:
+            consume(n_rows - b * step - n, counts[:, 0], counts[:, 1], counts[:, 2])
 
 
 def ds_sweep_fast(
-    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid
+    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers
 ) -> SweepTables:
-    """Count tables for every threshold pair via 2-D bucketing and suffix sums.
+    """Count tables for every threshold pair, filled from the count engine.
 
-    Each sample is bucketed once per axis (its bin is the number of grid
-    thresholds it passes); suffix-summing the population histograms yields,
-    for every pair, counts identical to :func:`confusion_counts`. Raises
-    :class:`GridTooLarge`, before allocating any table, when
-    (T_id + 1) * (T_ood + 1) exceeds ``MAX_SWEEP_CELLS``.
+    ``consumers`` see every block as from :func:`_sweep`. Raises
+    :class:`GridTooLarge` before allocating any table.
     """
-    tid = grid.id_thresholds
-    tod = grid.ood_thresholds
-    cells = (tid.size + 1) * (tod.size + 1)
-    if cells > MAX_SWEEP_CELLS:
-        raise GridTooLarge(
-            f"a {tid.size} x {tod.size} threshold grid needs {cells} cells per count "
-            f"table, above the budget of {MAX_SWEEP_CELLS}; use a coarser grid"
-        )
-    bin_id = np.searchsorted(tid, eval_set.channel(ch_id), side="right")
-    bin_ood = np.searchsorted(tod, eval_set.channel(ch_ood), side="right")
-    shape = (tid.size, tod.size)
-    ta = _suffix_table(bin_id, bin_ood, eval_set.id_correct, shape)
-    accepted_id = _suffix_table(bin_id, bin_ood, eval_set.id_wrong, shape)
-    accepted_id += ta
-    return SweepTables(
-        id_thresholds=tid,
-        ood_thresholds=tod,
-        ta=ta,
-        accepted_id=accepted_id,
-        accepted_ood=_suffix_table(bin_id, bin_ood, ~eval_set.is_id, shape),
-        n_id=eval_set.n_id,
-        n_ood=eval_set.n_ood,
-    )
+    _check_budget(grid)
+    shape = (grid.id_thresholds.size, grid.ood_thresholds.size)
+    tables = [np.empty(shape, dtype=np.int64) for _ in range(3)]
 
+    def fill(start, *block):
+        for table, part in zip(tables, block):
+            table[start : start + len(part)] = part
 
-def _row_blocks(tables: SweepTables):
-    """Slices of whole ID-threshold rows, about ``_BLOCK_CELLS`` cells each."""
-    n_rows, n_cols = tables.ta.shape
-    step = max(1, _BLOCK_CELLS // n_cols)
-    for start in range(0, n_rows, step):
-        yield slice(start, start + step)
+    _sweep(eval_set, ch_id, ch_ood, grid, fill, *consumers)
+    return SweepTables(grid.id_thresholds, grid.ood_thresholds, *tables, eval_set.n_id)
 
 
 @dataclass(frozen=True)
@@ -317,105 +299,123 @@ class DsResult:
 
 
 def _surface(tables: SweepTables) -> PairSurface:
+    accepted = tables.accepted_id + tables.accepted_ood
+    with np.errstate(invalid="ignore", divide="ignore"):
+        risk = (accepted - tables.ta) / accepted
     return PairSurface(
         id_thresholds=tables.id_thresholds,
         ood_thresholds=tables.ood_thresholds,
-        coverage=tables.coverage,
-        risk=tables.risk,
-        f1=tables.f1,
+        coverage=tables.accepted_id / tables.n_id,
+        risk=np.where(accepted > 0, risk, 0.0),
+        # algebraically 2*precision*recall/(precision+recall); exact with the
+        # empty-acceptance convention F1=0 since TA=0 there
+        f1=2.0 * tables.ta / (accepted + tables.n_id),
     )
 
 
-def ds_f1_from_tables(tables: SweepTables, return_surface: bool = False) -> DsResult:
-    """Maximum F1 over the pairs of computed tables, with the achieving pair.
+class _BestF1:
+    """Engine consumer: the maximum F1 over the blocks it is handed, and where.
 
-    Ties are broken by the lexicographically smallest (tau_ood, tau_id), so
-    reported operating points are reproducible. F1 is taken one block of
-    rows at a time as 2 * (TA / (accepted + n_id)), which equals
-    ``tables.f1`` exactly (doubling is exact in binary floating point).
+    F1 is 2 * (TA / (accepted + n_id)), exactly the surface's 2 * TA / (accepted
+    + n_id) as doubling is exact; ties go to the smallest (tau_ood, tau_id).
     """
-    best, at = -1.0, None
-    for rows in _row_blocks(tables):
-        f1 = np.add(tables.accepted_id[rows], tables.accepted_ood[rows], dtype=np.float64)
-        f1 += tables.n_id
-        np.divide(tables.ta[rows], f1, out=f1)
+
+    def __init__(self, n_id: int):
+        self.n_id, self.best, self.at, self._scratch = n_id, -1.0, None, None
+
+    def __call__(self, start, ta, accepted_id, accepted_ood):
+        if self._scratch is None:  # the engine's first block is its largest
+            self._scratch = np.empty(ta.shape), np.empty(ta.shape, dtype=bool)
+        f1, hit = (a[: len(ta)] for a in self._scratch)
+        np.add(accepted_id, accepted_ood, out=f1, dtype=np.float64)
+        f1 += self.n_id
+        np.divide(ta, f1, out=f1)
         f1 *= 2.0
         top = float(f1.max())
-        if top < best:
-            continue
-        hit = f1 == top
+        if top < self.best:
+            return
+        np.equal(f1, top, out=hit)
         j = int(hit.any(axis=0).argmax())
-        here = (j, rows.start + int(hit[:, j].argmax()))
-        if top > best or here < at:
-            best, at = top, here
-    j, i = at
-    pair = ThresholdPair(
-        tau_id=float(tables.id_thresholds[i]), tau_ood=float(tables.ood_thresholds[j])
-    )
-    return DsResult(
-        value=best,
-        best_pair=pair,
-        surface=_surface(tables) if return_surface else None,
-    )
+        here = (j, start + int(hit[:, j].argmax()))
+        if top > self.best or here < self.at:
+            self.best, self.at = top, here
+
+    def result(self, grid: ThresholdGrid, surface: PairSurface | None) -> DsResult:
+        j, i = self.at
+        pair = ThresholdPair(float(grid.id_thresholds[i]), float(grid.ood_thresholds[j]))
+        return DsResult(value=self.best, best_pair=pair, surface=surface)
 
 
-def ds_aurc_from_tables(tables: SweepTables, k_bins: int = DEFAULT_K_BINS) -> DsResult:
-    """DS-AURC of computed tables; see :func:`ds_aurc`.
+class _MinRisk:
+    """Engine consumer: the minimum risk per coverage bin over the blocks it is handed.
 
-    Works one block of rows at a time. A pair's coverage bin depends only
-    on its accepted-ID count, so the bin of every count 0..n_id is computed
-    once and looked up; bins and risks equal those that
-    :func:`~dseval.metrics_single.bin_risk_points` gets from
-    ``tables.coverage`` and ``tables.risk``.
+    A pair's coverage bin depends only on its accepted-ID count, so the bin of
+    every count 0..n_id is computed once and looked up; bins and risks equal
+    what :func:`~dseval.metrics_single.bin_risk_points` gets from a surface.
     """
-    if k_bins < 1:
-        raise ValueError("k_bins must be >= 1")
-    bin_of = BinnedCurve.bin_index(np.arange(tables.n_id + 1) / tables.n_id, k_bins)
-    minima = np.full(k_bins, np.inf)
-    for rows in _row_blocks(tables):
-        accepted_id = tables.accepted_id[rows]
-        accepted = accepted_id + tables.accepted_ood[rows]
-        risk = np.subtract(accepted, tables.ta[rows], dtype=np.float64)
+
+    def __init__(self, n_id: int, k_bins: int):
+        if k_bins < 1:
+            raise ValueError("k_bins must be >= 1")
+        self.bin_of = BinnedCurve.bin_index(np.arange(n_id + 1) / n_id, k_bins)
+        self.minima, self._scratch = np.full(k_bins, np.inf), None
+
+    def __call__(self, start, ta, accepted_id, accepted_ood):
+        if self._scratch is None:  # the engine's first block is its largest
+            self._scratch = [np.empty(ta.shape, dtype=t) for t in (np.int64, np.float64, bool)]
+        accepted, risk, any_accepted = (a[: len(ta)] for a in self._scratch)
+        np.add(accepted_id, accepted_ood, out=accepted)
+        np.subtract(accepted, ta, out=risk, dtype=np.float64)
         # empty acceptance keeps risk 0: FA = 0 there
-        np.divide(risk, accepted, out=risk, where=accepted > 0)
-        np.minimum.at(minima, bin_of[accepted_id].ravel(), risk.ravel())
-    curve = BinnedCurve.from_minima(minima)
-    return DsResult(value=float(np.sum(curve.values)) / k_bins, curve=curve)
+        np.divide(risk, accepted, out=risk, where=np.greater(accepted, 0, out=any_accepted))
+        bins = np.take(self.bin_of, accepted_id, out=accepted, mode="clip")
+        np.minimum.at(self.minima, bins.ravel(), risk.ravel())
+
+    def result(self, surface: PairSurface | None) -> DsResult:
+        curve = BinnedCurve.from_minima(self.minima)
+        value = float(np.sum(curve.values)) / curve.k_bins
+        return DsResult(value, surface=surface, curve=curve)
+
+
+def _reduce(eval_set, ch_id, ch_ood, grid, consumers, return_surface) -> PairSurface | None:
+    """One sweep through ``consumers``; tables are built only for a surface."""
+    if return_surface:
+        # looked up on the module, so that a wrapper installed there sees the call
+        return _surface(ds_sweep_fast(eval_set, ch_id, ch_ood, grid, *consumers))
+    _sweep(eval_set, ch_id, ch_ood, grid, *consumers)
+    return None
 
 
 def ds_f1(
-    eval_set: EvalSet,
-    ch_id: str,
-    ch_ood: str,
-    grid: ThresholdGrid,
-    return_surface: bool = False,
+    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, return_surface: bool = False
 ) -> DsResult:
     """Maximum F1 over all threshold pairs, with the achieving pair.
 
     Ties are broken by the lexicographically smallest (tau_ood, tau_id), so
     reported operating points are reproducible.
     """
-    tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid)
-    return ds_f1_from_tables(tables, return_surface)
+    best = _BestF1(eval_set.n_id)
+    return best.result(grid, _reduce(eval_set, ch_id, ch_ood, grid, [best], return_surface))
 
 
 def ds_aurc(
-    eval_set: EvalSet,
-    ch_id: str,
-    ch_ood: str,
-    grid: ThresholdGrid,
-    k_bins: int = DEFAULT_K_BINS,
-    return_surface: bool = False,
+    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid,
+    k_bins: int = DEFAULT_K_BINS, return_surface: bool = False,
 ) -> DsResult:
     """Risk-coverage area where each coverage bin takes its minimum pair risk.
 
     Empty-acceptance pairs contribute (coverage 0, risk 0) per the empty-set
     risk convention, which makes the lowest bins optimistic by construction.
     """
-    if k_bins < 1:
-        raise ValueError("k_bins must be >= 1")
-    tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid)
-    result = ds_aurc_from_tables(tables, k_bins)
-    if return_surface:
-        return replace(result, surface=_surface(tables))
-    return result
+    minima = _MinRisk(eval_set.n_id, k_bins)
+    return minima.result(_reduce(eval_set, ch_id, ch_ood, grid, [minima], return_surface))
+
+
+def ds_metrics(
+    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid,
+    k_bins: int = DEFAULT_K_BINS, return_surface: bool = False,
+) -> tuple[DsResult, DsResult]:
+    """:func:`ds_f1` and :func:`ds_aurc` from one sweep; a surface rides on the first."""
+    best, minima = _BestF1(eval_set.n_id), _MinRisk(eval_set.n_id, k_bins)
+    surface = _reduce(eval_set, ch_id, ch_ood, grid, [best, minima], return_surface)
+    return best.result(grid, surface), minima.result(None)

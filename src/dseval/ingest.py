@@ -84,12 +84,12 @@ def _open_write(path):
         raise IoError(str(exc)) from None
 
 
-def _read_csv(path, parse):
+def _read_text(path, parse):
     """Open ``path`` as UTF-8 text and return ``parse(fh)``.
 
     If ``parse`` fails, a byte that is not UTF-8 is reported before what it
     found, by the file line of the first such byte: encoding belongs to the
-    whole file, and the text decoder reads blocks ahead of the CSV reader.
+    whole file, and the text decoder reads blocks ahead of the parser.
     """
     with _open_read(path) as fh:
         try:
@@ -226,7 +226,7 @@ def _parse_scores(fh) -> EvalSet:
 
 def load_scores(path) -> EvalSet:
     """Read a scores CSV (header sample_id,domain,correct,<channel...>)."""
-    return _read_csv(path, _parse_scores)
+    return _read_text(path, _parse_scores)
 
 
 # the domain and correct fields of a scores row, indexed by is_id + id_correct
@@ -325,11 +325,11 @@ def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
 
 
 def load_logits(path) -> VectorColumns:
-    return _read_csv(path, lambda fh: _parse_vectors(fh, min_dim=2, kind="logits"))
+    return _read_text(path, lambda fh: _parse_vectors(fh, min_dim=2, kind="logits"))
 
 
 def load_features(path) -> VectorColumns:
-    return _read_csv(path, lambda fh: _parse_vectors(fh, min_dim=1, kind="features"))
+    return _read_text(path, lambda fh: _parse_vectors(fh, min_dim=1, kind="features"))
 
 
 def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> None:
@@ -372,12 +372,15 @@ class MetricReport:
         return _render_markdown(self.data)
 
 
+def _parse_report(fh) -> MetricReport:
+    try:
+        return MetricReport(json.load(fh))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid report JSON: {exc}") from None
+
+
 def load_report(path) -> MetricReport:
-    with _open_read(path) as fh:
-        try:
-            return MetricReport(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid report JSON: {exc}") from None
+    return _read_text(path, _parse_report)
 
 
 def write_report(report: MetricReport, path, format: str = "json") -> None:

@@ -34,6 +34,11 @@ CHANNEL_ID = "s_id"
 CHANNEL_OOD = "s_ood"
 
 
+# Largest n_id + n_ood that generate accepts: 100 times the largest benchmark
+# set. At this size the sample ids alone take about 1 GB.
+MAX_SAMPLES = 10_000_000
+
+
 class InvalidConfig(DsevalError):
     pass
 
@@ -65,6 +70,10 @@ def _validate(config: SynthConfig) -> None:
         raise InvalidConfig("n_id must be >= 1")
     if config.n_ood < 0:
         raise InvalidConfig("n_ood must be >= 0")
+    if config.n_id + config.n_ood > MAX_SAMPLES:
+        raise InvalidConfig(
+            f"n_id + n_ood is {config.n_id + config.n_ood}, above the cap of {MAX_SAMPLES}"
+        )
     if config.seed < 0:
         raise InvalidConfig("seed must be >= 0")
     if not 0.0 < config.id_accuracy <= 1.0:

@@ -615,6 +615,10 @@ def test_eval_at_huge_magnitudes(tmp_path):
         (["synth", "--preset", "custom"], json.dumps({**_FAR, "seed": 1.5e400}), 1,
          "InvalidConfig"),
         (["synth", "--preset", "custom"], "[1, 2]", 1, "InvalidConfig"),
+        (["synth", "--n-id", 100_000_000_000], None, 1, "InvalidConfig"),
+        (["synth", "--n-ood", 10_000_000], None, 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"], json.dumps({**_FAR, "n_id": 10**11}), 1,
+         "InvalidConfig"),
     ],
 )
 def test_bad_flags_give_one_line(tmp_path, capsys, fixture_csv, argv, config, code, kind):
@@ -672,32 +676,45 @@ def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def _recording(fn, grids):
+    def recorded(*args, **kwargs):
+        grids.append(args[3])
+        return fn(*args, **kwargs)
+
+    return recorded
+
+
 class TestSweepCount:
     """Each subcommand sweeps only as often as it has distinct grids to reduce."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
-        calls = []
-        sweep = dsmetrics.ds_sweep_fast
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(dsmetrics, "ds_sweep_fast", counted)
+        """Grids handed to the count engine and to the table-building sweep."""
+        calls = {"_sweep": [], "ds_sweep_fast": []}
+        for name, grids in calls.items():
+            monkeypatch.setattr(dsmetrics, name, _recording(getattr(dsmetrics, name), grids))
         return calls
+
+    def test_eval_sweeps_once_without_tables(self, sweeps, fixture_csv, tmp_path):
+        args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+        assert run([*args, "--out", tmp_path / "r.json"]) == 0
+        assert len(sweeps["_sweep"]) == 1
+        assert len(sweeps["ds_sweep_fast"]) == 0
 
     def test_eval_sweeps_once(self, sweeps, fixture_csv, tmp_path):
         args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
         assert run([*args, "--surface", tmp_path / "s.csv", "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps) == 1
+        assert len(sweeps["_sweep"]) == 1
+        assert len(sweeps["ds_sweep_fast"]) == 1
 
     def test_eval_oracle_sweeps_the_exhaustive_grid_once(self, sweeps, fixture_csv, tmp_path):
         args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
         assert run([*args, "--oracle", "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps) == 2
+        assert len(sweeps["_sweep"]) == 2
+        assert len(sweeps["ds_sweep_fast"]) == 0
 
     def test_select_sweeps_val_and_test_once_each(self, sweeps, fixture_csv, tmp_path):
         args = ["select", "--val", fixture_csv, "--test", fixture_csv]
         assert run([*args, "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps) == 2
+        assert len(sweeps["_sweep"]) == 2
+        assert len(sweeps["ds_sweep_fast"]) == 0

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,20 @@ class TestFromColumns:
     def test_inner_nul_is_kept(self):
         es = EvalSet.from_columns(["a\0b", "c"], [True, False], [True, False], {"s": [0, 1]})
         assert es.sample_ids.tolist() == ["a\0b", "c"]
+
+    def test_duplicate_check_peak_memory(self):
+        """Checking 100k ids for repeats holds less than three id columns at once."""
+        n = 100_000
+        ids = [f"sample-{i}" for i in range(n)]
+        id_bytes = np.array(ids, dtype=str).nbytes  # 4.8 MB
+        flags = np.ones(n, dtype=bool)
+        tracemalloc.start()
+        try:
+            EvalSet.from_columns(ids, flags, flags, {"a": np.zeros(n)})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * id_bytes
 
 
 _record_lists = st.integers(1, 30).flatmap(

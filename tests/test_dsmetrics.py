@@ -21,9 +21,8 @@ from dseval import (
     build_eval_set,
     confusion_counts,
     ds_aurc,
-    ds_aurc_from_tables,
     ds_f1,
-    ds_f1_from_tables,
+    ds_metrics,
     ds_sweep_fast,
     f1_from_counts,
     quantile_grid,
@@ -143,7 +142,8 @@ class TestDsF1:
         with_surface = ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=7, return_surface=True)
         assert with_surface.value == plain.value
         surf = with_surface.surface
-        assert np.array_equal(surf.f1, ds_sweep_fast(fixture_set, "s_id", "s_ood", grid).f1)
+        f1_surface = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
+        assert np.array_equal(surf.f1, f1_surface.f1)
 
 
 class TestSweepCoverageRisk:
@@ -154,15 +154,15 @@ class TestSweepCoverageRisk:
             id_has_sentinel=True,
             ood_has_sentinel=True,
         )
-        tables = ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
-        assert tables.coverage.shape == tables.risk.shape == (3, 2)
+        surface = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
+        assert surface.coverage.shape == surface.risk.shape == (3, 2)
         # (tau_id, tau_ood) = (-0.4, -0.95): the sentinel pair
-        assert tables.coverage[0, 0] == 1.0
+        assert surface.coverage[0, 0] == 1.0
         # (0.75, 0.5)
-        assert tables.coverage[1, 1] == pytest.approx(2 / 3)
-        assert tables.risk[1, 1] == 0.0
+        assert surface.coverage[1, 1] == pytest.approx(2 / 3)
+        assert surface.risk[1, 1] == 0.0
         # (2.0, 0.5)
-        assert tables.coverage[2, 1] == 0.0 and tables.risk[2, 1] == 0.0
+        assert surface.coverage[2, 1] == 0.0 and surface.risk[2, 1] == 0.0
 
 
 class TestDsAurc:
@@ -221,8 +221,6 @@ class TestSweepFast:
                     assert tables.ta[i, j] == c.ta
                     assert tables.accepted_id[i, j] == c.accepted_id
                     assert tables.accepted_ood[i, j] == c.accepted_ood
-                    assert tables.fa[i, j] == c.fa
-                    assert tables.fr[i, j] == c.fr
 
     def test_single_cell_grid_gives_population_totals(self, fixture_set):
         lo_id = fixture_set.channel("s_id").min() - 1.0
@@ -253,8 +251,12 @@ class TestSweepFast:
         es = make_random_set(rng, n=35)
         grid = ThresholdGrid.exhaustive(es, "a", "b")
         t = ds_sweep_fast(es, "a", "b", grid)
-        assert np.all(t.ta + t.fr == es.n_id)
-        assert np.all(t.ta + t.fa == t.accepted_total)
+        # FR = n_id - TA and FA = accepted - TA count samples, so neither is negative
+        assert np.all((0 <= t.ta) & (t.ta <= t.accepted_id) & (t.accepted_id <= es.n_id))
+        assert np.all((0 <= t.accepted_ood) & (t.accepted_ood <= es.n_ood))
+        # a higher threshold on either axis accepts a subset
+        for table in (t.ta, t.accepted_id, t.accepted_ood):
+            assert np.all(np.diff(table, axis=0) <= 0) and np.all(np.diff(table, axis=1) <= 0)
 
 
 def _naive_tables(es, grid):
@@ -321,11 +323,14 @@ def _sweep_cases(draw):
 @given(
     case=_sweep_cases(),
     picks=st.lists(st.tuples(st.integers(0), st.integers(0)), max_size=5),
-    row_add_cells=st.sampled_from([1, 1 << 30]),  # row adds, or one strided cumsum
+    block=st.sampled_from([1, 3, 64, 1 << 16]),
+    row_add_cols=st.sampled_from([1, 1 << 30]),  # row adds, or one strided cumsum
 )
-def test_sweep_matches_references(case, picks, row_add_cells):
+def test_sweep_matches_references(case, picks, block, row_add_cols):
     es, grid = case
-    with mock.patch.object(dsmetrics, "_ROW_ADD_CELLS", row_add_cells):
+    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block), mock.patch.object(
+        dsmetrics, "_ROW_ADD_COLS", row_add_cols
+    ):
         tables = ds_sweep_fast(es, "a", "b", grid)
     ta, accepted_id, accepted_ood = _naive_tables(es, grid)
     assert tables.ta.dtype == tables.accepted_id.dtype == np.int64
@@ -341,36 +346,56 @@ def test_sweep_matches_references(case, picks, row_add_cells):
         )
 
 
+def _table_formulas(es, ta, accepted_id, accepted_ood):
+    """F1, coverage and risk of every pair, computed on whole tables."""
+    accepted = accepted_id + accepted_ood
+    risk = np.divide(accepted - ta, accepted, out=np.zeros(ta.shape), where=accepted > 0)
+    return 2.0 * ta / (accepted + es.n_id), accepted_id / es.n_id, risk
+
+
 @settings(max_examples=150, deadline=None)
-@given(case=_sweep_cases(), block=st.sampled_from([1, 3, 64, 1 << 16]), k_bins=st.integers(1, 12))
-def test_block_reductions_match_table_formulas(case, block, k_bins):
-    """At any block size, the reductions equal the whole-table formulas."""
+@given(
+    case=_sweep_cases(),
+    block=st.sampled_from([1, 3, 64, 1 << 16]),
+    row_add_cols=st.sampled_from([1, 1 << 30]),
+    k_bins=st.integers(1, 12),
+)
+def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins):
+    """At any block size, the streamed metrics and the tables equal the whole-table results."""
     es, grid = case
-    tables = ds_sweep_fast(es, "a", "b", grid)
-    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block):
-        f1 = ds_f1_from_tables(tables)
-        aurc_result = ds_aurc_from_tables(tables, k_bins)
-    best = float(tables.f1.max())
-    rows, cols = np.nonzero(tables.f1 == best)
+    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block), mock.patch.object(
+        dsmetrics, "_ROW_ADD_COLS", row_add_cols
+    ):
+        f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
+        alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
+        tables = ds_sweep_fast(es, "a", "b", grid)
+    naive = _naive_tables(es, grid)
+    for table, expected in zip((tables.ta, tables.accepted_id, tables.accepted_ood), naive):
+        assert np.array_equal(table, expected)
+    f1_table, coverage, risk = _table_formulas(es, *naive)
+    best = float(f1_table.max())
+    rows, cols = np.nonzero(f1_table == best)
     j = int(cols.min())
     i = int(rows[cols == j].min())
     assert f1.value == best
     assert f1.best_pair == ThresholdPair(
         float(grid.id_thresholds[i]), float(grid.ood_thresholds[j])
     )
-    curve = bin_risk_points(tables.coverage.ravel(), tables.risk.ravel(), k_bins)
+    curve = bin_risk_points(coverage.ravel(), risk.ravel(), k_bins)
     assert np.array_equal(aurc_result.curve.values, curve.values)
     assert np.array_equal(aurc_result.curve.filled, curve.filled)
     assert aurc_result.value == float(np.sum(curve.values)) / k_bins
+    assert alone[0] == f1 and alone[1].value == aurc_result.value
 
 
-def test_sweep_refuses_oversized_grid_before_allocating(fixture_set):
+@pytest.mark.parametrize("sweep", [ds_sweep_fast, ds_metrics])
+def test_sweep_refuses_oversized_grid_before_allocating(fixture_set, sweep):
     axis = np.arange(100_000, dtype=np.float64)
     grid = ThresholdGrid(axis, axis.copy())
     tracemalloc.start()
     try:
         with pytest.raises(GridTooLarge, match="100000 x 100000 threshold grid"):
-            ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+            sweep(fixture_set, "s_id", "s_ood", grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -384,31 +409,31 @@ def test_sweep_takes_the_cell_budget_exactly(fixture_set):
     with mock.patch.object(dsmetrics, "MAX_SWEEP_CELLS", 19):
         with pytest.raises(GridTooLarge):
             ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+        with pytest.raises(GridTooLarge):
+            ds_f1(fixture_set, "s_id", "s_ood", grid)
 
 
 def test_eval_metrics_peak_memory():
-    """One sweep and both reductions hold at most five int64 tables at once."""
+    """Streamed DS-F1 and DS-AURC hold less than one int64 count table at once."""
     rng = np.random.default_rng(5)
-    n = 4000
+    n = 20_000
     es = EvalSet.from_columns(
         [f"s{i}" for i in range(n)],
         rng.random(n) < 0.6,
         rng.random(n) < 0.7,
         {"a": rng.normal(size=n), "b": rng.normal(size=n)},
     )
-    grid = ThresholdGrid.quantile(es, "a", "b", t_grid=512)
-    assert grid.id_thresholds.size == grid.ood_thresholds.size == 513
-    table_bytes = 513 * 513 * 8
+    grid = ThresholdGrid.quantile(es, "a", "b", t_grid=2048)
+    assert grid.id_thresholds.size == grid.ood_thresholds.size == 2049
+    table_bytes = 2049 * 2049 * 8  # 33.6 MB
     tracemalloc.start()
     try:
-        tables = ds_sweep_fast(es, "a", "b", grid)
-        ds_f1_from_tables(tables)
-        ds_aurc_from_tables(tables, k_bins=200)
-        current, peak = tracemalloc.get_traced_memory()
+        ds_f1(es, "a", "b", grid)
+        ds_aurc(es, "a", "b", grid, k_bins=200)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert current >= 3 * table_bytes
-    assert peak <= 5 * table_bytes
+    assert peak < table_bytes
 
 
 def test_empty_grid_rejected():

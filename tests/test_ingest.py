@@ -413,6 +413,18 @@ class TestReports:
         write_report(load_report(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_bad_byte_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_bytes(b'{\n  "a": "\xff"\n}\n')
+        with pytest.raises(ParseError, match="^line 2: byte 0xff is not valid UTF-8$"):
+            load_report(path)
+
+    def test_invalid_json_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "r.json"
+        path.write_text('{"a": ')
+        with pytest.raises(ParseError, match="^invalid report JSON: "):
+            load_report(path)
+
     def test_markdown_layout(self, tmp_path):
         report = MetricReport(
             {

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from dseval import synth
 from dseval import ThresholdGrid, auroc, aurc, best_f1_single, ds_f1, risk_coverage_curve
 from dseval.synth import (
     CHANNEL_ID,
@@ -93,6 +96,14 @@ def test_invalid_configs():
                        ("wrong", [1, 2]), ("ood", {"mean_s_id": None, "mean_s_ood": 0})]:
         with pytest.raises(InvalidConfig):
             config_from_dict({**fields, key: value})
+
+
+def test_sample_cap_is_checked_before_drawing():
+    with mock.patch.object(synth, "MAX_SAMPLES", 10):
+        assert len(generate(far_ood_config(6, 4)).sample_ids) == 10
+        with mock.patch.object(synth, "_draw", side_effect=AssertionError("drew")):
+            with pytest.raises(InvalidConfig, match="n_id \\+ n_ood is 11, above the cap of 10"):
+                generate(far_ood_config(6, 5))
 
 
 def test_config_round_trip():

@@ -37,6 +37,7 @@ def test_tracer_installs_and_uninstalls():
 
 
 def test_traced_eval_records_its_one_sweep(tmp_path):
+    """Only a ``--surface`` eval builds tables; it does so in one traced sweep."""
     spans = _load_spans()
     scores = tmp_path / "scores.csv"
     write_scores(make_fixture_set(), scores)
@@ -44,7 +45,8 @@ def test_traced_eval_records_its_one_sweep(tmp_path):
     tracer.install()
     try:
         argv = ["eval", "--scores", str(scores), "--id-channel", "s_id",
-                "--ood-channel", "s_ood", "--out", str(tmp_path / "r.json")]
+                "--ood-channel", "s_ood", "--surface", str(tmp_path / "s.csv"),
+                "--out", str(tmp_path / "r.json")]
         assert main(argv) == 0
     finally:
         tracer.uninstall()
