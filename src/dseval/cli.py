@@ -33,14 +33,7 @@ from .ingest import (
     write_report,
     write_scores,
 )
-from .metrics_single import (
-    aupr,
-    auroc,
-    aurc,
-    best_f1_single,
-    fpr_at_tpr,
-    risk_coverage_curve,
-)
+from .metrics_single import aupr, auroc, fpr_at_tpr
 from .oracle import DEFAULT_CAP, oracle_ds_aurc, oracle_ds_f1
 from .scoring import (
     FEATURES,
@@ -57,6 +50,7 @@ from .scoring import (
 # Not called here: perfbench/spans.py wraps these names in this module.
 from .core import build_eval_set  # noqa: F401
 from .dsmetrics import ds_aurc, ds_f1  # noqa: F401
+from .metrics_single import aurc, best_f1_single, risk_coverage_curve  # noqa: F401
 from .scoring import (  # noqa: F401
     build_feature_bank,
     energy,
@@ -243,16 +237,6 @@ def _cmd_score(args) -> int:
 # eval
 
 
-def _single_block(eval_set: EvalSet, channel: str, thresholds, k_bins: int) -> dict:
-    f1, tau = best_f1_single(eval_set, channel, thresholds)
-    points = risk_coverage_curve(eval_set, channel, thresholds)
-    return {
-        "f1": scaled(f1, METRIC_SCALE),
-        "f1_threshold": tau,
-        "aurc": scaled(aurc(points, k_bins), AURC_SCALE),
-    }
-
-
 def _cmd_eval(args) -> int:
     _positive("--grid", args.grid)
     _positive("--bins", args.bins)
@@ -263,11 +247,6 @@ def _cmd_eval(args) -> int:
     grid = ThresholdGrid.quantile(
         eval_set, args.id_channel, args.ood_channel, t_grid=args.grid
     )
-    axis = {args.id_channel: grid.id_thresholds, args.ood_channel: grid.ood_thresholds}
-    single = {
-        ch: _single_block(eval_set, ch, thresholds, args.bins)
-        for ch, thresholds in axis.items()
-    }
 
     ood_block = None
     if eval_set.n_ood > 0:
@@ -288,6 +267,18 @@ def _cmd_eval(args) -> int:
     )
     if want_surface:
         write_curve(f1_result.surface, args.surface)
+    # each channel alone is a sentinel line of the sweep
+    single = {
+        ch: {
+            "f1": scaled(f1.value, METRIC_SCALE),
+            "f1_threshold": getattr(f1.best_pair, tau),
+            "aurc": scaled(area.value, AURC_SCALE),
+        }
+        for ch, f1, area, tau in (
+            (args.id_channel, f1_result.id_only, aurc_result.id_only, "tau_id"),
+            (args.ood_channel, f1_result.ood_only, aurc_result.ood_only, "tau_ood"),
+        )
+    }
 
     report = {
         "tool": _tool_block(),
@@ -373,15 +364,13 @@ def _cmd_select(args) -> int:
         test_set, args.id_channel, args.ood_channel, t_grid=args.grid
     )
     # all three modes run so the report can contrast single vs double transfer
+    chosen = select_thresholds(val_set, args.id_channel, args.ood_channel, val_grid)
+    opt = test_opt(test_set, args.id_channel, args.ood_channel, test_grid)
     modes = {}
-    for mode in SelectionMode:
-        picked = select_thresholds(
-            val_set, args.id_channel, args.ood_channel, mode, val_grid
-        )
+    for mode, picked in chosen.items():
         transfer_f1, counts = apply_thresholds(
             test_set, args.id_channel, args.ood_channel, picked.frozen
         )
-        opt = test_opt(test_set, args.id_channel, args.ood_channel, mode, test_grid)
         modes[mode.value] = {
             "frozen": {
                 "tau_id": picked.frozen.tau_id,
@@ -389,7 +378,7 @@ def _cmd_select(args) -> int:
             },
             "val_f1": scaled(picked.val_f1, METRIC_SCALE),
             "test_f1_transfer": scaled(transfer_f1, METRIC_SCALE),
-            "test_f1_opt": scaled(opt.test_f1, METRIC_SCALE),
+            "test_f1_opt": scaled(opt[mode].test_f1, METRIC_SCALE),
             "test_counts": {
                 "ta": counts.ta,
                 "fa": counts.fa,

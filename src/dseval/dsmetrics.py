@@ -14,11 +14,14 @@ each block to the reductions at once: :func:`ds_f1`, :func:`ds_aurc` and
 :func:`ds_metrics` (both from one sweep) hold no count table. Only a pair
 surface needs the tables, which :func:`ds_sweep_fast` fills from the same
 engine. Grids above ``MAX_SWEEP_CELLS`` cells raise :class:`GridTooLarge`.
+
+Each result also holds each channel's single-score metric, read off the
+sentinel column and row of the same sweep (see :class:`_Lines`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,8 +113,6 @@ class ThresholdGrid:
 
     id_thresholds: np.ndarray
     ood_thresholds: np.ndarray
-    id_has_sentinel: bool = True
-    ood_has_sentinel: bool = True
 
     def __post_init__(self):
         for arr in (self.id_thresholds, self.ood_thresholds):
@@ -132,7 +133,7 @@ class ThresholdGrid:
             if include_sentinel:
                 vals = np.concatenate([[accept_all_threshold(vals)], vals])
             grids.append(vals)
-        return cls(grids[0], grids[1], include_sentinel, include_sentinel)
+        return cls(*grids)
 
     @classmethod
     def quantile(
@@ -146,8 +147,6 @@ class ThresholdGrid:
         return cls(
             quantile_grid(eval_set.channel(ch_id), t_grid, include_sentinel),
             quantile_grid(eval_set.channel(ch_ood), t_grid, include_sentinel),
-            include_sentinel,
-            include_sentinel,
         )
 
 
@@ -292,10 +291,14 @@ class PairSurface:
 
 @dataclass(frozen=True)
 class DsResult:
+    """A metric over the grid product; ``id_only``/``ood_only`` hold it per single-score line."""
+
     value: float
     best_pair: ThresholdPair | None = None
     surface: PairSurface | None = None
     curve: BinnedCurve | None = None
+    id_only: DsResult | None = None
+    ood_only: DsResult | None = None
 
 
 def _surface(tables: SweepTables) -> PairSurface:
@@ -320,8 +323,8 @@ class _BestF1:
     + n_id) as doubling is exact; ties go to the smallest (tau_ood, tau_id).
     """
 
-    def __init__(self, n_id: int):
-        self.n_id, self.best, self.at, self._scratch = n_id, -1.0, None, None
+    def __init__(self, n_id: int, grid: ThresholdGrid):
+        self.n_id, self.grid, self.best, self.at, self._scratch = n_id, grid, -1.0, None, None
 
     def __call__(self, start, ta, accepted_id, accepted_ood):
         if self._scratch is None:  # the engine's first block is its largest
@@ -340,9 +343,9 @@ class _BestF1:
         if top > self.best or here < self.at:
             self.best, self.at = top, here
 
-    def result(self, grid: ThresholdGrid, surface: PairSurface | None) -> DsResult:
+    def result(self, surface: PairSurface | None) -> DsResult:
         j, i = self.at
-        pair = ThresholdPair(float(grid.id_thresholds[i]), float(grid.ood_thresholds[j]))
+        pair = ThresholdPair(float(self.grid.id_thresholds[i]), float(self.grid.ood_thresholds[j]))
         return DsResult(value=self.best, best_pair=pair, surface=surface)
 
 
@@ -354,11 +357,14 @@ class _MinRisk:
     what :func:`~dseval.metrics_single.bin_risk_points` gets from a surface.
     """
 
-    def __init__(self, n_id: int, k_bins: int):
+    def __init__(self, bin_of: np.ndarray, k_bins: int):
+        self.bin_of, self.minima, self._scratch = bin_of, np.full(k_bins, np.inf), None
+
+    @staticmethod
+    def bins(n_id: int, k_bins: int) -> np.ndarray:
         if k_bins < 1:
             raise ValueError("k_bins must be >= 1")
-        self.bin_of = BinnedCurve.bin_index(np.arange(n_id + 1) / n_id, k_bins)
-        self.minima, self._scratch = np.full(k_bins, np.inf), None
+        return BinnedCurve.bin_index(np.arange(n_id + 1) / n_id, k_bins)
 
     def __call__(self, start, ta, accepted_id, accepted_ood):
         if self._scratch is None:  # the engine's first block is its largest
@@ -377,6 +383,35 @@ class _MinRisk:
         return DsResult(value, surface=surface, curve=curve)
 
 
+class _Lines:
+    """Engine consumer: one reduction of the grid product and one of each single-score line.
+
+    Column 0 is the ID channel alone if the first OOD threshold accepts every
+    sample, and row 0 the OOD channel alone if the first ID threshold does:
+    there a reduction sees each single threshold's counts, ties included.
+    A line whose other threshold rejects a sample is no single score: None.
+    """
+
+    def __init__(self, eval_set, ch_id, ch_ood, grid, make):
+        def line(other_axis, channel):
+            return make() if other_axis[0] <= eval_set.channel(channel).min() else None
+
+        self.full = make()
+        self.id_only = line(grid.ood_thresholds, ch_ood)
+        self.ood_only = line(grid.id_thresholds, ch_id)
+
+    def __call__(self, start, *block):
+        self.full(start, *block)
+        if self.id_only is not None:
+            self.id_only(start, *(part[:, :1] for part in block))
+        if self.ood_only is not None and start == 0:
+            self.ood_only(start, *(part[:1] for part in block))
+
+    def result(self, surface: PairSurface | None) -> DsResult:
+        id_only, ood_only = (line and line.result(None) for line in (self.id_only, self.ood_only))
+        return replace(self.full.result(surface), id_only=id_only, ood_only=ood_only)
+
+
 def _reduce(eval_set, ch_id, ch_ood, grid, consumers, return_surface) -> PairSurface | None:
     """One sweep through ``consumers``; tables are built only for a surface."""
     if return_surface:
@@ -392,10 +427,11 @@ def ds_f1(
     """Maximum F1 over all threshold pairs, with the achieving pair.
 
     Ties are broken by the lexicographically smallest (tau_ood, tau_id), so
-    reported operating points are reproducible.
+    reported operating points are reproducible; on a single-score line that
+    is the smallest threshold.
     """
-    best = _BestF1(eval_set.n_id)
-    return best.result(grid, _reduce(eval_set, ch_id, ch_ood, grid, [best], return_surface))
+    best = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _BestF1(eval_set.n_id, grid))
+    return best.result(_reduce(eval_set, ch_id, ch_ood, grid, [best], return_surface))
 
 
 def ds_aurc(
@@ -407,7 +443,8 @@ def ds_aurc(
     Empty-acceptance pairs contribute (coverage 0, risk 0) per the empty-set
     risk convention, which makes the lowest bins optimistic by construction.
     """
-    minima = _MinRisk(eval_set.n_id, k_bins)
+    bin_of = _MinRisk.bins(eval_set.n_id, k_bins)  # one table for the three reductions
+    minima = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _MinRisk(bin_of, k_bins))
     return minima.result(_reduce(eval_set, ch_id, ch_ood, grid, [minima], return_surface))
 
 
@@ -416,6 +453,8 @@ def ds_metrics(
     k_bins: int = DEFAULT_K_BINS, return_surface: bool = False,
 ) -> tuple[DsResult, DsResult]:
     """:func:`ds_f1` and :func:`ds_aurc` from one sweep; a surface rides on the first."""
-    best, minima = _BestF1(eval_set.n_id), _MinRisk(eval_set.n_id, k_bins)
+    best = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _BestF1(eval_set.n_id, grid))
+    bin_of = _MinRisk.bins(eval_set.n_id, k_bins)
+    minima = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _MinRisk(bin_of, k_bins))
     surface = _reduce(eval_set, ch_id, ch_ood, grid, [best, minima], return_surface)
-    return best.result(grid, surface), minima.result(None)
+    return best.result(surface), minima.result(None)

@@ -14,7 +14,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, islice, repeat, starmap
+from itertools import chain, islice, starmap
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ from .core import DsevalError, EvalSet, NonFiniteScore
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .core import build_eval_set  # noqa: F401
 from .dsmetrics import PairSurface
-from .metrics_single import BinnedCurve, RiskCoveragePoint
 from .scoring import FeatureRecord, LogitRecord
 
 __all__ = [
@@ -72,7 +71,8 @@ class IoError(DsevalError):
 
 def _open_read(path):
     try:
-        return open(path, "r", newline="", encoding="utf-8")
+        # a leading byte order mark is dropped, also on a seek(0) to reread
+        return open(path, "r", newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IoError(str(exc)) from None
 
@@ -462,47 +462,22 @@ def _render_markdown(data: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def write_curve(curve_or_surface, path) -> None:
-    """Export risk-coverage data as CSV, rows sorted by coverage then risk.
-
-    Accepts a pair surface (tau_id,tau_ood,coverage,risk,f1 columns), a list
-    of single-threshold points (coverage,risk,threshold) or a binned curve
-    (coverage column holds the bin's left edge, threshold left empty).
-    """
-    if isinstance(curve_or_surface, PairSurface):
-        surface = curve_or_surface
-        # lexsort is stable, so pairs tied on (coverage, risk) stay in flat
-        # order, which is (tau_id, tau_ood) order: both axes strictly increase
-        order = np.lexsort((surface.risk.ravel(), surface.coverage.ravel()))
-        i, j = np.divmod(order, surface.ood_thresholds.size)
-        # each threshold is formatted once and picked per row
-        taus = [
-            np.array(list(map(repr, axis.tolist())), dtype=object)[at].tolist()
-            for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j))
-        ]
-        values = [
-            map(repr, col.ravel()[order].tolist())
-            for col in (surface.coverage, surface.risk, surface.f1)
-        ]
-        _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [*taus, *values])
-        return
-
-    if isinstance(curve_or_surface, BinnedCurve):
-        values = curve_or_surface.values.tolist()
-        k_bins = curve_or_surface.k_bins
-        coverage = [repr(b / k_bins) for b in range(len(values))]
-        _write_csv(
-            path, ["coverage", "risk", "threshold"], [coverage, map(repr, values), repeat("")]
-        )
-        return
-
-    points: Iterable[RiskCoveragePoint] = list(curve_or_surface)
-    if any(not isinstance(p.threshold, (int, float)) for p in points):
-        raise ValueError("pair-threshold points export via the surface format")
-    triples = sorted(
-        ((p.coverage, p.risk, float(p.threshold)) for p in points),
-        key=lambda r: (r[0], r[1], r[2]),
-    )
-    _write_csv(
-        path, ["coverage", "risk", "threshold"], [map(repr, map(float, c)) for c in zip(*triples)]
-    )
+def write_curve(surface: PairSurface, path) -> None:
+    """Export a pair surface as CSV (tau_id,tau_ood,coverage,risk,f1 columns),
+    rows sorted by coverage then risk."""
+    if not isinstance(surface, PairSurface):
+        raise TypeError(f"write_curve exports a PairSurface, not {type(surface).__name__}")
+    # lexsort is stable, so pairs tied on (coverage, risk) stay in flat
+    # order, which is (tau_id, tau_ood) order: both axes strictly increase
+    order = np.lexsort((surface.risk.ravel(), surface.coverage.ravel()))
+    i, j = np.divmod(order, surface.ood_thresholds.size)
+    # each threshold is formatted once and picked per row
+    taus = [
+        np.array(list(map(repr, axis.tolist())), dtype=object)[at].tolist()
+        for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j))
+    ]
+    values = [
+        map(repr, col.ravel()[order].tolist())
+        for col in (surface.coverage, surface.risk, surface.f1)
+    ]
+    _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [*taus, *values])

@@ -4,6 +4,9 @@ Risk follows the mixed convention: an accepted sample counts as a failure if
 it is a misclassified ID sample or an OOD sample. The risk of an empty
 acceptance set is defined as 0. Coverage is always the accepted fraction of
 the ID population.
+
+:func:`best_f1_single`, :func:`risk_coverage_curve` and :func:`aurc` are the
+reference for the single-score lines of :mod:`dseval.dsmetrics`, which the CLI reports.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Threshold selection on a validation split, frozen transfer to a test split.
 
 Modes: a single threshold on the ID axis, a single threshold on the OOD axis
-(the unused axis sits at its accept-all sentinel), or a joint pair. Transfer
-applies the raw frozen thresholds to the test set with no re-optimization;
-``test_opt`` re-optimizes on the test set and exists only to expose the
-selection/deployment gap, so reports must label it as leaky.
+(the unused axis sits at its accept-all sentinel), or a joint pair. One DS-F1
+sweep gives all three: the single modes are its sentinel column and row.
+Transfer applies the raw frozen thresholds to the test set with no
+re-optimization; ``test_opt`` re-optimizes on the test set and exists only to
+expose the selection/deployment gap, so reports must label it as leaky.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import EvalSet, ThresholdPair, accept_all_threshold
+from .core import EvalSet, ThresholdPair
 from .dsmetrics import ConfusionCounts, ThresholdGrid, confusion_counts, ds_f1, f1_from_counts
-from .metrics_single import best_f1_single
+
+# Not called here: perfbench/spans.py wraps this name in this module.
+from .metrics_single import best_f1_single  # noqa: F401
 
 __all__ = ["SelectionMode", "SelectionResult", "select_thresholds", "apply_thresholds", "test_opt"]
 
@@ -34,27 +37,19 @@ class SelectionResult:
 
 
 def select_thresholds(
-    val_set: EvalSet,
-    ch_id: str,
-    ch_ood: str,
-    mode: SelectionMode,
-    grid: ThresholdGrid,
-) -> SelectionResult:
-    """Pick the best operating point on the validation set for one mode."""
-    if mode is SelectionMode.ID_ONLY:
-        f1, tau = best_f1_single(val_set, ch_id, grid.id_thresholds)
-        frozen = ThresholdPair(
-            tau_id=tau, tau_ood=accept_all_threshold(val_set.channel(ch_ood))
-        )
-    elif mode is SelectionMode.OOD_ONLY:
-        f1, tau = best_f1_single(val_set, ch_ood, grid.ood_thresholds)
-        frozen = ThresholdPair(
-            tau_id=accept_all_threshold(val_set.channel(ch_id)), tau_ood=tau
-        )
-    else:
-        result = ds_f1(val_set, ch_id, ch_ood, grid)
-        f1, frozen = result.value, result.best_pair
-    return SelectionResult(mode=mode, frozen=frozen, val_f1=f1)
+    val_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid
+) -> dict[SelectionMode, SelectionResult]:
+    """The best operating point of every mode on the validation set, from one sweep.
+
+    ID_ONLY is the grid's first column and OOD_ONLY its first row: a grid whose
+    first threshold on either axis rejects a sample raises ValueError.
+    """
+    result = ds_f1(val_set, ch_id, ch_ood, grid)
+    if result.id_only is None or result.ood_only is None:
+        raise ValueError("the single modes need a grid whose first thresholds accept all")
+    picks = {SelectionMode.ID_ONLY: result.id_only, SelectionMode.OOD_ONLY: result.ood_only,
+             SelectionMode.DOUBLE: result}
+    return {mode: SelectionResult(mode, pick.best_pair, pick.value) for mode, pick in picks.items()}
 
 
 def apply_thresholds(
@@ -66,12 +61,8 @@ def apply_thresholds(
 
 
 def test_opt(
-    test_set: EvalSet,
-    ch_id: str,
-    ch_ood: str,
-    mode: SelectionMode,
-    grid: ThresholdGrid,
-) -> SelectionResult:
-    """Optimize directly on the test set (leaky; reported as "test-opt")."""
-    result = select_thresholds(test_set, ch_id, ch_ood, mode, grid)
-    return replace(result, test_f1=result.val_f1)
+    test_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid
+) -> dict[SelectionMode, SelectionResult]:
+    """Optimize every mode directly on the test set (leaky; reported as "test-opt")."""
+    results = select_thresholds(test_set, ch_id, ch_ood, grid)
+    return {mode: replace(result, test_f1=result.val_f1) for mode, result in results.items()}

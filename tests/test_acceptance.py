@@ -213,14 +213,13 @@ def test_criterion_5_threshold_transfer_protocol():
         val_grid = ThresholdGrid.exhaustive(val, "s_id", "s_ood")
         test_grid = ThresholdGrid.exhaustive(test, "s_id", "s_ood")
         transferred = {}
-        for mode in SelectionMode:
-            picked = select_thresholds(val, "s_id", "s_ood", mode, val_grid)
+        for mode, picked in select_thresholds(val, "s_id", "s_ood", val_grid).items():
             transferred[mode], _ = apply_thresholds(test, "s_id", "s_ood", picked.frozen)
         if transferred[SelectionMode.DOUBLE] >= max(
             transferred[SelectionMode.ID_ONLY], transferred[SelectionMode.OOD_ONLY]
         ):
             double_wins += 1
-        opt = optimize_on_test(test, "s_id", "s_ood", SelectionMode.DOUBLE, test_grid)
+        opt = optimize_on_test(test, "s_id", "s_ood", test_grid)[SelectionMode.DOUBLE]
         opt_dominates &= opt.test_f1 >= transferred[SelectionMode.DOUBLE] - EXACT
     assert double_wins >= 95, f"double transfer won only {double_wins}/100"
     assert opt_dominates

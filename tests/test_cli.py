@@ -1,11 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dseval import Origin, ThresholdGrid, best_f1_single, ds_f1, dsmetrics
+import dseval
+from dseval import Origin, ThresholdGrid, best_f1_single, ds_f1, dsmetrics, metrics_single
 from dseval.cli import main
 from dseval.ingest import load_logits, load_scores, write_scores, write_vector_file
 from dseval.scoring import (
@@ -560,6 +563,9 @@ class TestScoreCommand:
 
 def test_console_entry_point(tmp_path):
     out = tmp_path / "scores.csv"
+    # the child imports the same dseval as this process, installed or not
+    package_root = str(Path(dseval.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable,
@@ -572,6 +578,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
@@ -718,3 +725,18 @@ class TestSweepCount:
         assert run([*args, "--out", tmp_path / "r.json"]) == 0
         assert len(sweeps["_sweep"]) == 2
         assert len(sweeps["ds_sweep_fast"]) == 0
+
+
+def test_eval_and_select_count_only_through_the_sweep(monkeypatch, fixture_csv, tmp_path):
+    """The single-score blocks and modes come from the sweep's sentinel lines."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the single-threshold reference was called")
+
+    for name in ("best_f1_single", "risk_coverage_curve", "_population_counts"):
+        monkeypatch.setattr(metrics_single, name, refuse)
+    eval_args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*eval_args, "--out", tmp_path / "r.json"]) == 0
+    assert run([*eval_args, "--surface", tmp_path / "s.csv", "--out", tmp_path / "r.json"]) == 0
+    assert run(["select", "--val", fixture_csv, "--test", fixture_csv,
+                "--out", tmp_path / "r.json"]) == 0

@@ -151,8 +151,6 @@ class TestSweepCoverageRisk:
         grid = ThresholdGrid(
             id_thresholds=np.array([-0.4, 0.75, 2.0]),
             ood_thresholds=np.array([-0.95, 0.5]),
-            id_has_sentinel=True,
-            ood_has_sentinel=True,
         )
         surface = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
         assert surface.coverage.shape == surface.risk.shape == (3, 2)
@@ -386,6 +384,49 @@ def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins
     assert np.array_equal(aurc_result.curve.filled, curve.filled)
     assert aurc_result.value == float(np.sum(curve.values)) / k_bins
     assert alone[0] == f1 and alone[1].value == aurc_result.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=_sweep_cases(),
+    block=st.sampled_from([1, 3, 64, 1 << 16]),
+    row_add_cols=st.sampled_from([1, 1 << 30]),
+    k_bins=st.integers(1, 12),
+)
+def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
+    """Column 0 and row 0 of the sweep give the single-threshold metrics exactly,
+    wherever the first threshold on the other axis accepts every sample."""
+    es, grid = case
+    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block), mock.patch.object(
+        dsmetrics, "_ROW_ADD_COLS", row_add_cols
+    ):
+        f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
+        alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
+    lines = [
+        ("id_only", "a", grid.id_thresholds, grid.ood_thresholds[0] <= es.channel("b").min()),
+        ("ood_only", "b", grid.ood_thresholds, grid.id_thresholds[0] <= es.channel("a").min()),
+    ]
+    for name, channel, axis, exists in lines:
+        results = [getattr(r, name) for r in (f1, aurc_result, *alone)]
+        if not exists:
+            assert results == [None] * 4
+            continue
+        value, tau = best_f1_single(es, channel, axis)
+        area = aurc(risk_coverage_curve(es, channel, axis), k_bins)
+        at = "tau_id" if name == "id_only" else "tau_ood"
+        for best in (results[0], results[2]):
+            assert best.value == value and getattr(best.best_pair, at) == tau
+        assert results[1].value == area and results[3].value == area
+
+
+def test_no_lines_without_an_accept_all_threshold(fixture_set):
+    grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood", include_sentinel=False)
+    grid = ThresholdGrid(grid.id_thresholds[1:], grid.ood_thresholds[1:])
+    f1, aurc_result = ds_metrics(fixture_set, "s_id", "s_ood", grid, 4)
+    assert f1.id_only is f1.ood_only is aurc_result.id_only is aurc_result.ood_only is None
+    # the data, not how the grid was built, decides: a grid's minimum accepts all
+    full = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood", include_sentinel=False)
+    assert ds_f1(fixture_set, "s_id", "s_ood", full).id_only.value == pytest.approx(2 / 3)
 
 
 @pytest.mark.parametrize("sweep", [ds_sweep_fast, ds_metrics])

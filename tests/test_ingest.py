@@ -28,7 +28,6 @@ from dseval.ingest import (
     write_scores,
     write_vector_file,
 )
-from dseval.metrics_single import RiskCoveragePoint
 from dseval.scoring import FeatureRecord, LogitRecord
 from conftest import make_fixture_set, make_random_set
 
@@ -188,6 +187,35 @@ def test_field_over_the_reader_limit(tmp_path, kind):
     # an earlier bad row is named first
     path.write_text(header + "x,ood,,0.5,nan\n" + "y" * 200_000 + ",ood,,0.5,0.5\n")
     with pytest.raises(ParseError, match="^row 2, column '(s_ood|v1)': non-finite"):
+        loader(path)
+
+
+def _loaded_columns(loaded):
+    if isinstance(loaded, EvalSet):
+        channels = [loaded.channel(ch).tolist() for ch in loaded.channel_names]
+        return (loaded.sample_ids.tolist(), loaded.is_id.tolist(), loaded.id_correct.tolist(),
+                list(loaded.channel_names), channels)
+    return (loaded.sample_ids.tolist(), loaded.is_id.tolist(), loaded.labels.tolist(),
+            loaded.matrix.tolist())
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_byte_order_mark_is_dropped(tmp_path, kind):
+    loader, header = _LOADERS[kind]
+    text = header + "A,id,1,0.5,0.25\nX,ood,,0.1,-2.0\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode())
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert _loaded_columns(loader(marked)) == _loaded_columns(loader(plain))
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_byte_order_mark_keeps_row_numbers(tmp_path, kind):
+    # the bad cell sends the loader back to the start to name its row
+    loader, header = _LOADERS[kind]
+    path = tmp_path / "marked.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (header + "A,id,1,0.5,0.5\nB,id,1,0.5,abc\n").encode())
+    with pytest.raises(ParseError, match="^row 3, column '(s_ood|v1)': cannot parse 'abc'"):
         loader(path)
 
 
@@ -465,23 +493,6 @@ class TestCurveExport:
         assert lines[0] == "tau_id,tau_ood,coverage,risk,f1"
         assert "0.75,0.5,0.6666666666666666,0.0,0.8" in lines
 
-    def test_empty_points_header_only(self, tmp_path):
-        path = tmp_path / "curve.csv"
-        write_curve([], path)
-        assert path.read_text().splitlines() == ["coverage,risk,threshold"]
-
-    def test_points_sorted_and_reloadable(self, tmp_path):
-        points = [
-            RiskCoveragePoint(1.0, 0.4, 0.1),
-            RiskCoveragePoint(0.5, 0.2, 0.9),
-            RiskCoveragePoint(0.5, 0.1, 1.2),
-        ]
-        path = tmp_path / "curve.csv"
-        write_curve(points, path)
-        lines = path.read_text().splitlines()
-        assert lines[1].startswith("0.5,0.1")
-        assert lines[2].startswith("0.5,0.2")
-        # re-reading reproduces the values exactly
-        rows = [line.split(",") for line in lines[1:]]
-        parsed = [(float(a), float(b), float(c)) for a, b, c in rows]
-        assert (1.0, 0.4, 0.1) in parsed
+    def test_only_a_surface_exports(self, tmp_path):
+        with pytest.raises(TypeError, match="PairSurface"):
+            write_curve([], tmp_path / "curve.csv")

@@ -16,9 +16,7 @@ from dseval.synth import far_ood_config, generate
 
 def test_fixture_double_mode(fixture_set):
     grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
-    result = select_thresholds(
-        fixture_set, "s_id", "s_ood", SelectionMode.DOUBLE, grid
-    )
+    result = select_thresholds(fixture_set, "s_id", "s_ood", grid)[SelectionMode.DOUBLE]
     assert result.val_f1 == pytest.approx(0.8)
     assert result.frozen == ThresholdPair(tau_id=0.8, tau_ood=0.1)
     # re-applying the frozen pair to the same data reproduces the value
@@ -35,15 +33,12 @@ def test_fixture_double_mode(fixture_set):
 
 def test_single_modes_fix_other_axis_at_sentinel(fixture_set):
     grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
-    id_only = select_thresholds(
-        fixture_set, "s_id", "s_ood", SelectionMode.ID_ONLY, grid
-    )
+    results = select_thresholds(fixture_set, "s_id", "s_ood", grid)
+    id_only = results[SelectionMode.ID_ONLY]
     assert id_only.val_f1 == pytest.approx(2 / 3)
     assert id_only.frozen.tau_id == 0.8
     assert id_only.frozen.tau_ood == accept_all_threshold(fixture_set.channel("s_ood"))
-    ood_only = select_thresholds(
-        fixture_set, "s_id", "s_ood", SelectionMode.OOD_ONLY, grid
-    )
+    ood_only = results[SelectionMode.OOD_ONLY]
     assert ood_only.val_f1 == pytest.approx(2 / 3)
     assert ood_only.frozen.tau_id == accept_all_threshold(fixture_set.channel("s_id"))
 
@@ -55,8 +50,9 @@ def test_all_correct_no_ood_gives_one_at_sentinels():
     ]
     es = build_eval_set(records)
     grid = ThresholdGrid.exhaustive(es, "a", "b")
+    results = select_thresholds(es, "a", "b", grid)
     for mode in SelectionMode:
-        result = select_thresholds(es, "a", "b", mode, grid)
+        result = results[mode]
         assert result.val_f1 == 1.0
         assert result.frozen.tau_id <= es.channel("a").min()
         assert result.frozen.tau_ood <= es.channel("b").min()
@@ -73,10 +69,7 @@ def test_double_val_dominates_single_modes():
     for seed in range(10):
         val = generate(far_ood_config(120, 120, 0.7, seed=400 + seed))
         grid = ThresholdGrid.exhaustive(val, "s_id", "s_ood")
-        results = {
-            mode: select_thresholds(val, "s_id", "s_ood", mode, grid)
-            for mode in SelectionMode
-        }
+        results = select_thresholds(val, "s_id", "s_ood", grid)
         assert (
             results[SelectionMode.DOUBLE].val_f1
             >= results[SelectionMode.ID_ONLY].val_f1 - 1e-12
@@ -93,7 +86,15 @@ def test_test_opt_dominates_transfer():
         test = generate(far_ood_config(120, 120, 0.7, seed=800 + 2 * seed + 1))
         val_grid = ThresholdGrid.exhaustive(val, "s_id", "s_ood")
         test_grid = ThresholdGrid.exhaustive(test, "s_id", "s_ood")
-        picked = select_thresholds(val, "s_id", "s_ood", SelectionMode.DOUBLE, val_grid)
+        picked = select_thresholds(val, "s_id", "s_ood", val_grid)[SelectionMode.DOUBLE]
         transferred, _ = apply_thresholds(test, "s_id", "s_ood", picked.frozen)
-        opt = optimize_on_test(test, "s_id", "s_ood", SelectionMode.DOUBLE, test_grid)
+        opt = optimize_on_test(test, "s_id", "s_ood", test_grid)[SelectionMode.DOUBLE]
         assert opt.test_f1 >= transferred - 1e-12
+
+
+def test_grid_without_single_lines_is_refused(fixture_set):
+    # the first threshold on each axis rejects the lowest sample
+    grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood", include_sentinel=False)
+    grid = ThresholdGrid(grid.id_thresholds[1:], grid.ood_thresholds[1:])
+    with pytest.raises(ValueError, match="single modes"):
+        select_thresholds(fixture_set, "s_id", "s_ood", grid)
