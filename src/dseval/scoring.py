@@ -247,18 +247,41 @@ class FeatureBank:
         return self.vectors.shape[0]
 
 
+# Below this norm the squared norm is subnormal and has lost precision; at
+# inf it has overflowed. Rows there are divided by their largest magnitude
+# first, which leaves their direction and nothing else.
+_NORM_MIN = 2.0**-511
+
+
+def _off_scale(norms):
+    """Where a norm (or an array of them) is out of the range where ``x / norm`` is accurate."""
+    return (norms < _NORM_MIN) | (norms == np.inf)
+
+
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
-        raise ZeroVector("cannot L2-normalize a zero vector")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(vec)
+    if _off_scale(norm):
+        scale = np.abs(vec).max()
+        if scale == 0.0:
+            raise ZeroVector("cannot L2-normalize a zero vector")
+        vec = vec / scale
+        norm = np.linalg.norm(vec)
     return vec / norm
 
 
 def build_feature_bank(features) -> FeatureBank:
     x = np.asarray(features, dtype=np.float64)
-    norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroVector("feature bank contains a zero vector")
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
+    odd = np.flatnonzero(_off_scale(norms))
+    if odd.size:
+        scale = np.abs(x[odd]).max(axis=1)
+        if np.any(scale == 0.0):
+            raise ZeroVector("feature bank contains a zero vector")
+        x = x.copy()
+        x[odd] /= scale[:, None]
+        norms[odd] = np.linalg.norm(x[odd], axis=1)
     return FeatureBank(vectors=x / norms[:, None])
 
 
@@ -452,57 +475,129 @@ def _mahalanobis_rows(x: np.ndarray, stats: GaussianStats) -> np.ndarray:
     cov_inv = stats.cov_inv
     eps = np.finfo(np.float64).eps
     scale = 2 * (dim * dim + 2 * dim + 3) * eps * np.linalg.norm(np.abs(cov_inv), 2)
+    # block buffers are allocated once and reused; _knn_rows() says why
+    step = max(1, BLOCK_BYTES // (16 * n_classes * dim))
+    diffs = np.empty((step, n_classes, dim))
+    products = np.empty_like(diffs)
     out = np.empty(x.shape[0])
-    for rows in _row_blocks(x.shape[0], 2 * n_classes * dim):
-        diff = x[rows, None, :] - stats.means
-        approx = np.einsum("nkd,nkd->nk", diff @ cov_inv, diff)
+    for lo in range(0, x.shape[0], step):
+        n = min(step, x.shape[0] - lo)
+        diff = np.subtract(x[lo : lo + n, None, :], stats.means, out=diffs[:n])
+        approx = np.einsum("nkd,nkd->nk", np.matmul(diff, cov_inv, out=products[:n]), diff)
         slack = scale * np.einsum("nkd,nkd->nk", diff, diff)
         # `not >` keeps every class a NaN would hide
         near = ~(approx - slack > (approx + slack).min(axis=1, keepdims=True))
         row, cls = np.nonzero(near)
         d = diff[row, cls]
-        best = np.full(diff.shape[0], np.inf)
+        best = np.full(n, np.inf)
         np.minimum.at(best, row, np.einsum("ij,jk,ik->i", d, cov_inv, d))
-        out[rows] = -best
+        out[lo : lo + n] = -best
     return out
+
+
+def _knn_sample(size: int, k: int) -> slice:
+    """The bank columns whose k-th nearest bounds every row's: about 40 k, evenly spread."""
+    return slice(None, None, size // min(40 * k, size))
+
+
+def _padded_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The values of each row r < n (``rows`` sorted) in row r of an n x max matrix, NaN-padded.
+
+    NaN sorts last in np.sort and np.partition, so the padding never comes
+    before a row's own values.
+    """
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    padded = np.full((n, counts.max()), np.nan, dtype=values.dtype)
+    padded[rows, np.arange(rows.size) - starts[rows]] = values
+    return padded
 
 
 def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
     """knn_score() of every row, bit for bit (Sun et al., ICML 2022).
 
-    Dot products with the bank (the Gram identity ||a-b||^2 = 2 - 2a.b for
-    unit vectors) pick the candidates; the score is then the k-th smallest of
-    their distances, computed with knn_score()'s own expression. Rounding in
-    the normalizations, the dot products and those distances can put two
-    bank vectors out of order only when their dots differ by less than about
-    (4D + 14) eps for D features, so a vector more than ``margin`` below the
-    k-th largest dot is no nearer than k candidates and cannot change the
-    k-th smallest distance. The margin is eight times that bound.
+    Float32 dot products with the bank pick a few candidates per row; only
+    they get knn_score()'s own float64 distance. For unit vectors
+    ||a-b||^2 = 2 - 2a.b, so ``near`` = -a.b orders the bank as the distances
+    do. Rounding a and b to float32 and summing D products moves each
+    ``near`` by less than about (D + 2) eps32 / 2, and the float64 distances
+    err far less, so two bank vectors whose ``near`` differ by more than
+    2 (D + 4) eps32 keep their order in the float64 distances. ``margin`` is
+    eight times that, which also covers rounding the cuts themselves.
+
+    Per row, with N_k the k-th smallest ``near``:
+    - a vector with ``near`` above N_k + margin is farther than the k
+      vectors up to N_k, so it is never needed;
+    - one at or below N_k - margin is nearer than every vector from N_k on,
+      so it is among the k nearest and only counts;
+    - the distances of the rest (about one vector) decide the score: it is
+      their (k - count)-th smallest.
+    N_k is found without partitioning the whole row. The k-th smallest
+    ``near`` over a sample of the bank's columns (``_knn_sample``) is at
+    least N_k, since the sample is a subset, so keeping what lies at most
+    ``margin`` above it drops no vector the rules above need, wherever the
+    sample falls; N_k is then the k-th smallest of the few vectors kept.
+    NaN sorts last in every step and is never cut, as in knn_score().
+
+    Block buffers (the float32 bank, ``near``, the kept mask and the sample)
+    are allocated once per call and reused with ``out=``: a fresh temporary
+    of 128 KiB or more is a fresh mapping under the fixed mmap threshold of
+    ``dseval score``, and its pages would be faulted in again every block.
     """
     vectors = bank.vectors
     size, dim = vectors.shape
     if not 1 <= k <= size:
         raise KTooLarge(f"k={k} outside [1, {size}]")
-    margin = 32 * (dim + 4) * np.finfo(np.float64).eps
-    step = max(1, BLOCK_BYTES // (8 * size))
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    margin = np.float32(16 * (dim + 4) * np.finfo(np.float32).eps)
+    sample = _knn_sample(size, k)
+    step = max(1, BLOCK_BYTES // (16 * size))
+    # the float32 bank, negated so that the product with a row is its ``near``
+    far = np.negative(vectors, dtype=np.float32).T
+    squares = np.empty((step, 1, 1))
     queries = np.empty((step, dim))
-    dots = np.empty((step, size))
+    queries32 = np.empty((step, dim), dtype=np.float32)
+    near = np.empty((step, size), dtype=np.float32)
+    kept = np.empty((step, size), dtype=bool)
+    low = np.empty((step, len(range(size)[sample])), dtype=np.float32)
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], step):
         n = min(step, x.shape[0] - lo)
-        for r in range(n):
+        block = x[lo : lo + n]
+        # the same dot and division as _unit(); odd rows are redone by it
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.matmul(block[:, None, :], block[:, :, None], out=squares[:n])
+            norms = np.sqrt(squares[:n, 0, 0])
+            np.divide(block, norms[:, None], out=queries[:n])
+        for r in np.flatnonzero(_off_scale(norms)):
             try:
-                queries[r] = _unit(x[lo + r])
+                queries[r] = _unit(block[r])
             except ZeroVector as exc:
                 exc.row = lo + r
                 raise
-        np.matmul(queries[:n], vectors.T, out=dots[:n])
-        for r in range(n):
-            cut = np.partition(dots[r], size - k)[size - k] - margin
-            # `not <` keeps every candidate a NaN dot would hide
-            candidates = np.flatnonzero(~(dots[r] < cut))
-            dists = np.linalg.norm(vectors[candidates] - queries[r], axis=1)
-            out[lo + r] = -np.partition(dists, k - 1)[k - 1]
+        np.copyto(queries32[:n], queries[:n])
+        np.matmul(queries32[:n], far, out=near[:n])
+        np.copyto(low[:n], near[:n, sample])
+        low[:n].partition(k - 1, axis=1)
+        # `not >` keeps every vector a NaN would hide
+        np.greater(near[:n], low[:n, k - 1 : k] + margin, out=kept[:n])
+        np.logical_not(kept[:n], out=kept[:n])
+        flat = np.flatnonzero(kept[:n])
+        rows = flat // size
+        values = np.take(near[:n], flat)
+        kept_near = _padded_rows(values, rows, n)
+        kept_near.partition(k - 1, axis=1)
+        kth = kept_near[:, k - 1]
+        inner = values <= (kth - margin)[rows]
+        band = ~(inner | (values > (kth + margin)[rows]))
+        band_rows = rows[band]
+        dists = np.linalg.norm(
+            vectors[flat[band] - band_rows * size] - queries[band_rows], axis=1
+        )
+        ranks = k - np.bincount(rows[inner], minlength=n)
+        dists = _padded_rows(dists, band_rows, n)
+        dists.sort(axis=1)
+        out[lo : lo + n] = -dists[np.arange(n), ranks - 1]
     return out
 
 

@@ -534,6 +534,34 @@ class TestScoreCommand:
         assert repr(features[2].sample_id) in err
         assert repr(features[9].sample_id) not in err
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_and_subnormal_features(self, vector_files, capsys, tmp_path):
+        paths, _, features, fit_features = vector_files
+        odd = {0: 1e200, 1: 5e-324, 2: 1e-160}  # row -> scale of its features
+
+        def rescaled(records, name):
+            records = [
+                FeatureRecord(r.sample_id, r.origin, r.label, odd[i] * r.features)
+                if i in odd else r
+                for i, r in enumerate(records)
+            ]
+            write_vector_file(records, tmp_path / name)
+            return records
+
+        features = rescaled(features, "odd.csv")
+        fit_features = rescaled(fit_features, "odd_fit.csv")
+        argv = [
+            "score", "--logits", paths["logits"], "--features", tmp_path / "odd.csv",
+            "--fit", paths["fit_logits"], "--fit", tmp_path / "odd_fit.csv",
+            "--method", "knn", "--k", 3, "--out", tmp_path / "out.csv",
+        ]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+        bank = build_feature_bank(np.stack([r.features for r in fit_features]))
+        assert not np.any(np.all(bank.vectors == 0.0, axis=1))
+        knn = load_scores(tmp_path / "out.csv").channel("knn")
+        assert np.array_equal(knn, [knn_score(r.features, bank, 3) for r in features])
+
     @pytest.mark.parametrize("kind", ["logits", "features"])
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_unreadable_vector_file(self, vector_files, capsys, kind, damage):

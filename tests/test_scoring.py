@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,21 @@ class TestKnn:
         bank = build_feature_bank(np.array([[1.0, 0.0]]))
         with pytest.raises(ZeroVector):
             knn_score([0.0, 0.0], bank, 1)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("exponent", [700, -530, -540, -1070, -1074])
+    def test_huge_and_tiny_vectors_keep_their_direction(self, exponent):
+        # squared norms that overflow, are subnormal, or are 0 on a nonzero
+        # row (2**-1074 is the smallest subnormal); scaling by a power of two
+        # is exact, so the normalized vectors and scores must not change
+        magnitude = 2.0**exponent
+        direction = np.array([[3.0, 4.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, 0.0]])
+        bank = build_feature_bank(direction)
+        scaled = build_feature_bank(np.vstack([direction[:2] * magnitude, direction[2:]]))
+        assert np.array_equal(scaled.vectors, bank.vectors)
+        query = np.array([2.0, 1.0, 1.0])
+        for k in (1, 2, 3):
+            assert knn_score(query * magnitude, scaled, k) == knn_score(query, bank, k)
 
     def test_default_k(self):
         assert default_k(10) == 1
@@ -482,6 +498,86 @@ class TestBatchedKnn:
         for k in (0, 4):
             with pytest.raises(KTooLarge):
                 METHODS["knn"].score_batch(ScoreInputs(None, np.eye(3)), (bank, k))
+
+
+# Banks larger than the sample the k-th nearest is first bounded from, at the
+# default block size and at one row per block.
+@pytest.fixture(params=[None, 8], ids=["blocks", "rows"])
+def knn_blocks(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(scoring, "BLOCK_BYTES", request.param)
+
+
+class TestSampledKnn:
+    def test_sample_is_smaller_than_the_bank(self):
+        for k in (1, 3, 12):
+            assert len(range(1000)[scoring._knn_sample(1000, k)]) < 1000
+        assert len(range(1000)[scoring._knn_sample(1000, 25)]) == 1000
+
+    def test_random_bank(self, knn_blocks):
+        rng = np.random.default_rng(34)
+        bank = rng.normal(0, 1, (1000, 16))
+        queries = np.vstack([bank[:10], -bank[10:15], rng.normal(0, 1, (25, 16))])
+        for k in (1, 2, 7, 1000):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+    def test_sample_holds_the_farthest_vectors(self, knn_blocks):
+        # every query lies near one direction and the sampled columns hold
+        # the vectors farthest from it, so the sampled bound is the loosest
+        rng = np.random.default_rng(35)
+        centre = rng.normal(0, 1, 8)
+        vectors = centre + rng.normal(0, 0.8, (1200, 8))
+        by_distance = np.argsort(-(vectors @ centre) / np.linalg.norm(vectors, axis=1))
+        for k in (1, 4, 1200):
+            sampled = np.arange(1200)[scoring._knn_sample(1200, k)]
+            rest = np.setdiff1d(np.arange(1200), sampled)
+            bank = np.empty_like(vectors)
+            bank[sampled] = vectors[by_distance[: sampled.size]]
+            bank[rest] = vectors[by_distance[sampled.size :]]
+            queries = centre + rng.normal(0, 0.1, (20, 8))
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+    @pytest.mark.parametrize("spread", [1e-9, 1e-7])
+    def test_near_duplicates(self, knn_blocks, spread):
+        # 1e-9 apart they tie in float32; 1e-7 apart float32 puts some of
+        # them out of their float64 order
+        rng = np.random.default_rng(36)
+        base = rng.normal(0, 1, 64)
+        bank = np.vstack([base + rng.normal(0, spread, (1000, 64)), rng.normal(0, 1, (200, 64))])
+        rng.shuffle(bank)
+        queries = np.vstack([base, bank[:5], base + rng.normal(0, spread, (10, 64))])
+        for k in (1, 2, 5, 37, 1000, 1001, 1200):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_tiny_and_subnormal_queries(self, knn_blocks):
+        rng = np.random.default_rng(37)
+        bank = rng.normal(0, 1, (800, 12))
+        directions = np.vstack([bank[:4], rng.normal(0, 1, (8, 12))])
+        queries = np.vstack(
+            [directions * 1e200, directions * 1e-160, directions * 1e-315, directions]
+        )
+        queries[-1] = [5e-324] + [0.0] * 11  # a nonzero row whose squared norm is 0
+        for k in (1, 3, 800):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+
+def test_batched_knn_peak_memory():
+    """kNN at score-all shapes holds the float32 bank (1.28 MB) and one block of rows."""
+    rng = np.random.default_rng(38)
+    bank = build_feature_bank(rng.normal(0, 1, (5000, 64)))
+    inputs = ScoreInputs(None, rng.normal(0, 1, (5000, 64)))
+    tracemalloc.start()
+    try:
+        METHODS["knn"].score_batch(inputs, (bank, default_k(bank.size)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_500_000
 
 
 def _mds_both(queries, features, labels):
