@@ -25,6 +25,7 @@ from .ingest import (
     AURC_SCALE,
     METRIC_SCALE,
     MetricReport,
+    SchemaError,
     load_features,
     load_logits,
     load_scores,
@@ -145,35 +146,7 @@ def _channels(methods, inputs: ScoreInputs, fitted: dict, sample_ids) -> dict:
     return channels
 
 
-# glibc's M_MMAP_THRESHOLD option and its default, 128 KiB
-_M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD = 128 * 1024
-
-
-def _fix_mmap_threshold() -> None:
-    """Keep glibc serving blocks of 128 KiB and up from their own mappings.
-
-    glibc otherwise raises that threshold to the size of each such block
-    freed, so from the second score run in a process on, the fit-split
-    matrices and the SVD's buffers (2.5 MB each at 5000 x 64) come from the
-    heap. Where the holes they leave there happen to fall decides whether
-    the process's peak resident size grows by one more matrix, so the peak
-    differed by 2.5 MB between runs of the same workload. A fixed threshold
-    returns each block to the system when it is freed. This is
-    process-wide and does nothing without glibc.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    import ctypes
-
-    try:
-        ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    except (OSError, AttributeError):
-        pass
-
-
 def _cmd_score(args) -> int:
-    _fix_mmap_threshold()
     methods = list(dict.fromkeys(m.strip() for m in args.method.split(",") if m.strip()))
     if not methods:
         raise UsageError("--method needs at least one method name")
@@ -215,6 +188,15 @@ def _cmd_score(args) -> int:
     # before any scoring; the fit matrices are dropped once they are fitted
     fit_logits, _ = _fit_matrix(fit_paths.get(FIT_LOGITS), load_logits, "logits")
     fit_features, fit_labels = _fit_matrix(fit_paths.get(FIT_FEATURES), load_features, "features")
+    for path, data, fit_path, fit in (
+        (args.logits, logits, fit_paths.get(FIT_LOGITS), fit_logits),
+        (args.features, features, fit_paths.get(FIT_FEATURES), fit_features),
+    ):
+        if fit is not None and fit.shape[1] != data.matrix.shape[1]:
+            raise SchemaError(
+                f"fit file {fit_path} holds {fit.shape[1]}-wide vectors, "
+                f"but {path} holds {data.matrix.shape[1]}-wide vectors"
+            )
     options = ScoreOptions(k=args.k, pca_dim=args.pca_dim, temperature=args.temperature)
     split = FitSplit(fit_logits, fit_features, fit_labels, options)
     fitted = {name: METHODS[name].fit(split) for name in methods}

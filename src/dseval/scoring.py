@@ -316,13 +316,33 @@ class PrincipalBasis:
 
 
 def fit_principal_subspace(features, d: int) -> PrincipalBasis:
-    """Top-d principal directions of the mean-centered fit features."""
+    """Top-d principal directions of the mean-centered fit features.
+
+    They are the right singular vectors of the centered rows, read off the
+    SVD of the rows' R factor (at most D x D). A blockwise Householder QR
+    (TSQR; Demmel et al., 2012) builds R one block of rows at a time: each
+    block of centered rows is stacked under the R so far and the stack is
+    factored again.
+    The left singular vectors, as large as the rows, are never formed.
+    """
     x = np.asarray(features, dtype=np.float64)
     n, dim = x.shape
     if not 1 <= d < dim:
         raise OutOfRange(f"subspace dimension must satisfy 1 <= d < {dim}, got {d}")
     mean = x.mean(axis=0)
-    _, s, vt = np.linalg.svd(x - mean, full_matrices=False)
+    # qr() copies the stack twice (its own copy and LAPACK's), so the stack
+    # takes a third of the block budget; blocks of fewer than D rows would
+    # spend more on refactoring R than on the rows
+    step = max(dim, BLOCK_BYTES // (24 * dim) - dim)
+    stack = np.empty((dim + min(step, n), dim))
+    height = 0  # rows of R at the top of the stack
+    for lo in range(0, n, step):
+        rows = min(step, n - lo)
+        np.subtract(x[lo : lo + rows], mean, out=stack[height : height + rows])
+        r = np.linalg.qr(stack[: height + rows], mode="r")
+        height = r.shape[0]
+        stack[:height] = r
+    _, s, vt = np.linalg.svd(stack[:height], full_matrices=False)
     nonzero = int(np.count_nonzero(s > s[0] * max(n, dim) * np.finfo(np.float64).eps))
     if nonzero < d:
         raise RankDeficient(
@@ -343,10 +363,15 @@ def fit_vim_alpha(logits, features, basis: PrincipalBasis) -> float:
 
     alpha = mean max-logit / mean residual norm over the fit set.
     """
+    features = np.asarray(features, dtype=np.float64)
+    return _vim_alpha(logits, _residual_norms(features, basis))
+
+
+def _vim_alpha(logits, residual_norms: np.ndarray) -> float:
+    """fit_vim_alpha() given the fit features' residual norms."""
     logits = np.asarray(logits, dtype=np.float64)
     mean_logit = float(logits.max(axis=1).mean())
-    features = np.asarray(features, dtype=np.float64)
-    mean_residual = float(np.mean(_residual_norms(features, basis)))
+    mean_residual = float(np.mean(residual_norms))
     if mean_residual <= 0.0:
         raise RankDeficient(
             "fit features lie inside the principal subspace; residual scale is zero"
@@ -397,17 +422,17 @@ def sirc_combine(s1: float, s1_max: float, s2: float, a: float, b: float) -> flo
 # Each scorer takes whole matrices (one row per sample) and returns one score
 # per row. The temporaries that would be the largest over all rows (bank dot
 # products in knn, rows x classes x features in mds, the residual's
-# projections) are built one block of rows at a time, each block at most
-# BLOCK_BYTES, so peak memory does not grow with them.
+# projections, the absolute values in l1, the stacked rows of the principal
+# subspace fit) are built one block of rows at a time, so peak memory does
+# not grow with them. BLOCK_BYTES bounds all of one scorer's block buffers
+# together, not each of them.
 
 BLOCK_BYTES = 1 << 21
 
 
-def _row_blocks(n_rows: int, row_floats: int):
-    """Slices covering ``range(n_rows)``, each at most BLOCK_BYTES of float64 rows."""
-    step = max(1, BLOCK_BYTES // (8 * row_floats))
-    for lo in range(0, n_rows, step):
-        yield slice(lo, min(lo + step, n_rows))
+def _block_rows(n_rows: int, row_floats: int) -> int:
+    """Rows per block when each row takes ``row_floats`` float64s of block buffers."""
+    return max(1, min(n_rows, BLOCK_BYTES // (8 * row_floats)))
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -421,7 +446,15 @@ def _msp_rows(z: np.ndarray) -> np.ndarray:
 
 
 def _l1_rows(x: np.ndarray) -> np.ndarray:
-    return np.abs(x).sum(axis=1)
+    """l1_feature_norm() of every row, with the same arithmetic, in one reused buffer."""
+    step = _block_rows(*x.shape)
+    absolute = np.empty((step, x.shape[1]))
+    out = np.empty(x.shape[0])
+    for lo in range(0, x.shape[0], step):
+        n = min(step, x.shape[0] - lo)
+        np.abs(x[lo : lo + n], out=absolute[:n])
+        np.add.reduce(absolute[:n], axis=1, out=out[lo : lo + n])
+    return out
 
 
 def _energy_rows(z: np.ndarray, temperature: float) -> np.ndarray:
@@ -540,9 +573,9 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
     NaN sorts last in every step and is never cut, as in knn_score().
 
     Block buffers (the float32 bank, ``near``, the kept mask and the sample)
-    are allocated once per call and reused with ``out=``: a fresh temporary
-    of 128 KiB or more is a fresh mapping under the fixed mmap threshold of
-    ``dseval score``, and its pages would be faulted in again every block.
+    are allocated once per call and reused with ``out=``: glibc may serve a
+    fresh temporary of 128 KiB or more from a fresh mapping, whose pages
+    would be faulted in again every block.
     """
     vectors = bank.vectors
     size, dim = vectors.shape
@@ -602,13 +635,26 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
 
 
 def _residual_norms(x: np.ndarray, basis: PrincipalBasis) -> np.ndarray:
-    """-residual_score() of every row, as matrix products (equal to about 1e-14)."""
+    """-residual_score() of every row, as matrix products (equal to about 1e-14).
+
+    The centered, projection and reconstruction buffers are allocated once
+    and reused (see _knn_rows()). The norm is np.linalg.norm()'s own
+    arithmetic, the square root of the row sums of squares.
+    """
+    vectors = basis.basis
+    dim, d = vectors.shape
+    step = _block_rows(x.shape[0], 2 * dim + d)
+    centered = np.empty((step, dim))
+    projected = np.empty((step, d))
+    squares = np.empty((step, dim))  # the reconstruction, then the squares
     out = np.empty(x.shape[0])
-    for rows in _row_blocks(x.shape[0], x.shape[1]):
-        centered = x[rows] - basis.mean
-        centered -= (centered @ basis.basis) @ basis.basis.T
-        out[rows] = np.linalg.norm(centered, axis=1)
-    return out
+    for lo in range(0, x.shape[0], step):
+        n = min(step, x.shape[0] - lo)
+        c = np.subtract(x[lo : lo + n], basis.mean, out=centered[:n])
+        np.matmul(c, vectors, out=projected[:n])
+        c -= np.matmul(projected[:n], vectors.T, out=squares[:n])
+        np.add.reduce(np.multiply(c, c, out=squares[:n]), axis=1, out=out[lo : lo + n])
+    return np.sqrt(out, out=out)
 
 
 def _sirc_rows(s1: np.ndarray, s1_max: float, s2: np.ndarray, params: SircParams):
@@ -640,7 +686,8 @@ class FitSplit:
 
     ``logits`` is N x C, ``features`` N x D and ``labels`` the N class labels
     of the features file; each is ``None`` when that fit file is absent. The
-    principal basis, which three methods share, is fitted once on first use.
+    principal basis, which three methods share, is fitted once on first use,
+    and so are the fit rows' residual norms off it, which two methods share.
     """
 
     def __init__(self, logits=None, features=None, labels=None, options=ScoreOptions()):
@@ -655,6 +702,10 @@ class FitSplit:
         if d is None:
             d = default_pca_dim(self.features.shape[1])
         return fit_principal_subspace(self.features, d)
+
+    @cached_property
+    def residual_norms(self) -> np.ndarray:
+        return _residual_norms(self.features, self.basis)
 
 
 class ScoreInputs(NamedTuple):
@@ -689,11 +740,11 @@ def _fit_knn(split: FitSplit) -> tuple[FeatureBank, int]:
 
 
 def _fit_vim(split: FitSplit) -> tuple[PrincipalBasis, float]:
-    return split.basis, fit_vim_alpha(split.logits, split.features, split.basis)
+    return split.basis, _vim_alpha(split.logits, split.residual_norms)
 
 
 def _fit_sirc_res(split: FitSplit) -> tuple[PrincipalBasis, SircParams]:
-    return split.basis, fit_sirc_params(-_residual_norms(split.features, split.basis))
+    return split.basis, fit_sirc_params(-split.residual_norms)
 
 
 def _vim_batch(x: ScoreInputs, fitted) -> np.ndarray:

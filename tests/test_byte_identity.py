@@ -24,6 +24,8 @@ DIGESTS = {
     "surface.csv": "b4f2efe3769808663320e3351f770d33779b8079052ea6ad4b9db7845088047a",
     "select.json": "3a1bfe6ddb9e02108932711726660e66b9adcc0c4d9ab2c4ff70dba877a7dde1",
     "scores.csv": "b167a27cfd23cf5184edeef3c02102746348a4006f0882723530e6eaf4d94abf",
+    # recorded before the blockwise l1 norms, which must keep these bytes
+    "scores_fit.csv": "05227cdc707ac778849552cf61c6c881df46376eee2f4a0e8bceb883261dc631",
 }
 
 CHANNELS = ["--id-channel", "s_id", "--ood-channel", "s_ood"]
@@ -70,10 +72,13 @@ def outputs(tmp_path_factory):
         rng = np.random.default_rng(5)
         _vector_files(rng, "ev_", 60, 40)
         _vector_files(rng, "fit_", 120, 0)
-        _run("score", "--logits", "ev_logits.csv", "--features", "ev_features.csv",
-             "--fit", "fit_logits.csv", "--fit", "fit_features.csv",
-             "--method", "msp,energy,neg_entropy,mds,knn,l1", "--k", 5,
-             "--out", "scores.csv")
+        for methods, out in (
+            ("msp,energy,neg_entropy,mds,knn,l1", "scores.csv"),
+            ("mls,klm,sirc_msp_l1", "scores_fit.csv"),
+        ):
+            _run("score", "--logits", "ev_logits.csv", "--features", "ev_features.csv",
+                 "--fit", "fit_logits.csv", "--fit", "fit_features.csv",
+                 "--method", methods, "--k", 5, "--out", out)
         yield {name: hashlib.sha256((work / name).read_bytes()).hexdigest() for name in DIGESTS}
 
 

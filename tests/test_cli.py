@@ -500,6 +500,34 @@ class TestScoreCommand:
         err = self._error_line(capsys, "UsageError")
         assert f"{kind} fit file has no id rows" in err
 
+    @pytest.mark.parametrize(
+        "kind, method", [("logits", "klm,vim"), ("features", "knn,mds,residual,klm,vim")]
+    )
+    def test_fit_file_width_mismatch(self, vector_files, capsys, tmp_path, kind, method):
+        paths, _, _, fit_features = vector_files
+        wide = tmp_path / "wide_fit.csv"
+        if kind == "logits":
+            fit = load_logits(paths["fit_logits"])
+            rows = [
+                LogitRecord(sid, Origin.ID, int(label), np.append(z, 0.0))
+                for sid, label, z in zip(fit.sample_ids, fit.labels, fit.matrix)
+            ]
+        else:
+            rows = [
+                FeatureRecord(r.sample_id, r.origin, r.label, np.append(r.features, 0.0))
+                for r in fit_features
+            ]
+        write_vector_file(rows, wide)
+        if kind == "logits":
+            code = self._score(paths, method, fit_logits=wide)
+        else:
+            code = self._score({**paths, "fit_features": wide}, method)
+        assert code == 1
+        err = self._error_line(capsys, "SchemaError")
+        width = 4 if kind == "logits" else 6
+        assert f"fit file {wide} holds {width + 1}-wide vectors" in err
+        assert f"but {paths[kind]} holds {width}-wide vectors" in err
+
     def test_empty_fit_path(self, vector_files, capsys, tmp_path):
         paths, *_ = vector_files
         argv = ["score", "--logits", paths["logits"], "--fit", "", "--method", "klm"]

@@ -16,6 +16,7 @@ from dseval.scoring import (
     KTooLarge,
     NonPositiveTemperature,
     OutOfRange,
+    PrincipalBasis,
     RankDeficient,
     ScoreInputs,
     ScoreOptions,
@@ -448,11 +449,117 @@ def test_batched_methods_match_per_row_references(monkeypatch, block_bytes):
             assert np.array_equal(got, want), name
 
 
-def test_shared_basis_is_fitted_once():
+def test_shared_basis_is_fitted_once(monkeypatch):
+    calls = {"fit_principal_subspace": 0, "_residual_norms": 0}
+
+    def counted(name):
+        inner = getattr(scoring, name)
+
+        def call(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(scoring, name, counted(name))
     _, split = _batch_fixture()
     basis = METHODS["residual"].fit(split)
-    assert METHODS["vim"].fit(split)[0] is basis
-    assert METHODS["sirc_msp_res"].fit(split)[0] is basis
+    vim_basis, alpha = METHODS["vim"].fit(split)
+    sirc_basis, _ = METHODS["sirc_msp_res"].fit(split)
+    assert vim_basis is basis and sirc_basis is basis
+    # the fit rows' residual norms are computed once, for vim and sirc_msp_res
+    assert calls == {"fit_principal_subspace": 1, "_residual_norms": 1}
+    assert alpha == fit_vim_alpha(split.logits, split.features, basis)
+
+
+def _svd_basis(x, d):
+    """The principal basis as a full SVD of the centered rows gives it."""
+    mean = x.mean(axis=0)
+    return PrincipalBasis(mean, np.linalg.svd(x - mean, full_matrices=False)[2][:d].T)
+
+
+def _spectrum_rows(rng, n, s):
+    """n rows around 3.0 whose centered singular values are about ``s``."""
+    dim = s.size
+    left = np.linalg.qr(rng.standard_normal((n, dim)))[0]
+    right = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    return 3.0 + (left * s) @ right.T
+
+
+class TestBlockwiseSubspace:
+    """fit_principal_subspace() builds R block by block; residual norms off
+    its basis must agree with those off a full-SVD basis within perfbench's
+    per-row tolerance (SCORE_RTOL and SCORE_ATOL, 1e-9 each).
+
+    A residual is a difference of vectors as long as the centered row, so
+    its rounding error scales with the row, not with the residual; a row
+    near the subspace needs the absolute term.
+    """
+
+    def _agree(self, x, d, queries):
+        got = scoring._residual_norms(queries, fit_principal_subspace(x, d))
+        want = scoring._residual_norms(queries, _svd_basis(x, d))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
+
+    def test_score_all_shapes(self):
+        rng = np.random.default_rng(40)
+        means = rng.normal(0.0, 0.35, (10, 64))
+        fit = means[rng.integers(0, 10, 5000)] + rng.standard_normal((5000, 64))
+        queries = np.vstack([fit[:2500], rng.standard_normal((2500, 64))])
+        self._agree(fit, 63, queries)
+
+    @pytest.mark.parametrize("block_bytes", [scoring.BLOCK_BYTES, 24 * 16 * 48])
+    def test_singular_values_spanning_1e8(self, monkeypatch, block_bytes):
+        # 24 * 16 * 48 bytes: blocks of 32 rows, seven of them. The first 15
+        # values fall to 1e-6 and the last is 1e-8: the top-15 subspace is
+        # well determined, but a D x D scatter matrix would lose it.
+        monkeypatch.setattr(scoring, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(41)
+        x = _spectrum_rows(rng, 200, np.append(np.logspace(0, -6, 15), 1e-8))
+        queries = 3.0 + rng.standard_normal((50, 16))
+        for d in (15, 8, 1):
+            self._agree(x, d, queries)
+
+    @pytest.mark.parametrize(
+        "n, block_bytes",
+        [
+            (10, scoring.BLOCK_BYTES),  # N < D
+            (16, scoring.BLOCK_BYTES),  # N = D
+            (96, 24 * 16 * 48),  # three blocks of 32 rows
+            (32, 24 * 16 * 48),  # exactly one block
+            (50, 8),  # the smallest blocks: D rows each
+        ],
+    )
+    def test_edge_shapes(self, monkeypatch, n, block_bytes):
+        monkeypatch.setattr(scoring, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 16)) * np.linspace(3.0, 0.5, 16)
+        queries = rng.standard_normal((20, 16))
+        for d in {1, min(n - 1, 15) // 2, min(n - 1, 15)}:
+            self._agree(x, d, queries)
+            basis = fit_principal_subspace(x, d).basis
+            np.testing.assert_allclose(basis.T @ basis, np.eye(d), atol=1e-12)
+
+    @pytest.mark.parametrize("block_bytes", [scoring.BLOCK_BYTES, 8])
+    def test_rank_deficient_over_blocks(self, monkeypatch, block_bytes):
+        monkeypatch.setattr(scoring, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(42)
+        x = rng.standard_normal((200, 5)) @ rng.standard_normal((5, 16)) + 1.0
+        fit_principal_subspace(x, 5)
+        with pytest.raises(RankDeficient, match="rank 5"):
+            fit_principal_subspace(x, 6)
+
+    def test_scores_ignore_basis_column_signs(self):
+        inputs, split = _batch_fixture()
+        basis = split.basis
+        signs = np.where(np.arange(basis.basis.shape[1]) % 2, -1.0, 1.0)
+        flipped = PrincipalBasis(basis.mean, basis.basis * signs)
+        for name in ("residual", "vim", "sirc_msp_res"):
+            fitted = METHODS[name].fit(split)
+            refit = flipped if name == "residual" else (flipped, fitted[1])
+            got = METHODS[name].score_batch(inputs, refit)
+            assert np.array_equal(got, METHODS[name].score_batch(inputs, fitted)), name
 
 
 def _knn_both(queries, bank_vectors, k):
@@ -578,6 +685,73 @@ def test_batched_knn_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2_500_000
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _block_bound(n, dim):
+    """One scorer's block buffers, its D x D factors, an output per row (two
+    for the fits) and numpy's ufunc buffer: nothing grows with N x D.
+
+    tracemalloc sees numpy's arrays, not LAPACK's workspace.
+    """
+    return scoring.BLOCK_BYTES + 8 * (4 * dim * dim + 2 * n + np.getbufsize())
+
+
+def test_subspace_fits_peak_memory():
+    """The shared basis and the vim and sirc_msp_res fits at score-all shapes."""
+    rng = np.random.default_rng(43)
+    labels = rng.integers(0, 10, 5000)
+    features = rng.normal(0, 0.35, (10, 64))[labels] + rng.standard_normal((5000, 64))
+    split = FitSplit(rng.normal(0, 1, (5000, 10)) + 3.0, features, labels)
+
+    def fits():
+        split.basis
+        METHODS["vim"].fit(split)
+        METHODS["sirc_msp_res"].fit(split)
+
+    assert _traced_peak(fits) <= _block_bound(5000, 64)
+
+
+@pytest.mark.parametrize("name", ["residual", "l1"])
+def test_row_norms_peak_memory(name):
+    rng = np.random.default_rng(44)
+    x = rng.standard_normal((5000, 64))
+    basis = fit_principal_subspace(x, 63)
+    calls = {
+        "residual": lambda: scoring._residual_norms(x, basis),
+        "l1": lambda: scoring._l1_rows(x),
+    }
+    assert _traced_peak(calls[name]) <= _block_bound(5000, 64)
+
+
+@pytest.mark.parametrize("block_bytes", [scoring.BLOCK_BYTES, 8])
+def test_l1_rows_are_the_whole_matrix_arithmetic(monkeypatch, block_bytes):
+    """Each row's sum runs along the row, so any blocking gives the same bits."""
+    monkeypatch.setattr(scoring, "BLOCK_BYTES", block_bytes)  # 8: one row per block
+    x = np.random.default_rng(45).standard_normal((300, 12)) * 5.0
+    assert np.array_equal(scoring._l1_rows(x), np.abs(x).sum(axis=1))
+
+
+def test_residual_norms_are_the_whole_matrix_arithmetic():
+    """At score-all shapes, blocks of rows give the bits of one whole-matrix pass.
+
+    Matrix products of a single row may take another BLAS route (gemv), so
+    one-row blocks are held only to the per-row tolerance of
+    test_batched_methods_match_per_row_references.
+    """
+    x = np.random.default_rng(46).standard_normal((5000, 64)) * 5.0
+    basis = fit_principal_subspace(x, 63)
+    c = x - basis.mean
+    whole = np.linalg.norm(c - (c @ basis.basis) @ basis.basis.T, axis=1)
+    assert np.array_equal(scoring._residual_norms(x, basis), whole)
 
 
 def _mds_both(queries, features, labels):
