@@ -124,6 +124,12 @@ def _positive(flag: str, value):
         raise UsageError(f"{flag} must be at least 1, got {value}")
 
 
+def _distinct_channels(args) -> None:
+    # a report holds one single-score block or line per channel
+    if args.id_channel == args.ood_channel:
+        raise UsageError("--id-channel and --ood-channel must name different channels")
+
+
 def _fit_matrix(path, loader, kind: str):
     """The ID rows of a fit file and their labels; ``None, None`` without a file."""
     if path is None:
@@ -131,6 +137,8 @@ def _fit_matrix(path, loader, kind: str):
     fit = loader(path)
     if not fit.is_id.any():
         raise UsageError(f"{kind} fit file has no id rows")
+    if fit.is_id.all():  # no mask copy of a matrix that is all ID rows
+        return fit.matrix, fit.labels
     return fit.matrix[fit.is_id], fit.labels[fit.is_id]
 
 
@@ -222,9 +230,7 @@ def _cmd_score(args) -> int:
 def _cmd_eval(args) -> int:
     _positive("--grid", args.grid)
     _positive("--bins", args.bins)
-    if args.id_channel == args.ood_channel:
-        # the report holds one single-score block per channel
-        raise UsageError("--id-channel and --ood-channel must name different channels")
+    _distinct_channels(args)
     eval_set = load_scores(args.scores)
     grid = ThresholdGrid.quantile(
         eval_set, args.id_channel, args.ood_channel, t_grid=args.grid
@@ -337,6 +343,7 @@ _MODE_FLAGS = {
 
 def _cmd_select(args) -> int:
     _positive("--grid", args.grid)
+    _distinct_channels(args)
     val_set = load_scores(args.val)
     test_set = load_scores(args.test)
     val_grid = ThresholdGrid.quantile(

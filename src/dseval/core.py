@@ -90,12 +90,31 @@ def accept_all_threshold(values: Sequence[float] | np.ndarray) -> float:
 
 def _nul_suffixed(sample_ids):
     """The first id that ends in NUL, or None; one join finds most sets clean."""
-    try:
-        if "\0" not in "".join(sample_ids):
-            return None
-    except TypeError:  # not every id is a str
-        pass
-    return next((s for s in sample_ids if isinstance(s, str) and s.endswith("\0")), None)
+    if "\0" not in "".join(sample_ids):
+        return None
+    return next((s for s in sample_ids if s.endswith("\0")), None)
+
+
+def _id_hashes(sample_ids: list[str]) -> np.ndarray:
+    """The int64 ``hash`` of every id: equal ids have equal hashes."""
+    return np.fromiter(map(hash, sample_ids), dtype=np.int64, count=len(sample_ids))
+
+
+def _first_repeat(sample_ids: list[str]):
+    """The first id, in row order, that equals an id in an earlier row, or None.
+
+    The ids are compared by hash first. Only if two hashes are equal are the
+    ids sorted as strings, stably, which keeps equal ids in row order, so
+    each one after the first in its run is a repeat.
+    """
+    hashes = np.sort(_id_hashes(sample_ids))
+    if not (hashes[1:] == hashes[:-1]).any():
+        return None
+    ids = np.array(sample_ids, dtype=object)
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    return ids[repeats.min()] if repeats.size else None
 
 
 class EvalSet:
@@ -116,42 +135,44 @@ class EvalSet:
     def from_columns(cls, sample_ids, is_id, correct, channels: Mapping) -> "EvalSet":
         """Validate equal-length columns, one entry per sample, and build the set.
 
-        ``sample_ids`` are strings, ``is_id`` and ``correct`` booleans, and
-        ``channels`` maps each channel name to its scores. ``correct`` is
-        read at ID rows only. Requires at least one sample, at least one ID
-        sample, finite scores and unique sample ids, none ending in NUL (a
-        numpy string column drops trailing NULs). Row order is preserved.
+        ``sample_ids`` are strings, held as the ``str`` objects given (other
+        values are converted with ``str``) in a read-only object column.
+        ``is_id`` and ``correct`` are booleans, and ``channels`` maps each
+        channel name to its scores. ``correct`` is read at ID rows only.
+        Requires at least one sample, at least one ID sample, finite scores
+        and unique sample ids, none ending in NUL. The NUL rule dates from
+        when ids were a numpy string column, which drops trailing NULs; an
+        object column keeps them, and the rule stays so that the same ids
+        are accepted as before. Row order is preserved.
         """
-        nul = _nul_suffixed(sample_ids)
-        sample_ids = np.array(sample_ids, dtype=str)
-        n = sample_ids.size
+        sample_ids = sample_ids.tolist() if isinstance(sample_ids, np.ndarray) else list(sample_ids)
+        if not set(map(type, sample_ids)) <= {str}:  # numpy strings, numbers
+            sample_ids = list(map(str, sample_ids))
+        n = len(sample_ids)
         if n == 0:
             raise MixedSchema("cannot build an evaluation set from zero records")
+        nul = _nul_suffixed(sample_ids)
         if nul is not None:
             raise MixedSchema(f"sample id {nul!r} ends in a NUL character")
         is_id, correct = np.array(is_id, dtype=bool), np.asarray(correct, dtype=bool)
         names = tuple(channels)
         columns = [np.asarray(channels[name], dtype=np.float64) for name in names]
-        if any(col.shape != (n,) for col in (sample_ids, is_id, correct, *columns)):
+        if any(col.shape != (n,) for col in (is_id, correct, *columns)):
             raise MixedSchema(f"every column needs one entry for each of {n} samples")
         matrix = np.column_stack(columns) if columns else np.empty((n, 0))
         bad = np.argwhere(~np.isfinite(matrix))
         if bad.size:
             i, j = bad[0]
             raise NonFiniteScore(
-                f"record {str(sample_ids[i])!r} channel {names[j]!r} has non-finite "
+                f"record {sample_ids[i]!r} channel {names[j]!r} has non-finite "
                 f"score {float(matrix[i, j])!r}"
             )
         if not is_id.any():
             raise MissingCorrectness("an evaluation set needs at least one ID record")
-        # a stable sort keeps equal ids in row order, so each one after the
-        # first in its run is a repeat
-        order = np.argsort(sample_ids, kind="stable")
-        ordered = sample_ids[order]
-        repeats = order[1:][ordered[1:] == ordered[:-1]]
-        if repeats.size:
-            repeat = str(sample_ids[repeats.min()])
+        repeat = _first_repeat(sample_ids)
+        if repeat is not None:
             raise MixedSchema(f"sample id {repeat!r} appears more than once")
+        sample_ids = np.fromiter(sample_ids, dtype=object, count=n)
         return cls(sample_ids, is_id, is_id & correct, names, matrix)
 
     @cached_property

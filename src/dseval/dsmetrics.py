@@ -13,7 +13,8 @@ O(N log N + T_id * T_ood), a block of ID-threshold rows at a time, and hands
 each block to the reductions at once: :func:`ds_f1`, :func:`ds_aurc` and
 :func:`ds_metrics` (both from one sweep) hold no count table. Only a pair
 surface needs the tables, which :func:`ds_sweep_fast` fills from the same
-engine. Grids above ``MAX_SWEEP_CELLS`` cells raise :class:`GridTooLarge`.
+engine. Grids above ``MAX_SWEEP_CELLS`` cells, and DS-AURC with more coverage
+bins than that, raise :class:`GridTooLarge`.
 
 Each result also holds each channel's single-score metric, read off the
 sentinel column and row of the same sweep (see :class:`_Lines`).
@@ -98,6 +99,9 @@ def quantile_grid(scores, t_grid: int, include_sentinel: bool = True) -> np.ndar
         raise ValueError("t_grid must be >= 1")
     ordered = np.sort(scores)
     n = ordered.size
+    # from t_grid = n on, the ranks below take every order statistic, so a
+    # larger t_grid gives the same thresholds and is not built
+    t_grid = min(t_grid, n)
     # nearest-rank quantile at p = k/t_grid is the ceil(p*n)-th order statistic
     ks = np.arange(1, t_grid + 1, dtype=np.int64)
     idx = (ks * n + t_grid - 1) // t_grid - 1
@@ -364,6 +368,11 @@ class _MinRisk:
     def bins(n_id: int, k_bins: int) -> np.ndarray:
         if k_bins < 1:
             raise ValueError("k_bins must be >= 1")
+        if k_bins > MAX_SWEEP_CELLS:  # each reduction holds k_bins minima
+            raise GridTooLarge(
+                f"{k_bins} coverage bins are above the budget of {MAX_SWEEP_CELLS}; "
+                "use fewer bins"
+            )
         return BinnedCurve.bin_index(np.arange(n_id + 1) / n_id, k_bins)
 
     def __call__(self, start, ta, accepted_id, accepted_ood):

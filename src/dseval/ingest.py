@@ -14,8 +14,8 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from itertools import chain, islice, starmap
-from typing import Any, Iterable, Sequence
+from itertools import chain, islice, repeat, starmap
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -131,15 +131,45 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
+# Rows joined into one string per write: a chunk of ~60-byte rows is tens of
+# kilobytes, and the per-call cost of the text layer is spread over them.
+_CHUNK_ROWS = 1024
+
+
 def _write_csv(path, header: list[str], columns: list[Iterable[str]]) -> None:
     """Write ``header`` and then one row per position of ``columns`` in the
     bytes csv.writer would write. A column yields cells ready to write
     (free text goes through ``_csv_cells``); one cell may hold several
-    fields already joined by commas."""
-    line = ",".join(["{}"] * len(columns)) + "\r\n"
+    fields already joined by commas. Rows are joined and written a chunk
+    of ``_CHUNK_ROWS`` at a time, so no more than a chunk of text is held."""
+    rows = map(",".join, zip(*columns))
     with _open_write(path) as fh:
         fh.write(",".join(_csv_cells(header)) + "\r\n")
-        fh.writelines(starmap(line.format, zip(*columns)))
+        while chunk := list(islice(rows, _CHUNK_ROWS)):
+            chunk.append("")  # ends the last row
+            fh.write("\r\n".join(chunk))
+
+
+def _lazy(column: np.ndarray) -> Iterator:
+    """The entries of a 1-d column as Python objects, converted a chunk at a
+    time and not as one list."""
+    return chain.from_iterable(
+        column[k : k + _CHUNK_ROWS].tolist() for k in range(0, column.size, _CHUNK_ROWS)
+    )
+
+
+def _run_reprs(column: np.ndarray) -> Iterator[str]:
+    """The ``repr`` of each float of a sorted 1-d column, formatted once per
+    run of equal values and repeated lazily. Runs split where the bits
+    differ, so values that compare equal but print apart (0.0 and -0.0)
+    never share a cell."""
+    bits = column.view(np.int64)
+    new_run = np.empty(bits.size, dtype=bool)
+    new_run[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    runs = zip(map(repr, column[starts].tolist()), np.diff(starts, append=bits.size).tolist())
+    return chain.from_iterable(starmap(repeat, runs))
 
 
 def _parse_float(text: str, row: int, column: str) -> float:
@@ -236,8 +266,8 @@ _SCORES_FLAG_CELLS = np.array(["ood,", "id,0", "id,1"], dtype=object)
 def write_scores(eval_set: EvalSet, path) -> None:
     """Serialize an evaluation set back to the scores CSV format."""
     flags = _SCORES_FLAG_CELLS[eval_set.is_id + eval_set.id_correct.astype(np.intp)]
-    # tolist() gives Python floats, whose repr is the shortest round trip
-    scores = [map(repr, eval_set.channel(ch).tolist()) for ch in eval_set.channel_names]
+    # _lazy yields Python floats, whose repr is the shortest round trip
+    scores = [map(repr, _lazy(eval_set.channel(ch))) for ch in eval_set.channel_names]
     _write_csv(
         path,
         _SCORES_PREFIX + list(eval_set.channel_names),
@@ -473,11 +503,11 @@ def write_curve(surface: PairSurface, path) -> None:
     i, j = np.divmod(order, surface.ood_thresholds.size)
     # each threshold is formatted once and picked per row
     taus = [
-        np.array(list(map(repr, axis.tolist())), dtype=object)[at].tolist()
+        _lazy(np.array(list(map(repr, axis.tolist())), dtype=object)[at])
         for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j))
     ]
-    values = [
-        map(repr, col.ravel()[order].tolist())
-        for col in (surface.coverage, surface.risk, surface.f1)
-    ]
+    del i, j
+    # coverage is sorted, and takes at most n_id + 1 values
+    values = [_run_reprs(surface.coverage.ravel()[order])]
+    values += [map(repr, _lazy(col.ravel()[order])) for col in (surface.risk, surface.f1)]
     _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [*taus, *values])

@@ -9,6 +9,7 @@ of the determinism contract.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -108,7 +109,10 @@ def generate(config: SynthConfig) -> EvalSet:
     ]
     scores = np.vstack([_draw(rng, pop, n) for pop, n in blocks])
     rows = np.arange(len(scores))
-    ids = [f"id-{i:06d}" if i < config.n_id else f"ood-{i:06d}" for i in rows.tolist()]
+    ids = chain(
+        map("id-{:06d}".format, range(config.n_id)),
+        map("ood-{:06d}".format, range(config.n_id, len(scores))),
+    )
     channels = {CHANNEL_ID: scores[:, 0], CHANNEL_OOD: scores[:, 1]}
     return EvalSet.from_columns(ids, rows < config.n_id, rows < n_correct, channels)
 

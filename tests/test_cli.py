@@ -2,15 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import dseval
-from dseval import Origin, ThresholdGrid, best_f1_single, ds_f1, dsmetrics, metrics_single
+from dseval import Origin, ThresholdGrid, best_f1_single, cli, ds_f1, dsmetrics, metrics_single
 from dseval.cli import main
-from dseval.ingest import load_logits, load_scores, write_scores, write_vector_file
+from dseval.ingest import load_features, load_logits, load_scores, write_scores, write_vector_file
 from dseval.scoring import (
     FeatureRecord,
     LogitRecord,
@@ -283,6 +284,17 @@ class TestSelectCommand:
         assert modes["double"]["val_f1"]["raw"] == pytest.approx(0.8)
         assert modes["id_only"]["test_f1_transfer"]["raw"] == pytest.approx(2 / 3)
         assert modes["double"]["test_counts"]["ta"] == 2
+
+    def test_same_channel_on_both_axes(self, fixture_csv, tmp_path, capsys):
+        out = tmp_path / "selection.json"
+        args = ["select", "--val", fixture_csv, "--test", fixture_csv]
+        assert run([*args, "--id-channel", "s_ood", "--ood-channel", "s_ood", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "dseval: error: UsageError: --id-channel and --ood-channel must name "
+            "different channels\n"
+        )
+        assert not out.exists()
 
     def test_missing_test_flag(self, fixture_csv, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -604,6 +616,28 @@ class TestScoreCommand:
         assert self._score(paths, "msp,energy", "--temperature", 0) == 1
         self._error_line(capsys, "NonPositiveTemperature")
 
+    def test_all_id_fit_file_is_not_copied(self, tmp_path):
+        # the fit matrix of a file that holds only ID rows is used as loaded;
+        # a mask copy would hold a second matrix at once
+        rng = np.random.default_rng(8)
+        path = tmp_path / "fit_features.csv"
+        write_vector_file(
+            [FeatureRecord(f"f{i}", Origin.ID, i % 3, rng.normal(size=64)) for i in range(2000)],
+            path,
+        )
+        tracemalloc.start()
+        try:
+            loaded = load_features(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+            del loaded
+            tracemalloc.reset_peak()
+            matrix, labels = cli._fit_matrix(path, load_features, "features")
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.shape == (2000, 64) and labels.tolist() == [i % 3 for i in range(2000)]
+        assert fit_peak < load_peak + matrix.nbytes // 4, (fit_peak, load_peak, matrix.nbytes)
+
     def test_k_larger_than_bank(self, vector_files, capsys):
         paths, *_ = vector_files  # the bank holds the 24 fit rows
         assert self._score(paths, "knn", "--k", 25) == 1
@@ -671,6 +705,7 @@ def test_eval_at_huge_magnitudes(tmp_path):
         (["eval", "--grid", 0], None, 2, "UsageError"),
         (["eval", "--grid", -3], None, 2, "UsageError"),
         (["eval", "--bins", 0], None, 2, "UsageError"),
+        (["eval", "--bins", 10**12], None, 1, "GridTooLarge"),
         (["select", "--grid", 0], None, 2, "UsageError"),
         (["synth", "--seed", -1], None, 1, "InvalidConfig"),
         (["synth", "--preset", "custom"], "{not json", 1, "InvalidConfig"),
@@ -725,11 +760,34 @@ def test_errors_are_single_line(tmp_path, capsys):
     assert err.strip().count("\n") == 0
 
 
-def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
+@pytest.fixture
+def no_huge_arrays(monkeypatch):
+    """Make numpy refuse to build an array of more than 10**8 entries, so a
+    size flag that slipped through fails the test and allocates nothing."""
+
+    def bounded(build):
+        def guarded(*args, **kwargs):
+            sizes = [a for a in args if isinstance(a, (int, np.integer))]
+            assert all(abs(a) <= 10**8 for a in sizes), f"{build.__name__}{args}"
+            return build(*args, **kwargs)
+
+        return guarded
+
+    for name in ("arange", "full", "empty", "zeros"):
+        monkeypatch.setattr(np, name, bounded(getattr(np, name)))
+
+
+def _distinct_scores(tmp_path):
+    """A 10k-row scores file with 10k distinct values on each channel."""
     scores = tmp_path / "scores.csv"
     assert run(["synth", "--n-id", 5000, "--n-ood", 5000, "--seed", 3, "--out", scores]) == 0
     es = load_scores(scores)
     assert np.unique(es.channel("s_id")).size == np.unique(es.channel("s_ood")).size == 10_000
+    return scores
+
+
+def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
+    scores = _distinct_scores(tmp_path)
     out = tmp_path / "report.json"
     args = ["eval", "--scores", scores, "--id-channel", "s_id", "--ood-channel", "s_ood"]
     assert run([*args, "--grid", 10_000, "--out", out]) == 1
@@ -737,6 +795,34 @@ def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
     assert err.startswith("dseval: error: GridTooLarge: a 10001 x 10001 threshold grid"), err
     assert err.count("\n") == 1, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "select"])
+def test_huge_grid_flag_is_refused_before_allocating(tmp_path, capsys, no_huge_arrays, command):
+    # the grid stops at one threshold per distinct score, 10001 per axis
+    # here, which is still over the cell budget
+    scores = _distinct_scores(tmp_path)
+    out = tmp_path / "report.json"
+    inputs = ["--scores", scores] if command == "eval" else ["--val", scores, "--test", scores]
+    args = [command, *inputs, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*args, "--grid", 10**9, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dseval: error: GridTooLarge: a 10001 x 10001 threshold grid"), err
+    assert err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_grid_past_the_sample_count_reports_the_grid_asked_for(
+    fixture_csv, tmp_path, no_huge_arrays
+):
+    # thresholds stop growing at one per sample; the config echoes the flag
+    args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*args, "--grid", 5, "--out", tmp_path / "at_n.json"]) == 0
+    assert run([*args, "--grid", 10**9, "--out", tmp_path / "huge.json"]) == 0
+    at_n, huge = read_json(tmp_path / "at_n.json"), read_json(tmp_path / "huge.json")
+    assert huge["config"].pop("grid") == 10**9
+    at_n["config"].pop("grid")
+    assert huge == at_n
 
 
 def _recording(fn, grids):

@@ -18,6 +18,7 @@ from dseval import (
     acceptance_set,
     build_eval_set,
 )
+from dseval import core
 from conftest import make_random_set
 
 
@@ -144,6 +145,35 @@ class TestFromColumns:
     def test_inner_nul_is_kept(self):
         es = EvalSet.from_columns(["a\0b", "c"], [True, False], [True, False], {"s": [0, 1]})
         assert es.sample_ids.tolist() == ["a\0b", "c"]
+
+    def test_ids_are_held_as_given(self):
+        ids = ["a", "b\0c", "d"]
+        es = EvalSet.from_columns(ids, [True] * 3, [True] * 3, {"s": [0.0] * 3})
+        assert es.sample_ids.dtype == object
+        assert all(held is given for held, given in zip(es.sample_ids, ids))
+        # other values are converted with str, numpy strings included
+        es = EvalSet.from_columns(np.array(["x", "y"]), [True, False], [True, False], {"s": [0, 1]})
+        assert [type(s) for s in es.sample_ids] == [str, str]
+        es = EvalSet.from_columns([7, "7.5"], [True, False], [True, False], {"s": [0, 1]})
+        assert es.sample_ids.tolist() == ["7", "7.5"]
+
+    @pytest.mark.parametrize(
+        "ids, repeat",
+        [
+            (["b", "a", "b", "a"], "b"),  # the first repeat by row, not by sort order
+            (["z", "y", "x", "y", "z"], "y"),
+            (["p", "q", "r"], None),
+        ],
+    )
+    def test_equal_hashes_fall_back_to_comparing_ids(self, monkeypatch, ids, repeat):
+        # every id hashes alike, so each pair must be told apart as strings
+        monkeypatch.setattr(core, "_id_hashes", lambda sample_ids: np.zeros(len(sample_ids), np.int64))
+        args = ([True] * len(ids), [True] * len(ids), {"s": np.zeros(len(ids))})
+        if repeat is None:
+            assert EvalSet.from_columns(ids, *args).sample_ids.tolist() == ids
+        else:
+            with pytest.raises(MixedSchema, match=f"sample id '{repeat}' appears more than once"):
+                EvalSet.from_columns(ids, *args)
 
     def test_duplicate_check_peak_memory(self):
         """Checking 100k ids for repeats holds less than three id columns at once."""

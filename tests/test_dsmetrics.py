@@ -51,6 +51,21 @@ class TestQuantileGrid:
         with pytest.raises(EmptyScores):
             quantile_grid([], 4)
 
+    def test_grid_past_the_sample_count_is_the_grid_at_it(self):
+        # from t_grid = n on, every order statistic is a threshold; a huge
+        # t_grid is not built (10**12 int64 ranks would be 8 TB)
+        scores = np.round(np.random.default_rng(2).normal(size=50), 1)
+        at_n = quantile_grid(scores, scores.size)
+        assert at_n[1:].tolist() == np.unique(scores).tolist()
+        tracemalloc.start()
+        try:
+            for t_grid in (51, 137, 10**12):
+                assert quantile_grid(scores, t_grid).tolist() == at_n.tolist()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
 
 class TestConfusionCounts:
     def test_fixture_pair(self, fixture_set):
@@ -452,6 +467,27 @@ def test_sweep_takes_the_cell_budget_exactly(fixture_set):
             ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
         with pytest.raises(GridTooLarge):
             ds_f1(fixture_set, "s_id", "s_ood", grid)
+
+
+@pytest.mark.parametrize("reduce", [ds_aurc, ds_metrics])
+def test_coverage_bins_over_the_budget_refused_before_allocating(fixture_set, reduce):
+    grid = ThresholdGrid.quantile(fixture_set, "s_id", "s_ood")
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match="1000000000000 coverage bins"):
+            reduce(fixture_set, "s_id", "s_ood", grid, k_bins=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_coverage_bins_take_the_budget_exactly(fixture_set):
+    grid = ThresholdGrid(np.arange(9, dtype=np.float64), np.array([0.0]))  # 10 x 2 cells
+    with mock.patch.object(dsmetrics, "MAX_SWEEP_CELLS", 20):
+        assert ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=20).curve.k_bins == 20
+        with pytest.raises(GridTooLarge):
+            ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=21)
 
 
 def test_eval_metrics_peak_memory():

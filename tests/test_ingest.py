@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dseval import EvalSet, MixedSchema, Origin, SampleRecord, ThresholdGrid, build_eval_set, ds_f1
+from dseval import ingest
 from dseval.cli import main
+from dseval.dsmetrics import PairSurface
 from dseval.ingest import (
     AURC_SCALE,
     METRIC_SCALE,
@@ -295,6 +297,31 @@ def test_write_scores_matches_csv_writer(tmp_path_factory, ids, channels, data):
         assert np.array_equal(loaded.channel(ch).view(np.uint64), es.channel(ch).view(np.uint64))
 
 
+# free text csv.writer must quote, placed on both sides of each chunk boundary
+_QUOTED = ["a,b", 'say "hi"', "cr\rx", "lf\nx", '",\r\n"']
+
+
+@pytest.mark.parametrize("chunk_rows", [3, ingest._CHUNK_ROWS])
+def test_write_scores_across_chunks_matches_csv_writer(tmp_path, monkeypatch, chunk_rows):
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    n = 3 * chunk_rows + 2
+    ids = [f"s{i}" for i in range(n)]
+    for k, boundary in enumerate(range(chunk_rows, n, chunk_rows)):
+        ids[boundary - 1] = f"{_QUOTED[k % 5]}-{k}-before"
+        ids[boundary] = f"{_QUOTED[(k + 1) % 5]}-{k}-after"
+    ids[-1] = _QUOTED[4] + "-last"
+    rng = np.random.default_rng(4)
+    is_id = rng.random(n) < 0.6
+    is_id[0] = True
+    es = EvalSet.from_columns(
+        ids, is_id, rng.random(n) < 0.5, {"a,b": rng.normal(size=n), "c": rng.random(n) * 1e-300}
+    )
+    write_scores(es, tmp_path / "ours.csv")
+    _csv_writer_scores(es, tmp_path / "reference.csv")
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert load_scores(tmp_path / "ours.csv").sample_ids.tolist() == ids
+
+
 def test_missing_file_is_io_error(tmp_path):
     with pytest.raises(IoError):
         load_scores(tmp_path / "absent.csv")
@@ -492,6 +519,76 @@ class TestCurveExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "tau_id,tau_ood,coverage,risk,f1"
         assert "0.75,0.5,0.6666666666666666,0.0,0.8" in lines
+
+    @staticmethod
+    def _per_row_reference(surface, path):
+        """The surface as csv.writer writes it, one repr per cell."""
+        order = np.lexsort((surface.risk.ravel(), surface.coverage.ravel()))
+        i, j = np.divmod(order, surface.ood_thresholds.size)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tau_id", "tau_ood", "coverage", "risk", "f1"])
+            for row in zip(
+                surface.id_thresholds[i].tolist(), surface.ood_thresholds[j].tolist(),
+                *(col.ravel()[order].tolist() for col in (surface.coverage, surface.risk, surface.f1)),
+            ):
+                writer.writerow(map(repr, row))
+
+    @pytest.mark.parametrize("coverage", ["one run", "all distinct", "signed zeros"])
+    def test_matches_a_per_row_reference(self, tmp_path, monkeypatch, coverage):
+        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)
+        rng = np.random.default_rng(9)
+        shape = (6, 9)
+        cov = {
+            "one run": np.full(shape, 0.3),
+            "all distinct": rng.permutation(np.arange(54) / 7).reshape(shape),
+            # equal as floats, so sorted together, but printed apart
+            "signed zeros": np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+        }[coverage]
+        surface = PairSurface(
+            id_thresholds=np.sort(rng.normal(size=shape[0])),
+            ood_thresholds=np.sort(rng.normal(size=shape[1])),
+            coverage=cov,
+            # ties on risk too, so that flat order decides
+            risk=np.round(rng.random(shape), 1),
+            f1=rng.random(shape),
+        )
+        write_curve(surface, tmp_path / "ours.csv")
+        self._per_row_reference(surface, tmp_path / "reference.csv")
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    def test_empty_surface_writes_the_header(self, tmp_path):
+        empty = np.empty((0, 0))
+        write_curve(PairSurface(np.empty(0), np.empty(0), empty, empty, empty), tmp_path / "c.csv")
+        assert (tmp_path / "c.csv").read_bytes() == b"tau_id,tau_ood,coverage,risk,f1\r\n"
+
+    def test_peak_memory_at_257_squared(self, tmp_path):
+        """No column of the export is held as one list.
+
+        A 257 x 257 surface has 66049 cells. The sort order and the picked
+        threshold and value columns take 8 bytes per cell each, about 53
+        bytes per cell at the peak. Coverage held as one list of its cells
+        reached 65 bytes per cell, or 79 as a list of Python floats.
+        """
+        rng = np.random.default_rng(3)
+        n = 20_000
+        es = EvalSet.from_columns(
+            [f"s{i}" for i in range(n)], rng.random(n) < 0.5, rng.random(n) < 0.7,
+            {"a": rng.normal(size=n), "b": rng.normal(size=n)},
+        )
+        grid = ThresholdGrid.quantile(es, "a", "b", t_grid=256)
+        surface = ds_f1(es, "a", "b", grid, return_surface=True).surface
+        cells = surface.coverage.size
+        assert cells == 257 * 257
+        path = tmp_path / "surface.csv"
+        write_curve(surface, path)
+        tracemalloc.start()
+        try:
+            write_curve(surface, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * cells, (peak, cells)
 
     def test_only_a_surface_exports(self, tmp_path):
         with pytest.raises(TypeError, match="PairSurface"):
