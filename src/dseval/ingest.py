@@ -13,8 +13,11 @@ import csv
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice, repeat, starmap
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -119,6 +122,59 @@ def _csv_rows(fh):
         raise ParseError(f"row {reader.line_num}: {exc}") from None
 
 
+# Characters of text split per chunk of plain rows (a ``readlines`` hint).
+# Small chunks keep few rows' text alive at once; the numbers of all chunks
+# go through one call of numpy's C reader, so a chunk costs little.
+_PLAIN_CHUNK = 1 << 12
+
+
+def _read_plain(fh, k: int, take) -> np.ndarray | None:
+    """The numbers of the rows left in ``fh`` as one N x k matrix, or None
+    where the CSV reader's pass must decide instead: a row is not plain,
+    ``take`` rejects it, or a cell is not a number numpy reads as float()
+    does. A number that is not finite is left to the caller to find.
+
+    A row is plain when it holds no quote, no NUL (Python 3.10's CSV reader
+    rejects it) and none of U+001C-U+001F (numpy strips those from around a
+    number and float() does not), and its line is no longer than the CSV
+    reader's field limit; its cells are then exactly its line split at
+    commas. The lines are read a chunk at a time. Python splits each line
+    into its first three cells and the rest, and hands the chunk's split
+    rows to ``take``, which checks and records their first three cells,
+    raising ValueError, KeyError or a DsevalError at a row it rejects. One
+    call of numpy's C reader parses the rests as the chunks yield them and
+    grows its one output array in place, so no list of blocks holds the
+    numbers a second time.
+    """
+    limit = csv.field_size_limit()
+    n = 0
+
+    def rests():
+        nonlocal n
+        while lines := fh.readlines(_PLAIN_CHUNK):
+            text = "".join(lines)
+            if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or (
+                len(text) > limit and max(map(len, lines)) > limit
+            ):
+                raise ValueError("a row is not plain")
+            # a rest keeps its line's terminator, which the C reader takes as
+            # the end of its line; a row of fewer than four cells has no rest
+            rows = [line.split(",", 3) for line in lines]
+            take(rows)
+            n += len(rows)
+            yield from map(itemgetter(3), rows)
+
+    try:
+        with warnings.catch_warnings():
+            # on a file of blank rests only; the shape check below rejects it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            matrix = np.loadtxt(rests(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    except (ValueError, KeyError, IndexError, DsevalError):
+        return None
+    # loadtxt skips a blank line, so a blank rest shows as a short matrix
+    return matrix if matrix.shape == (n, k) else None
+
+
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -217,8 +273,16 @@ def _score_cells(rows, width: int, ids: list, flags: bytearray):
         yield row[len(_SCORES_PREFIX) :]
 
 
+def _take_scores(rows, ids: list, flags: bytearray) -> None:
+    """Record the ids and flags of a chunk of split plain rows; a row with
+    flags outside the table raises KeyError."""
+    flags.extend(map(_SCORES_FLAGS.__getitem__, map(itemgetter(1, 2), rows)))
+    ids.extend(map(itemgetter(0), rows))
+
+
 def _parse_scores(fh) -> EvalSet:
-    # One pass: each row is checked and its cells parsed as the reader yields
+    # Plain rows are read in bulk. Any other file takes the CSV reader's
+    # pass, which checks each row and parses its cells as the reader yields
     # it, so no cell text outlives its row.
     rows = _csv_rows(fh)
     header = next(rows, None)
@@ -235,9 +299,14 @@ def _parse_scores(fh) -> EvalSet:
         if name in channels[:k]:
             raise SchemaError(f"row 1: channel {name!r} appears more than once")
     ids, flags = [], bytearray()
-    cells = chain.from_iterable(_score_cells(rows, len(header), ids, flags))
+    matrix = _read_plain(fh, len(channels), partial(_take_scores, ids=ids, flags=flags))
     try:
-        matrix = np.fromiter(map(float, cells), np.float64).reshape(-1, len(channels))
+        if matrix is None:
+            fh.seek(0)
+            ids, flags = [], bytearray()
+            rows = islice(_csv_rows(fh), 1, None)
+            cells = chain.from_iterable(_score_cells(rows, len(header), ids, flags))
+            matrix = np.fromiter(map(float, cells), np.float64).reshape(-1, len(channels))
         codes = np.frombuffer(flags, np.uint8)
         is_id = (codes & 1).astype(bool)
         if is_id.any():
@@ -286,44 +355,55 @@ class VectorColumns:
     matrix: np.ndarray
 
 
+def _vector_label(domain: str, label_text: str, lineno: int) -> int:
+    """The class label of one vector row, 0 at an ood row; a domain or label
+    cell that is not valid is a SchemaError that names row ``lineno``."""
+    if domain == "id":
+        try:
+            label = int(label_text)
+        except ValueError:
+            raise SchemaError(
+                f"row {lineno}, column 'label': id rows need an integer class "
+                f"index, got {label_text!r}"
+            ) from None
+        if not -(2**63) <= label < 2**63:
+            raise SchemaError(
+                f"row {lineno}, column 'label': class index {label_text!r} "
+                "does not fit in int64"
+            )
+        return label
+    if domain == "ood":
+        if label_text != "":
+            raise SchemaError(f"row {lineno}, column 'label': ood rows must leave this empty")
+        return 0
+    raise SchemaError(
+        f"row {lineno}, column 'domain': expected 'id' or 'ood', got {domain!r}"
+    )
+
+
 def _vector_rows(reader, width: int, ids: list, is_id: list, labels: list):
     """Check each row's field count, domain and label, record them and yield its cells."""
     for lineno, row in enumerate(reader, start=2):
         if len(row) != width:
             raise ParseError(f"row {lineno}: expected {width} fields, got {len(row)}")
-        domain, label_text = row[1], row[2]
-        if domain == "id":
-            try:
-                label = int(label_text)
-            except ValueError:
-                raise SchemaError(
-                    f"row {lineno}, column 'label': id rows need an integer class "
-                    f"index, got {label_text!r}"
-                ) from None
-            if not -(2**63) <= label < 2**63:
-                raise SchemaError(
-                    f"row {lineno}, column 'label': class index {label_text!r} "
-                    "does not fit in int64"
-                )
-        elif domain == "ood":
-            if label_text != "":
-                raise SchemaError(
-                    f"row {lineno}, column 'label': ood rows must leave this empty"
-                )
-            label = 0
-        else:
-            raise SchemaError(
-                f"row {lineno}, column 'domain': expected 'id' or 'ood', got {domain!r}"
-            )
+        labels.append(_vector_label(row[1], row[2], lineno))
         ids.append(row[0])
-        is_id.append(domain == "id")
-        labels.append(label)
+        is_id.append(row[1] == "id")
         yield row[len(_VECTOR_PREFIX) :]
 
 
+def _take_vectors(rows, ids: list, is_id: list, labels: list) -> None:
+    """Record the ids, ID mask and labels of a chunk of split plain rows; a
+    bad domain or label raises SchemaError."""
+    for sample_id, domain, label_text, _ in rows:
+        # the row number is never shown: a rejected row goes to the CSV pass
+        labels.append(_vector_label(domain, label_text, 0))
+        is_id.append(domain == "id")
+        ids.append(sample_id)
+
+
 def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
-    # One pass: each row is checked and its cells parsed as the reader yields
-    # it, so no cell text outlives its row.
+    # Plain rows are read in bulk, and any other file as in _parse_scores.
     rows = _csv_rows(fh)
     header = next(rows, None)
     if not header or header[: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
@@ -336,11 +416,17 @@ def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
     if len(columns) < min_dim:
         raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
     ids, is_id, labels = [], [], []
-    cells = chain.from_iterable(_vector_rows(rows, len(header), ids, is_id, labels))
-    try:
-        matrix = np.fromiter(map(float, cells), np.float64)
-    except (ValueError, ParseError, SchemaError):
-        matrix = None
+    take = partial(_take_vectors, ids=ids, is_id=is_id, labels=labels)
+    matrix = _read_plain(fh, len(columns), take)
+    if matrix is None:
+        fh.seek(0)
+        ids, is_id, labels = [], [], []
+        rows = islice(_csv_rows(fh), 1, None)
+        cells = chain.from_iterable(_vector_rows(rows, len(header), ids, is_id, labels))
+        try:
+            matrix = np.fromiter(map(float, cells), np.float64).reshape(-1, len(columns))
+        except (ValueError, ParseError, SchemaError):
+            pass
     if matrix is None or not np.isfinite(matrix).all():
         # a row is malformed or a cell is not a finite number: a second
         # read names the first bad row and cell as a row-by-row reader would
@@ -351,7 +437,7 @@ def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
                 _parse_float(cell, lineno, column)
         raise IoError(f"{fh.name} changed while it was read")
     ids, is_id, labels = np.array(ids, object), np.array(is_id, bool), np.array(labels, np.int64)
-    return VectorColumns(ids, is_id, labels, matrix.reshape(-1, len(columns)))
+    return VectorColumns(ids, is_id, labels, matrix)
 
 
 def load_logits(path) -> VectorColumns:

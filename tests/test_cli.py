@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -742,6 +743,35 @@ def test_unreadable_scores_file(fixture_csv, tmp_path, capsys, damage):
     err = capsys.readouterr().err
     assert err.startswith(f"dseval: error: ParseError: {_DAMAGE[damage][1]}"), err
     assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("scores.csv", "sample_id,domain,correct,s_id,s_ood\r\nA,id,1,0.9,0.9\r\n\r\n"
+         "X,ood,,0.6,0.1\r\n", "ParseError: row 3: expected 5 fields, got 0"),
+        ("scores.csv", "sample_id,domain,correct,s_id,s_ood\r\nA,id,1,,\r\n",
+         "ParseError: row 2, column 's_id': cannot parse '' as a number"),
+        ("features.csv", "sample_id,domain,label,v0\r\na,id,0,\r\nb,ood,,\r\n",
+         "ParseError: row 2, column 'v0': cannot parse '' as a number"),
+        ("features.csv", "sample_id,domain,label,v0,v1\r\na,id,0,1.5,2\r\n\r\n",
+         "ParseError: row 3: expected 5 fields, got 0"),
+    ],
+)
+def test_blank_rows_and_empty_cells_give_one_line(tmp_path, capsys, name, text, message):
+    # an empty cell or a blank line may reach numpy's loadtxt, whose warning
+    # on a chunk with no numbers must not show: here it would be an error
+    path = tmp_path / name
+    path.write_text(text, newline="")
+    if name == "scores.csv":
+        args = ["eval", "--scores", path, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    else:
+        args = ["score", "--features", path, "--method", "mds"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*args, "--out", tmp_path / "out"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"dseval: error: {message}\n", err
 
 
 def test_errors_are_single_line(tmp_path, capsys):
