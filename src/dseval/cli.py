@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -165,6 +166,8 @@ def _cmd_score(args) -> int:
             )
     _positive("--k", args.k)
     _positive("--pca-dim", args.pca_dim)
+    if not math.isfinite(args.temperature):
+        raise UsageError(f"--temperature must be a finite number, got {args.temperature}")
     if args.logits is None and args.features is None:
         raise UsageError("provide --logits and/or --features")
 

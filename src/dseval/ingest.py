@@ -22,7 +22,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import DsevalError, EvalSet, NonFiniteScore
+from .core import DsevalError, EvalSet
 
 # Not called here: perfbench/spans.py wraps this name in this module.
 from .core import build_eval_set  # noqa: F401
@@ -54,6 +54,8 @@ AURC_SCALE = 1000.0
 
 _SCORES_PREFIX = ["sample_id", "domain", "correct"]
 _VECTOR_PREFIX = ["sample_id", "domain", "label"]
+# the cells before the numbers in a row of either kind
+_PREFIX_CELLS = 3
 
 
 class ParseError(DsevalError):
@@ -131,8 +133,10 @@ _PLAIN_CHUNK = 1 << 12
 def _read_plain(fh, k: int, take) -> np.ndarray | None:
     """The numbers of the rows left in ``fh`` as one N x k matrix, or None
     where the CSV reader's pass must decide instead: a row is not plain,
-    ``take`` rejects it, or a cell is not a number numpy reads as float()
-    does. A number that is not finite is left to the caller to find.
+    ``take`` rejects it, a cell is not a number numpy reads as float() does,
+    or a row is blank or holds other than k numbers. A number that is not
+    finite is returned as read; ``_read_matrix`` sends that file to the CSV
+    reader's pass as well, which names the row.
 
     A row is plain when it holds no quote, no NUL (Python 3.10's CSV reader
     rejects it) and none of U+001C-U+001F (numpy strips those from around a
@@ -141,10 +145,10 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
     commas. The lines are read a chunk at a time. Python splits each line
     into its first three cells and the rest, and hands the chunk's split
     rows to ``take``, which checks and records their first three cells,
-    raising ValueError, KeyError or a DsevalError at a row it rejects. One
-    call of numpy's C reader parses the rests as the chunks yield them and
-    grows its one output array in place, so no list of blocks holds the
-    numbers a second time.
+    raising ValueError, KeyError, IndexError or a DsevalError at a row it
+    rejects. One call of numpy's C reader parses the rests as the chunks
+    yield them and grows its one output array in place, so no list of
+    blocks holds the numbers a second time.
     """
     limit = csv.field_size_limit()
     n = 0
@@ -240,37 +244,18 @@ def _parse_float(text: str, row: int, column: str) -> float:
     return value
 
 
-def _check_scores_row(row: list[str], lineno: int, header: list[str]) -> None:
-    """Raise the first problem of one scores row, checking its cells left to right."""
-    if len(row) != len(header):
-        raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
-    domain, correct_text = row[1], row[2]
-    where = f"row {lineno}, column"
-    if domain not in ("id", "ood"):
-        raise SchemaError(f"{where} 'domain': expected 'id' or 'ood', got {domain!r}")
-    if domain == "id" and correct_text not in ("0", "1"):
-        raise SchemaError(f"{where} 'correct': id rows need 0 or 1, got {correct_text!r}")
-    if domain == "ood" and correct_text != "":
-        raise SchemaError(
-            f"{where} 'correct': ood rows must leave this empty, got {correct_text!r}"
-        )
-    for column, cell in zip(header[len(_SCORES_PREFIX) :], row[len(_SCORES_PREFIX) :]):
-        _parse_float(cell, lineno, column)
-
-
 # the (domain, correct) cells of a valid scores row: bit 0 is_id, bit 1 correct
 _SCORES_FLAGS = {("id", "1"): 3, ("id", "0"): 1, ("ood", ""): 0}
 
 
-def _score_cells(rows, width: int, ids: list, flags: bytearray):
-    """Record each row's id and flags and yield its score cells; a row with
-    the wrong field count or flags raises ValueError or KeyError."""
-    for row in rows:
-        if len(row) != width:
-            raise ValueError
-        flags.append(_SCORES_FLAGS[row[1], row[2]])
-        ids.append(row[0])
-        yield row[len(_SCORES_PREFIX) :]
+def _bad_scores_flags(domain: str, correct_text: str, lineno: int) -> SchemaError:
+    """The error of a (domain, correct) pair outside ``_SCORES_FLAGS`` at row ``lineno``."""
+    where = f"row {lineno}, column"
+    if domain not in ("id", "ood"):
+        return SchemaError(f"{where} 'domain': expected 'id' or 'ood', got {domain!r}")
+    if domain == "id":
+        return SchemaError(f"{where} 'correct': id rows need 0 or 1, got {correct_text!r}")
+    return SchemaError(f"{where} 'correct': ood rows must leave this empty, got {correct_text!r}")
 
 
 def _take_scores(rows, ids: list, flags: bytearray) -> None:
@@ -280,10 +265,40 @@ def _take_scores(rows, ids: list, flags: bytearray) -> None:
     ids.extend(map(itemgetter(0), rows))
 
 
+def _read_matrix(fh, header: list[str], records, take, take_row) -> np.ndarray:
+    """The numbers of the rows after ``header`` as one N x K matrix, every
+    one finite, with each row's first three cells recorded in ``records``.
+
+    Plain rows are read in bulk (``_read_plain`` with ``take``). Any other
+    file, or one that holds a number that is not finite, is read again from
+    the start in one pass of the CSV reader, after ``records`` are emptied.
+    That pass checks each row as the reader yields it: its field count,
+    then ``take_row(row, lineno)``, which checks and records its first
+    three cells, then its cells left to right. The first bad row raises;
+    the numbers stream into one ``np.fromiter``, so no cell text outlives
+    its row.
+    """
+    columns = header[_PREFIX_CELLS:]
+    matrix = _read_plain(fh, len(columns), take)
+    if matrix is not None and np.isfinite(matrix).all():
+        return matrix
+    for record in records:
+        record.clear()
+    fh.seek(0)
+
+    def numbers():
+        rows = islice(_csv_rows(fh), 1, None)
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+            take_row(row, lineno)
+            for column, cell in zip(columns, row[_PREFIX_CELLS:]):
+                yield _parse_float(cell, lineno, column)
+
+    return np.fromiter(numbers(), np.float64).reshape(-1, len(columns))
+
+
 def _parse_scores(fh) -> EvalSet:
-    # Plain rows are read in bulk. Any other file takes the CSV reader's
-    # pass, which checks each row and parses its cells as the reader yields
-    # it, so no cell text outlives its row.
     rows = _csv_rows(fh)
     header = next(rows, None)
     if not header or header[: len(_SCORES_PREFIX)] != _SCORES_PREFIX:
@@ -299,28 +314,23 @@ def _parse_scores(fh) -> EvalSet:
         if name in channels[:k]:
             raise SchemaError(f"row 1: channel {name!r} appears more than once")
     ids, flags = [], bytearray()
-    matrix = _read_plain(fh, len(channels), partial(_take_scores, ids=ids, flags=flags))
-    try:
-        if matrix is None:
-            fh.seek(0)
-            ids, flags = [], bytearray()
-            rows = islice(_csv_rows(fh), 1, None)
-            cells = chain.from_iterable(_score_cells(rows, len(header), ids, flags))
-            matrix = np.fromiter(map(float, cells), np.float64).reshape(-1, len(channels))
-        codes = np.frombuffer(flags, np.uint8)
-        is_id = (codes & 1).astype(bool)
-        if is_id.any():
-            return EvalSet.from_columns(
-                ids, is_id, (codes & 2).astype(bool), dict(zip(channels, matrix.T))
-            )
-    except (ValueError, KeyError, ParseError, NonFiniteScore):
-        pass
-    # a row is malformed, a score is not a finite number or no row is an id
-    # row: a second read names the first bad row as a row-by-row reader would
-    fh.seek(0)
-    for lineno, row in enumerate(islice(_csv_rows(fh), 1, None), start=2):
-        _check_scores_row(row, lineno, header)
-    raise EmptyIdPopulation("scores file contains no id rows")
+
+    def take_row(row: list[str], lineno: int) -> None:
+        try:
+            flags.append(_SCORES_FLAGS[row[1], row[2]])
+        except KeyError:
+            raise _bad_scores_flags(row[1], row[2], lineno) from None
+        ids.append(row[0])
+
+    take = partial(_take_scores, ids=ids, flags=flags)
+    matrix = _read_matrix(fh, header, (ids, flags), take, take_row)
+    codes = np.frombuffer(flags, np.uint8)
+    is_id = (codes & 1).astype(bool)
+    if not is_id.any():
+        raise EmptyIdPopulation("scores file contains no id rows")
+    return EvalSet.from_columns(
+        ids, is_id, (codes & 2).astype(bool), dict(zip(channels, matrix.T))
+    )
 
 
 def load_scores(path) -> EvalSet:
@@ -381,29 +391,7 @@ def _vector_label(domain: str, label_text: str, lineno: int) -> int:
     )
 
 
-def _vector_rows(reader, width: int, ids: list, is_id: list, labels: list):
-    """Check each row's field count, domain and label, record them and yield its cells."""
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != width:
-            raise ParseError(f"row {lineno}: expected {width} fields, got {len(row)}")
-        labels.append(_vector_label(row[1], row[2], lineno))
-        ids.append(row[0])
-        is_id.append(row[1] == "id")
-        yield row[len(_VECTOR_PREFIX) :]
-
-
-def _take_vectors(rows, ids: list, is_id: list, labels: list) -> None:
-    """Record the ids, ID mask and labels of a chunk of split plain rows; a
-    bad domain or label raises SchemaError."""
-    for sample_id, domain, label_text, _ in rows:
-        # the row number is never shown: a rejected row goes to the CSV pass
-        labels.append(_vector_label(domain, label_text, 0))
-        is_id.append(domain == "id")
-        ids.append(sample_id)
-
-
 def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
-    # Plain rows are read in bulk, and any other file as in _parse_scores.
     rows = _csv_rows(fh)
     header = next(rows, None)
     if not header or header[: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
@@ -416,26 +404,17 @@ def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
     if len(columns) < min_dim:
         raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
     ids, is_id, labels = [], [], []
-    take = partial(_take_vectors, ids=ids, is_id=is_id, labels=labels)
-    matrix = _read_plain(fh, len(columns), take)
-    if matrix is None:
-        fh.seek(0)
-        ids, is_id, labels = [], [], []
-        rows = islice(_csv_rows(fh), 1, None)
-        cells = chain.from_iterable(_vector_rows(rows, len(header), ids, is_id, labels))
-        try:
-            matrix = np.fromiter(map(float, cells), np.float64).reshape(-1, len(columns))
-        except (ValueError, ParseError, SchemaError):
-            pass
-    if matrix is None or not np.isfinite(matrix).all():
-        # a row is malformed or a cell is not a finite number: a second
-        # read names the first bad row and cell as a row-by-row reader would
-        fh.seek(0)
-        rows = _vector_rows(islice(_csv_rows(fh), 1, None), len(header), [], [], [])
-        for lineno, row in enumerate(rows, start=2):
-            for column, cell in zip(columns, row):
-                _parse_float(cell, lineno, column)
-        raise IoError(f"{fh.name} changed while it was read")
+
+    def take_row(row: list[str], lineno: int) -> None:
+        labels.append(_vector_label(row[1], row[2], lineno))
+        is_id.append(row[1] == "id")
+        ids.append(row[0])
+
+    def take(rows) -> None:
+        for row in rows:
+            take_row(row, 0)  # a rejected row goes to the CSV pass, which names it
+
+    matrix = _read_matrix(fh, header, (ids, is_id, labels), take, take_row)
     ids, is_id, labels = np.array(ids, object), np.array(is_id, bool), np.array(labels, np.int64)
     return VectorColumns(ids, is_id, labels, matrix)
 

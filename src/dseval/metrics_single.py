@@ -194,6 +194,17 @@ def _check_sides(id_scores, ood_scores):
     return id_scores, ood_scores
 
 
+def _tie_counts(id_scores: np.ndarray, ood_scores: np.ndarray):
+    """How many ID and how many OOD scores take each distinct value, in
+    ascending order of the values."""
+    values, inverse = np.unique(np.concatenate([id_scores, ood_scores]), return_inverse=True)
+    n = id_scores.size
+    return (
+        np.bincount(inverse[:n], minlength=values.size),
+        np.bincount(inverse[n:], minlength=values.size),
+    )
+
+
 def auroc(id_scores, ood_scores) -> float:
     """Probability that a random ID sample outscores a random OOD sample.
 
@@ -201,16 +212,10 @@ def auroc(id_scores, ood_scores) -> float:
     """
     id_scores, ood_scores = _check_sides(id_scores, ood_scores)
     n, m = id_scores.size, ood_scores.size
-    combined = np.concatenate([id_scores, ood_scores])
-    order = np.argsort(combined, kind="mergesort")
-    sorted_vals = combined[order]
-    # average ranks within tie groups (1-based)
-    group = np.concatenate([[0], np.cumsum(np.diff(sorted_vals) != 0)])
-    pos = np.arange(1, n + m + 1, dtype=np.float64)
-    group_mean = np.bincount(group, weights=pos) / np.bincount(group)
-    ranks = np.empty(n + m)
-    ranks[order] = group_mean[group]
-    u = ranks[:n].sum() - n * (n + 1) / 2.0
+    id_counts, ood_counts = _tie_counts(id_scores, ood_scores)
+    # twice U: two per OOD score below an ID score, one per tie; an exact integer
+    ood_below = np.cumsum(ood_counts) - ood_counts
+    u = np.dot(id_counts, 2 * ood_below + ood_counts) / 2
     return float(u / (n * m))
 
 
@@ -231,18 +236,11 @@ def aupr(id_scores, ood_scores) -> float:
     descending distinct thresholds.
     """
     id_scores, ood_scores = _check_sides(id_scores, ood_scores)
-    n = id_scores.size
-    combined = np.concatenate([id_scores, ood_scores])
-    labels = np.concatenate([np.ones(n), np.zeros(ood_scores.size)])
-    order = np.argsort(-combined, kind="mergesort")
-    sorted_scores = combined[order]
-    tp = np.cumsum(labels[order])
-    total = np.arange(1, combined.size + 1)
-    # keep only the last row of each tie group so ties share one operating point
-    last = np.flatnonzero(
-        np.concatenate([np.diff(sorted_scores) != 0, np.array([True])])
-    )
-    recall = tp[last] / n
-    precision = tp[last] / total[last]
+    id_counts, ood_counts = _tie_counts(id_scores, ood_scores)
+    # one operating point per distinct score, from the highest down
+    tp = np.cumsum(id_counts[::-1])
+    total = tp + np.cumsum(ood_counts[::-1])
+    recall = tp / id_scores.size
+    precision = tp / total
     prev = np.concatenate([[0.0], recall[:-1]])
     return float(np.sum((recall - prev) * precision))

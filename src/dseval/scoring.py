@@ -458,12 +458,20 @@ def _l1_rows(x: np.ndarray) -> np.ndarray:
 
 
 def _energy_rows(z: np.ndarray, temperature: float) -> np.ndarray:
-    """energy() of every row, with the same arithmetic."""
+    """energy() of every row, with the same arithmetic; a row whose energy
+    is not finite (its logits overflow at a tiny temperature) is OutOfRange."""
     if temperature <= 0:
         raise NonPositiveTemperature(f"temperature must be > 0, got {temperature}")
-    z = z / temperature
-    m = z.max(axis=1)
-    return temperature * (m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = z / temperature
+        m = z.max(axis=1)
+        out = temperature * (m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        exc = OutOfRange(f"energy at temperature {temperature} is {out[bad[0]]}")
+        exc.row = int(bad[0])
+        raise exc
+    return out
 
 
 def _neg_entropy_rows(z: np.ndarray) -> np.ndarray:

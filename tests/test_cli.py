@@ -617,6 +617,25 @@ class TestScoreCommand:
         assert self._score(paths, "msp,energy", "--temperature", 0) == 1
         self._error_line(capsys, "NonPositiveTemperature")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "value, method, code, kind",
+        [
+            ("nan", "msp", 2, "UsageError"),
+            ("nan", "energy", 2, "UsageError"),
+            ("inf", "energy", 2, "UsageError"),
+            ("-inf", "msp,energy", 2, "UsageError"),
+            # the logits overflow when divided by it
+            ("1e-320", "energy", 1, "OutOfRange"),
+        ],
+    )
+    def test_temperature_out_of_range(self, vector_files, capsys, value, method, code, kind):
+        paths, logits, *_ = vector_files
+        assert self._score(paths, method, f"--temperature={value}") == code
+        err = self._error_line(capsys, kind)
+        if kind == "OutOfRange":
+            assert f"on sample {logits[0].sample_id!r}" in err
+
     def test_all_id_fit_file_is_not_copied(self, tmp_path):
         # the fit matrix of a file that holds only ID rows is used as loaded;
         # a mask copy would hold a second matrix at once

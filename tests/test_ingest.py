@@ -155,6 +155,29 @@ def test_first_bad_row_named_across_rows(tmp_path, rows, error, message):
         load_scores(path)
 
 
+@pytest.mark.parametrize(
+    "rows, error, message",
+    [
+        # a row fault, a non-finite number included, outranks every set fault
+        ("A\0,id,1,0.5,0.5\nB,id,1,inf,0.5\n", ParseError,
+         "row 3, column 's_id': non-finite value 'inf'"),
+        ("A,id,1,0.5,0.5\nA,id,1,0.5,0.5\nB,ood,,0.5,1e400\n", ParseError,
+         "row 4, column 's_ood': non-finite value '1e400'"),
+        ("X,ood,,0.5,0.5\nY,ood,,nan,0.5\n", ParseError, "row 3, column 's_id'"),
+        # then a file with no ID row, then a NUL-suffixed id, then a repeated one
+        ("X\0,ood,,0.5,0.5\nX\0,ood,,0.5,0.5\n", EmptyIdPopulation,
+         "scores file contains no id rows"),
+        ("A,id,1,0.5,0.5\nA,id,1,0.5,0.5\nB\0,ood,,0.5,0.5\n", MixedSchema,
+         "sample id 'B\\x00' ends in a NUL character"),
+    ],
+)
+def test_row_faults_outrank_set_faults(tmp_path, rows, error, message):
+    path = tmp_path / "scores.csv"
+    path.write_text("sample_id,domain,correct,s_id,s_ood\n" + rows)
+    with pytest.raises(error, match=re.escape(message)):
+        load_scores(path)
+
+
 def test_empty_channel_name_rejected(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text("sample_id,domain,correct,s_id,s_ood,\nA,id,1,0.1,0.2,0.3\n")
@@ -192,6 +215,26 @@ def test_field_over_the_reader_limit(tmp_path, kind):
     path.write_text(header + "x,ood,,0.5,nan\n" + "y" * 200_000 + ",ood,,0.5,0.5\n")
     with pytest.raises(ParseError, match="^row 2, column '(s_ood|v1)': non-finite"):
         loader(path)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+def test_a_bad_file_is_read_by_the_csv_reader_twice(tmp_path, kind, monkeypatch):
+    # once for the header, once for the checked pass that names the bad row
+    loader, header = _LOADERS[kind]
+    path = tmp_path / "data.csv"
+    path.write_text(header + '"x",ood,,0.5,0.5\n' + "y,ood,,0.5,abc\n")
+    calls = []
+    csv_rows = ingest._csv_rows
+
+    def counted(fh):
+        calls.append(fh.tell())
+        return csv_rows(fh)
+
+    monkeypatch.setattr(ingest, "_csv_rows", counted)
+    message = "^row 3, column '(s_ood|v1)': cannot parse 'abc' as a number$"
+    with pytest.raises(ParseError, match=message):
+        loader(path)
+    assert calls == [0, 0]
 
 
 def _loaded_columns(loaded):

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dseval import (
     EmptySide,
@@ -233,3 +236,28 @@ class TestOodDetectionMetrics:
     def test_aupr_known_value(self):
         # descending scores: id, ood, id -> AP = 0.5*1 + 0.5*(2/3)
         assert aupr([3.0, 1.0], [2.0]) == pytest.approx(0.5 + 0.5 * 2 / 3)
+
+
+def _naive_aupr(id_scores, ood_scores) -> Fraction:
+    """Precision times the recall step at each distinct score, highest first, exactly."""
+    area = Fraction(0)
+    for tau in sorted(set(id_scores) | set(ood_scores), reverse=True):
+        tp = sum(s >= tau for s in id_scores)
+        fp = sum(s >= tau for s in ood_scores)
+        step = Fraction(tp - sum(s > tau for s in id_scores), len(id_scores))
+        area += step * Fraction(tp, tp + fp)
+    return area
+
+
+# few distinct values, so most draws hold ties within and across the sides
+_TIED = st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.25, 1.0, 3.0]), min_size=1,
+                 max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_scores=_TIED, ood_scores=_TIED)
+def test_ood_metrics_match_naive_references(id_scores, ood_scores):
+    assert auroc(id_scores, ood_scores) == oracle_auroc(id_scores, ood_scores)
+    assert aupr(id_scores, ood_scores) == pytest.approx(
+        float(_naive_aupr(id_scores, ood_scores)), rel=1e-12
+    )
