@@ -25,7 +25,6 @@ from .dsmetrics import (
 from .ingest import (
     AURC_SCALE,
     METRIC_SCALE,
-    MetricReport,
     SchemaError,
     load_features,
     load_logits,
@@ -36,7 +35,6 @@ from .ingest import (
     write_scores,
 )
 from .metrics_single import aupr, auroc, fpr_at_tpr
-from .oracle import DEFAULT_CAP, oracle_ds_aurc, oracle_ds_f1
 from .scoring import (
     FEATURES,
     FIT_FEATURES,
@@ -302,36 +300,8 @@ def _cmd_eval(args) -> int:
         "scaling": {"metrics": METRIC_SCALE, "aurc": AURC_SCALE},
     }
 
-    if args.oracle:
-        if eval_set.n_total > DEFAULT_CAP:
-            raise UsageError(
-                f"--oracle cross-check is capped at {DEFAULT_CAP} samples"
-            )
-        exhaust = ThresholdGrid.exhaustive(eval_set, args.id_channel, args.ood_channel)
-        fast_f1, fast_aurc = ds_metrics(
-            eval_set, args.id_channel, args.ood_channel, exhaust, k_bins=args.bins
-        )
-        ref_f1, _ = oracle_ds_f1(eval_set, args.id_channel, args.ood_channel)
-        ref_aurc = oracle_ds_aurc(
-            eval_set, args.id_channel, args.ood_channel, k_bins=args.bins
-        )
-        diff = max(abs(fast_f1.value - ref_f1), abs(fast_aurc.value - ref_aurc))
-        report["oracle_check"] = {
-            "ds_f1": ref_f1,
-            "ds_aurc": ref_aurc,
-            "max_abs_diff": diff,
-        }
-        if diff > 1e-9:
-            _write_out(report, args.out)
-            raise DsevalError(f"oracle cross-check failed, max diff {diff}")
-
-    _write_out(report, args.out)
+    write_report(report, args.out)
     return 0
-
-
-def _write_out(report: dict, out: str) -> None:
-    fmt = "markdown" if str(out).endswith(".md") else "json"
-    write_report(MetricReport(report), out, format=fmt)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +368,7 @@ def _cmd_select(args) -> int:
         },
         "scaling": {"metrics": METRIC_SCALE, "aurc": AURC_SCALE},
     }
-    _write_out(report, args.out)
+    write_report(report, args.out)
     return 0
 
 
@@ -458,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=DEFAULT_K_BINS)
     p.add_argument("--surface", help="also export the per-pair surface CSV here")
     p.add_argument("--out", required=True, help="report path (.md for markdown)")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("select", help="pick thresholds on val, freeze, apply to test")

@@ -86,11 +86,11 @@ class ConfusionCounts:
     accepted_ood: int
 
 
-def quantile_grid(scores, t_grid: int, include_sentinel: bool = True) -> np.ndarray:
+def quantile_grid(scores, t_grid: int) -> np.ndarray:
     """Equally spaced empirical quantile thresholds (nearest rank), deduplicated.
 
-    Optionally prepends the accept-all sentinel (:func:`accept_all_threshold`),
-    so a full-coverage operating point is always reachable.
+    The accept-all sentinel (:func:`accept_all_threshold`) comes first, so a
+    full-coverage operating point is always reachable.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -105,10 +105,7 @@ def quantile_grid(scores, t_grid: int, include_sentinel: bool = True) -> np.ndar
     # nearest-rank quantile at p = k/t_grid is the ceil(p*n)-th order statistic
     ks = np.arange(1, t_grid + 1, dtype=np.int64)
     idx = (ks * n + t_grid - 1) // t_grid - 1
-    thresholds = np.unique(ordered[idx])
-    if include_sentinel:
-        thresholds = np.concatenate([[accept_all_threshold(ordered)], thresholds])
-    return thresholds
+    return np.concatenate([[accept_all_threshold(ordered)], np.unique(ordered[idx])])
 
 
 @dataclass(frozen=True)
@@ -127,30 +124,21 @@ class ThresholdGrid:
             arr.setflags(write=False)
 
     @classmethod
-    def exhaustive(
-        cls, eval_set: EvalSet, ch_id: str, ch_ood: str, include_sentinel: bool = True
-    ) -> "ThresholdGrid":
-        """Every distinct empirical value per axis, plus optional sentinels."""
+    def exhaustive(cls, eval_set: EvalSet, ch_id: str, ch_ood: str) -> "ThresholdGrid":
+        """Every distinct empirical value per axis, after its sentinel."""
         grids = []
         for ch in (ch_id, ch_ood):
             vals = np.unique(eval_set.channel(ch))
-            if include_sentinel:
-                vals = np.concatenate([[accept_all_threshold(vals)], vals])
-            grids.append(vals)
+            grids.append(np.concatenate([[accept_all_threshold(vals)], vals]))
         return cls(*grids)
 
     @classmethod
     def quantile(
-        cls,
-        eval_set: EvalSet,
-        ch_id: str,
-        ch_ood: str,
-        t_grid: int = DEFAULT_T_GRID,
-        include_sentinel: bool = True,
+        cls, eval_set: EvalSet, ch_id: str, ch_ood: str, t_grid: int = DEFAULT_T_GRID
     ) -> "ThresholdGrid":
         return cls(
-            quantile_grid(eval_set.channel(ch_id), t_grid, include_sentinel),
-            quantile_grid(eval_set.channel(ch_ood), t_grid, include_sentinel),
+            quantile_grid(eval_set.channel(ch_id), t_grid),
+            quantile_grid(eval_set.channel(ch_ood), t_grid),
         )
 
 
@@ -347,10 +335,10 @@ class _BestF1:
         if top > self.best or here < self.at:
             self.best, self.at = top, here
 
-    def result(self, surface: PairSurface | None) -> DsResult:
+    def result(self) -> DsResult:
         j, i = self.at
         pair = ThresholdPair(float(self.grid.id_thresholds[i]), float(self.grid.ood_thresholds[j]))
-        return DsResult(value=self.best, best_pair=pair, surface=surface)
+        return DsResult(value=self.best, best_pair=pair)
 
 
 class _MinRisk:
@@ -386,10 +374,10 @@ class _MinRisk:
         bins = np.take(self.bin_of, accepted_id, out=accepted, mode="clip")
         np.minimum.at(self.minima, bins.ravel(), risk.ravel())
 
-    def result(self, surface: PairSurface | None) -> DsResult:
+    def result(self) -> DsResult:
         curve = BinnedCurve.from_minima(self.minima)
         value = float(np.sum(curve.values)) / curve.k_bins
-        return DsResult(value, surface=surface, curve=curve)
+        return DsResult(value, curve=curve)
 
 
 class _Lines:
@@ -416,23 +404,12 @@ class _Lines:
         if self.ood_only is not None and start == 0:
             self.ood_only(start, *(part[:1] for part in block))
 
-    def result(self, surface: PairSurface | None) -> DsResult:
-        id_only, ood_only = (line and line.result(None) for line in (self.id_only, self.ood_only))
-        return replace(self.full.result(surface), id_only=id_only, ood_only=ood_only)
+    def result(self) -> DsResult:
+        id_only, ood_only = (line and line.result() for line in (self.id_only, self.ood_only))
+        return replace(self.full.result(), id_only=id_only, ood_only=ood_only)
 
 
-def _reduce(eval_set, ch_id, ch_ood, grid, consumers, return_surface) -> PairSurface | None:
-    """One sweep through ``consumers``; tables are built only for a surface."""
-    if return_surface:
-        # looked up on the module, so that a wrapper installed there sees the call
-        return _surface(ds_sweep_fast(eval_set, ch_id, ch_ood, grid, *consumers))
-    _sweep(eval_set, ch_id, ch_ood, grid, *consumers)
-    return None
-
-
-def ds_f1(
-    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, return_surface: bool = False
-) -> DsResult:
+def ds_f1(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid) -> DsResult:
     """Maximum F1 over all threshold pairs, with the achieving pair.
 
     Ties are broken by the lexicographically smallest (tau_ood, tau_id), so
@@ -440,12 +417,12 @@ def ds_f1(
     is the smallest threshold.
     """
     best = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _BestF1(eval_set.n_id, grid))
-    return best.result(_reduce(eval_set, ch_id, ch_ood, grid, [best], return_surface))
+    _sweep(eval_set, ch_id, ch_ood, grid, best)
+    return best.result()
 
 
 def ds_aurc(
-    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid,
-    k_bins: int = DEFAULT_K_BINS, return_surface: bool = False,
+    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, k_bins: int = DEFAULT_K_BINS
 ) -> DsResult:
     """Risk-coverage area where each coverage bin takes its minimum pair risk.
 
@@ -454,16 +431,24 @@ def ds_aurc(
     """
     bin_of = _MinRisk.bins(eval_set.n_id, k_bins)  # one table for the three reductions
     minima = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _MinRisk(bin_of, k_bins))
-    return minima.result(_reduce(eval_set, ch_id, ch_ood, grid, [minima], return_surface))
+    _sweep(eval_set, ch_id, ch_ood, grid, minima)
+    return minima.result()
 
 
 def ds_metrics(
     eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid,
     k_bins: int = DEFAULT_K_BINS, return_surface: bool = False,
 ) -> tuple[DsResult, DsResult]:
-    """:func:`ds_f1` and :func:`ds_aurc` from one sweep; a surface rides on the first."""
+    """:func:`ds_f1` and :func:`ds_aurc` from one sweep; a surface rides on the first.
+
+    Only a surface needs the count tables; without one the sweep holds none.
+    """
     best = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _BestF1(eval_set.n_id, grid))
     bin_of = _MinRisk.bins(eval_set.n_id, k_bins)
     minima = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _MinRisk(bin_of, k_bins))
-    surface = _reduce(eval_set, ch_id, ch_ood, grid, [best, minima], return_surface)
-    return best.result(surface), minima.result(None)
+    if not return_surface:
+        _sweep(eval_set, ch_id, ch_ood, grid, best, minima)
+        return best.result(), minima.result()
+    # looked up on the module, so that a wrapper installed there sees the call
+    tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid, best, minima)
+    return replace(best.result(), surface=_surface(tables)), minima.result()

@@ -37,7 +37,6 @@ __all__ = [
     "METRIC_SCALE",
     "AURC_SCALE",
     "scaled",
-    "MetricReport",
     "load_scores",
     "write_scores",
     "VectorColumns",
@@ -454,37 +453,26 @@ def scaled(raw: float, scale: float = METRIC_SCALE) -> dict[str, float]:
     return {"raw": raw, "display": raw * scale}
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Ordered report payload; keys are emitted in insertion order."""
-
-    data: dict[str, Any]
-
-    def to_json(self) -> str:
-        return json.dumps(self.data, indent=2) + "\n"
-
-    def to_markdown(self) -> str:
-        return _render_markdown(self.data)
-
-
-def _parse_report(fh) -> MetricReport:
+def _parse_report(fh) -> dict[str, Any]:
     try:
-        return MetricReport(json.load(fh))
+        return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid report JSON: {exc}") from None
 
 
-def load_report(path) -> MetricReport:
+def load_report(path) -> dict[str, Any]:
     return _read_text(path, _parse_report)
 
 
-def write_report(report: MetricReport, path, format: str = "json") -> None:
-    if format == "json":
-        text = report.to_json()
-    elif format == "markdown":
-        text = report.to_markdown()
+def write_report(report: dict[str, Any], path) -> None:
+    """Write ``report`` as markdown if ``path`` ends in ``.md``, else as JSON.
+
+    Keys are emitted in insertion order.
+    """
+    if str(path).endswith(".md"):
+        text = _render_markdown(report)
     else:
-        raise ValueError(f"unsupported report format {format!r}")
+        text = json.dumps(report, indent=2) + "\n"
     with _open_write(path) as fh:
         fh.write(text)
 

@@ -210,13 +210,17 @@ def fit_gaussian_stats(features, labels) -> GaussianStats:
     y = np.asarray(labels, dtype=np.int64)
     classes = np.unique(y)
     d = x.shape[1]
-    means = np.stack([x[y == c].mean(axis=0) for c in classes])
-    centered = x.copy()
-    for c, mu in zip(classes, means):
-        centered[y == c] -= mu
-    cov = centered.T @ centered / x.shape[0]
-    lam = 1e-6 * np.trace(cov) / d
-    reg = cov + lam * np.eye(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = np.stack([x[y == c].mean(axis=0) for c in classes])
+        centered = x.copy()
+        for c, mu in zip(classes, means):
+            centered[y == c] -= mu
+        cov = centered.T @ centered / x.shape[0]
+        lam = 1e-6 * np.trace(cov) / d
+        reg = cov + lam * np.eye(d)
+    # cholesky() does not reject a NaN matrix
+    if not np.isfinite(reg).all():
+        raise OutOfRange("covariance of the fit features is not finite")
     try:
         np.linalg.cholesky(reg)
         cov_inv = np.linalg.inv(reg)
@@ -224,7 +228,10 @@ def fit_gaussian_stats(features, labels) -> GaussianStats:
         raise SingularCovariance(
             "regularized covariance is not positive definite"
         ) from None
-    cov_inv = (cov_inv + cov_inv.T) / 2.0
+    with np.errstate(over="ignore"):
+        cov_inv = (cov_inv + cov_inv.T) / 2.0
+    if not np.isfinite(cov_inv).all():
+        raise OutOfRange("inverse covariance of the fit features is not finite")
     return GaussianStats(classes=classes, means=means, cov_inv=cov_inv)
 
 
@@ -329,19 +336,22 @@ def fit_principal_subspace(features, d: int) -> PrincipalBasis:
     n, dim = x.shape
     if not 1 <= d < dim:
         raise OutOfRange(f"subspace dimension must satisfy 1 <= d < {dim}, got {d}")
-    mean = x.mean(axis=0)
     # qr() copies the stack twice (its own copy and LAPACK's), so the stack
     # takes a third of the block budget; blocks of fewer than D rows would
     # spend more on refactoring R than on the rows
     step = max(dim, BLOCK_BYTES // (24 * dim) - dim)
     stack = np.empty((dim + min(step, n), dim))
     height = 0  # rows of R at the top of the stack
-    for lo in range(0, n, step):
-        rows = min(step, n - lo)
-        np.subtract(x[lo : lo + rows], mean, out=stack[height : height + rows])
-        r = np.linalg.qr(stack[: height + rows], mode="r")
-        height = r.shape[0]
-        stack[:height] = r
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        for lo in range(0, n, step):
+            rows = min(step, n - lo)
+            np.subtract(x[lo : lo + rows], mean, out=stack[height : height + rows])
+            r = np.linalg.qr(stack[: height + rows], mode="r")
+            height = r.shape[0]
+            stack[:height] = r
+    if not np.isfinite(stack[:height]).all():
+        raise OutOfRange("the centered fit features overflow")
     _, s, vt = np.linalg.svd(stack[:height], full_matrices=False)
     nonzero = int(np.count_nonzero(s > s[0] * max(n, dim) * np.finfo(np.float64).eps))
     if nonzero < d:
@@ -400,10 +410,14 @@ def fit_sirc_params(s2_values) -> SircParams:
     samples and opens as s2 drops below the bulk of the fit distribution.
     """
     s2 = np.asarray(s2_values, dtype=np.float64)
-    std = float(np.std(s2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = float(np.std(s2))
+        mean = float(np.mean(s2))
     if std == 0.0:
         raise DegenerateSpread("secondary score has zero spread on the fit split")
-    return SircParams(a=float(np.mean(s2)) - 3.0 * std, b=1.0 / std)
+    if not np.isfinite([mean, std]).all():
+        raise OutOfRange(f"secondary score on the fit split has mean {mean} and std {std}")
+    return SircParams(a=mean - 3.0 * std, b=1.0 / std)
 
 
 def sirc_combine(s1: float, s1_max: float, s2: float, a: float, b: float) -> float:
@@ -435,6 +449,16 @@ def _block_rows(n_rows: int, row_floats: int) -> int:
     return max(1, min(n_rows, BLOCK_BYTES // (8 * row_floats)))
 
 
+def _finite_rows(out: np.ndarray, what: str) -> np.ndarray:
+    """``out``, or OutOfRange with ``row`` set at its first value that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(out))
+    if bad.size:
+        exc = OutOfRange(f"{what} is {out[bad[0]]}")
+        exc.row = int(bad[0])
+        raise exc
+    return out
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """softmax() of every row, with the same arithmetic."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
@@ -450,10 +474,11 @@ def _l1_rows(x: np.ndarray) -> np.ndarray:
     step = _block_rows(*x.shape)
     absolute = np.empty((step, x.shape[1]))
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], step):
-        n = min(step, x.shape[0] - lo)
-        np.abs(x[lo : lo + n], out=absolute[:n])
-        np.add.reduce(absolute[:n], axis=1, out=out[lo : lo + n])
+    with np.errstate(over="ignore"):  # an overflowed norm is inf
+        for lo in range(0, x.shape[0], step):
+            n = min(step, x.shape[0] - lo)
+            np.abs(x[lo : lo + n], out=absolute[:n])
+            np.add.reduce(absolute[:n], axis=1, out=out[lo : lo + n])
     return out
 
 
@@ -466,12 +491,7 @@ def _energy_rows(z: np.ndarray, temperature: float) -> np.ndarray:
         z = z / temperature
         m = z.max(axis=1)
         out = temperature * (m + np.log(np.exp(z - m[:, None]).sum(axis=1)))
-    bad = np.flatnonzero(~np.isfinite(out))
-    if bad.size:
-        exc = OutOfRange(f"energy at temperature {temperature} is {out[bad[0]]}")
-        exc.row = int(bad[0])
-        raise exc
-    return out
+    return _finite_rows(out, f"energy at temperature {temperature}")
 
 
 def _neg_entropy_rows(z: np.ndarray) -> np.ndarray:
@@ -521,19 +541,21 @@ def _mahalanobis_rows(x: np.ndarray, stats: GaussianStats) -> np.ndarray:
     diffs = np.empty((step, n_classes, dim))
     products = np.empty_like(diffs)
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], step):
-        n = min(step, x.shape[0] - lo)
-        diff = np.subtract(x[lo : lo + n, None, :], stats.means, out=diffs[:n])
-        approx = np.einsum("nkd,nkd->nk", np.matmul(diff, cov_inv, out=products[:n]), diff)
-        slack = scale * np.einsum("nkd,nkd->nk", diff, diff)
-        # `not >` keeps every class a NaN would hide
-        near = ~(approx - slack > (approx + slack).min(axis=1, keepdims=True))
-        row, cls = np.nonzero(near)
-        d = diff[row, cls]
-        best = np.full(n, np.inf)
-        np.minimum.at(best, row, np.einsum("ij,jk,ik->i", d, cov_inv, d))
-        out[lo : lo + n] = -best
-    return out
+    # rows far from every mean overflow to an infinite distance, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, x.shape[0], step):
+            n = min(step, x.shape[0] - lo)
+            diff = np.subtract(x[lo : lo + n, None, :], stats.means, out=diffs[:n])
+            approx = np.einsum("nkd,nkd->nk", np.matmul(diff, cov_inv, out=products[:n]), diff)
+            slack = scale * np.einsum("nkd,nkd->nk", diff, diff)
+            # `not >` keeps every class a NaN would hide
+            near = ~(approx - slack > (approx + slack).min(axis=1, keepdims=True))
+            row, cls = np.nonzero(near)
+            d = diff[row, cls]
+            best = np.full(n, np.inf)
+            np.minimum.at(best, row, np.einsum("ij,jk,ik->i", d, cov_inv, d))
+            out[lo : lo + n] = -best
+    return _finite_rows(out, "the Mahalanobis score")
 
 
 def _knn_sample(size: int, k: int) -> slice:
@@ -656,12 +678,15 @@ def _residual_norms(x: np.ndarray, basis: PrincipalBasis) -> np.ndarray:
     projected = np.empty((step, d))
     squares = np.empty((step, dim))  # the reconstruction, then the squares
     out = np.empty(x.shape[0])
-    for lo in range(0, x.shape[0], step):
-        n = min(step, x.shape[0] - lo)
-        c = np.subtract(x[lo : lo + n], basis.mean, out=centered[:n])
-        np.matmul(c, vectors, out=projected[:n])
-        c -= np.matmul(projected[:n], vectors.T, out=squares[:n])
-        np.add.reduce(np.multiply(c, c, out=squares[:n]), axis=1, out=out[lo : lo + n])
+    # a row far from the subspace overflows to an infinite norm; the fits
+    # and scorers that read the norms refuse it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, x.shape[0], step):
+            n = min(step, x.shape[0] - lo)
+            c = np.subtract(x[lo : lo + n], basis.mean, out=centered[:n])
+            np.matmul(c, vectors, out=projected[:n])
+            c -= np.matmul(projected[:n], vectors.T, out=squares[:n])
+            np.add.reduce(np.multiply(c, c, out=squares[:n]), axis=1, out=out[lo : lo + n])
     return np.sqrt(out, out=out)
 
 
@@ -672,7 +697,9 @@ def _sirc_rows(s1: np.ndarray, s1_max: float, s2: np.ndarray, params: SircParams
         exc = OutOfRange(f"s1={s1[above[0]]} exceeds its stated maximum {s1_max}")
         exc.row = int(above[0])
         raise exc
-    return -(s1_max - s1) * (1.0 + np.exp(-params.b * (s2 - params.a)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = -(s1_max - s1) * (1.0 + np.exp(-params.b * (s2 - params.a)))
+    return _finite_rows(out, "the SIRC score")
 
 
 # Input names a method can need; the fit ones are the ID rows of the fit split.
@@ -757,7 +784,9 @@ def _fit_sirc_res(split: FitSplit) -> tuple[PrincipalBasis, SircParams]:
 
 def _vim_batch(x: ScoreInputs, fitted) -> np.ndarray:
     basis, alpha = fitted
-    return _energy_rows(x.logits, 1.0) + alpha * -_residual_norms(x.features, basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _energy_rows(x.logits, 1.0) + alpha * -_residual_norms(x.features, basis)
+    return _finite_rows(out, "the vim score")
 
 
 def _sirc_res_batch(x: ScoreInputs, fitted) -> np.ndarray:
@@ -791,10 +820,12 @@ METHODS: dict[str, ScoreMethod] = {
         lambda x, fitted: _knn_rows(x.features, *fitted),
         fit=_fit_knn,
     ),
-    "l1": ScoreMethod((FEATURES,), lambda x, _: _l1_rows(x.features)),
+    "l1": ScoreMethod(
+        (FEATURES,), lambda x, _: _finite_rows(_l1_rows(x.features), "the L1 norm")
+    ),
     "residual": ScoreMethod(
         (FEATURES, FIT_FEATURES),
-        lambda x, basis: -_residual_norms(x.features, basis),
+        lambda x, basis: _finite_rows(-_residual_norms(x.features, basis), "the residual score"),
         fit=lambda split: split.basis,
     ),
     "vim": ScoreMethod(

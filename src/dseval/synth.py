@@ -81,6 +81,8 @@ def _validate(config: SynthConfig) -> None:
         raise InvalidConfig("id_accuracy must be in (0, 1]")
     for name in ("correct", "wrong", "ood"):
         pop: PopulationParams = getattr(config, name)
+        if not np.isfinite([pop.mean_s_id, pop.mean_s_ood, pop.std_s_id, pop.std_s_ood]).all():
+            raise InvalidConfig(f"{name} population needs finite means and stds")
         if pop.std_s_id <= 0 or pop.std_s_ood <= 0:
             raise InvalidConfig(f"{name} population needs positive stds")
         if not -1.0 < pop.corr < 1.0:
@@ -102,12 +104,18 @@ def generate(config: SynthConfig) -> EvalSet:
     _validate(config)
     n_correct = int(round(config.n_id * config.id_accuracy))
     rng = np.random.default_rng(config.seed)
-    blocks = [
-        (config.correct, n_correct),
-        (config.wrong, config.n_id - n_correct),
-        (config.ood, config.n_ood),
-    ]
-    scores = np.vstack([_draw(rng, pop, n) for pop, n in blocks])
+    blocks = {
+        "correct": n_correct,
+        "wrong": config.n_id - n_correct,
+        "ood": config.n_ood,
+    }
+    draws = []
+    for name, n in blocks.items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            draws.append(_draw(rng, getattr(config, name), n))
+        if not np.isfinite(draws[-1]).all():
+            raise InvalidConfig(f"{name} population draws a score that is not finite")
+    scores = np.vstack(draws)
     rows = np.arange(len(scores))
     ids = chain(
         map("id-{:06d}".format, range(config.n_id)),
@@ -158,6 +166,14 @@ def config_to_dict(config: SynthConfig) -> dict:
     return asdict(config)
 
 
+def _integer(data: dict, key: str) -> int:
+    """``data[key]`` if it is an integer: not a bool, a float or a string."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidConfig(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def config_from_dict(data: dict) -> SynthConfig:
     try:
         pops = {
@@ -165,10 +181,10 @@ def config_from_dict(data: dict) -> SynthConfig:
             for name in ("correct", "wrong", "ood")
         }
         return SynthConfig(
-            n_id=int(data["n_id"]),
-            n_ood=int(data["n_ood"]),
+            n_id=_integer(data, "n_id"),
+            n_ood=_integer(data, "n_ood"),
             id_accuracy=float(data["id_accuracy"]),
-            seed=int(data["seed"]),
+            seed=_integer(data, "seed"),
             **pops,
         )
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:

@@ -10,10 +10,14 @@ import numpy as np
 import pytest
 
 import dseval
-from dseval import Origin, ThresholdGrid, best_f1_single, cli, ds_f1, dsmetrics, metrics_single
+from dseval import (
+    Origin, ThresholdGrid, best_f1_single, cli, ds_f1, ds_metrics, dsmetrics, metrics_single,
+)
 from dseval.cli import main
 from dseval.ingest import load_features, load_logits, load_scores, write_scores, write_vector_file
+from dseval.oracle import oracle_ds_aurc, oracle_ds_f1
 from dseval.scoring import (
+    METHODS,
     FeatureRecord,
     LogitRecord,
     build_feature_bank,
@@ -31,6 +35,15 @@ def run(args):
 
 def read_json(path):
     return json.loads(path.read_text())
+
+
+def oracle_check(scores):
+    """DS-F1 and DS-AURC over the exhaustive grid of a scores file equal the oracles."""
+    es = load_scores(scores)
+    grid = ThresholdGrid.exhaustive(es, "s_id", "s_ood")
+    f1, area = ds_metrics(es, "s_id", "s_ood", grid)
+    assert f1.value == oracle_ds_f1(es, "s_id", "s_ood")[0]
+    assert area.value == oracle_ds_aurc(es, "s_id", "s_ood", k_bins=dsmetrics.DEFAULT_K_BINS)
 
 
 # the third line's sample id replaced by a byte that is not UTF-8, or by a
@@ -230,23 +243,8 @@ class TestEvalCommand:
         header = surface.read_text().splitlines()[0]
         assert header == "tau_id,tau_ood,coverage,risk,f1"
 
-    def test_oracle_cross_check(self, fixture_csv, tmp_path):
-        out = tmp_path / "report.json"
-        assert (
-            run(
-                [
-                    "eval",
-                    "--scores", fixture_csv,
-                    "--id-channel", "s_id",
-                    "--ood-channel", "s_ood",
-                    "--oracle",
-                    "--out", out,
-                ]
-            )
-            == 0
-        )
-        check = read_json(out)["oracle_check"]
-        assert check["max_abs_diff"] <= 1e-12
+    def test_oracle_cross_check(self, fixture_csv):
+        oracle_check(fixture_csv)
 
     def test_markdown_output(self, fixture_csv, tmp_path):
         out = tmp_path / "report.md"
@@ -603,6 +601,29 @@ class TestScoreCommand:
         knn = load_scores(tmp_path / "out.csv").channel("knn")
         assert np.array_equal(knn, [knn_score(r.features, bank, 3) for r in features])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scaled", ["fit", "eval"])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_features_at_1e200_give_scores_or_one_line(
+        self, vector_files, capsys, tmp_path, method, scaled
+    ):
+        paths, _, features, fit_features = vector_files
+        records = fit_features if scaled == "fit" else features
+        write_vector_file(
+            [FeatureRecord(r.sample_id, r.origin, r.label, 1e200 * r.features) for r in records],
+            tmp_path / "huge.csv",
+        )
+        files = {"fit": paths["fit_features"], "eval": paths["features"]}
+        files[scaled] = tmp_path / "huge.csv"
+        argv = [
+            "score", "--logits", paths["logits"], "--features", files["eval"],
+            "--fit", paths["fit_logits"], "--fit", files["fit"],
+            "--method", method, "--out", tmp_path / "out.csv",
+        ]
+        assert run(argv) in (0, 1)
+        err = capsys.readouterr().err
+        assert err == "" or (err.startswith("dseval: error: ") and err.count("\n") == 1), err
+
     @pytest.mark.parametrize("kind", ["logits", "features"])
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_unreadable_vector_file(self, vector_files, capsys, kind, damage):
@@ -671,11 +692,15 @@ class TestScoreCommand:
             assert row.scores["energy"] == energy(rec.logits, 2.0)
 
 
-def test_console_entry_point(tmp_path):
-    out = tmp_path / "scores.csv"
-    # the child imports the same dseval as this process, installed or not
+def _child_env():
+    """The environment of a child that imports the same dseval as this process, installed or not."""
     package_root = str(Path(dseval.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point(tmp_path):
+    out = tmp_path / "scores.csv"
     proc = subprocess.run(
         [
             sys.executable,
@@ -688,10 +713,23 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_cli_does_not_import_the_oracles():
+    """The oracles are the tests' reference; the CLI loads neither them nor their exact types."""
+    probe = (
+        "import sys, dseval.cli; "
+        "print('dseval.oracle' in sys.modules, 'fractions' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 _FAR = config_to_dict(far_ood_config(10, 10))
@@ -713,9 +751,9 @@ def test_eval_at_huge_magnitudes(tmp_path):
     )
     out = tmp_path / "report.json"
     args = ["eval", "--scores", scores, "--id-channel", "s_id", "--ood-channel", "s_ood"]
-    assert run([*args, "--oracle", "--surface", tmp_path / "surface.csv", "--out", out]) == 0
+    assert run([*args, "--surface", tmp_path / "surface.csv", "--out", out]) == 0
+    oracle_check(scores)
     report = read_json(out)
-    assert report["oracle_check"]["max_abs_diff"] == 0.0
     assert report["double"]["ds_f1"]["raw"] == pytest.approx(0.8)
 
 
@@ -737,6 +775,15 @@ def test_eval_at_huge_magnitudes(tmp_path):
         (["synth", "--n-ood", 10_000_000], None, 1, "InvalidConfig"),
         (["synth", "--preset", "custom"], json.dumps({**_FAR, "n_id": 10**11}), 1,
          "InvalidConfig"),
+        (["synth", "--preset", "custom"], json.dumps({**_FAR, "seed": 1.9}), 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"], json.dumps({**_FAR, "n_id": True}), 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"],
+         json.dumps({**_FAR, "correct": {**_FAR["correct"], "mean_s_id": "nan"}}), 1,
+         "InvalidConfig"),
+        (["synth", "--preset", "custom"],
+         json.dumps({**_FAR, "correct": {**_FAR["correct"], "mean_s_id": 1e308,
+                                           "std_s_id": 1e308}}),
+         1, "InvalidConfig"),
     ],
 )
 def test_bad_flags_give_one_line(tmp_path, capsys, fixture_csv, argv, config, code, kind):
@@ -904,12 +951,6 @@ class TestSweepCount:
         assert run([*args, "--surface", tmp_path / "s.csv", "--out", tmp_path / "r.json"]) == 0
         assert len(sweeps["_sweep"]) == 1
         assert len(sweeps["ds_sweep_fast"]) == 1
-
-    def test_eval_oracle_sweeps_the_exhaustive_grid_once(self, sweeps, fixture_csv, tmp_path):
-        args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
-        assert run([*args, "--oracle", "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps["_sweep"]) == 2
-        assert len(sweeps["ds_sweep_fast"]) == 0
 
     def test_select_sweeps_val_and_test_once_each(self, sweeps, fixture_csv, tmp_path):
         args = ["select", "--val", fixture_csv, "--test", fixture_csv]

@@ -35,7 +35,7 @@ from conftest import make_random_set
 
 class TestQuantileGrid:
     def test_quartiles_nearest_rank(self):
-        grid = quantile_grid(np.arange(1, 101, dtype=float), 4, include_sentinel=False)
+        grid = quantile_grid(np.arange(1, 101, dtype=float), 4)[1:]
         assert grid.tolist() == [25.0, 50.0, 75.0, 100.0]
 
     def test_all_equal_scores(self):
@@ -44,7 +44,7 @@ class TestQuantileGrid:
 
     def test_dense_grid_covers_all_values(self):
         scores = [3.0, 1.0, 2.0]
-        grid = quantile_grid(scores, 64, include_sentinel=False)
+        grid = quantile_grid(scores, 64)[1:]
         assert grid.tolist() == [1.0, 2.0, 3.0]
 
     def test_empty_scores(self):
@@ -147,17 +147,20 @@ class TestDsF1:
     def test_surface_on_request_only(self, fixture_set):
         grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
         assert ds_f1(fixture_set, "s_id", "s_ood", grid).surface is None
-        surf = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
+        surf = ds_metrics(fixture_set, "s_id", "s_ood", grid, return_surface=True)[0].surface
         assert surf.f1.shape == (len(grid.id_thresholds), len(grid.ood_thresholds))
 
     def test_aurc_surface_on_request_only(self, fixture_set):
         grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
         assert ds_aurc(fixture_set, "s_id", "s_ood", grid).surface is None
         plain = ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=7)
-        with_surface = ds_aurc(fixture_set, "s_id", "s_ood", grid, k_bins=7, return_surface=True)
+        f1, with_surface = ds_metrics(
+            fixture_set, "s_id", "s_ood", grid, k_bins=7, return_surface=True
+        )
         assert with_surface.value == plain.value
-        surf = with_surface.surface
-        f1_surface = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
+        assert with_surface.surface is None  # the surface rides on the F1 result
+        surf = f1.surface
+        f1_surface = ds_metrics(fixture_set, "s_id", "s_ood", grid, return_surface=True)[0].surface
         assert np.array_equal(surf.f1, f1_surface.f1)
 
 
@@ -167,7 +170,7 @@ class TestSweepCoverageRisk:
             id_thresholds=np.array([-0.4, 0.75, 2.0]),
             ood_thresholds=np.array([-0.95, 0.5]),
         )
-        surface = ds_f1(fixture_set, "s_id", "s_ood", grid, return_surface=True).surface
+        surface = ds_metrics(fixture_set, "s_id", "s_ood", grid, return_surface=True)[0].surface
         assert surface.coverage.shape == surface.risk.shape == (3, 2)
         # (tau_id, tau_ood) = (-0.4, -0.95): the sentinel pair
         assert surface.coverage[0, 0] == 1.0
@@ -313,13 +316,14 @@ def _sweep_cases(draw):
         {"a": a, "b": b},
     )
     shape = draw(st.sampled_from(["exhaustive", "quantile", "one", "free"]))
-    sentinel = draw(st.booleans())
+    start = 0 if draw(st.booleans()) else 1  # 1 drops the sentinels
     if shape == "exhaustive":
-        return es, ThresholdGrid.exhaustive(es, "a", "b", sentinel)
+        built = ThresholdGrid.exhaustive(es, "a", "b")
+        return es, ThresholdGrid(built.id_thresholds[start:], built.ood_thresholds[start:])
     if shape == "quantile":  # skinny either way round
         t_id, t_ood = draw(st.integers(1, 30)), draw(st.integers(1, 30))
         return es, ThresholdGrid(
-            quantile_grid(a, t_id, sentinel), quantile_grid(b, t_ood, sentinel)
+            quantile_grid(a, t_id)[start:], quantile_grid(b, t_ood)[start:]
         )
     if shape == "one":  # one threshold on the ID axis, and maybe on the OOD axis
         one = np.array([draw(st.sampled_from(a.tolist()))])
@@ -435,12 +439,12 @@ def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
 
 
 def test_no_lines_without_an_accept_all_threshold(fixture_set):
-    grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood", include_sentinel=False)
-    grid = ThresholdGrid(grid.id_thresholds[1:], grid.ood_thresholds[1:])
+    built = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
+    grid = ThresholdGrid(built.id_thresholds[2:], built.ood_thresholds[2:])
     f1, aurc_result = ds_metrics(fixture_set, "s_id", "s_ood", grid, 4)
     assert f1.id_only is f1.ood_only is aurc_result.id_only is aurc_result.ood_only is None
     # the data, not how the grid was built, decides: a grid's minimum accepts all
-    full = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood", include_sentinel=False)
+    full = ThresholdGrid(built.id_thresholds[1:], built.ood_thresholds[1:])
     assert ds_f1(fixture_set, "s_id", "s_ood", full).id_only.value == pytest.approx(2 / 3)
 
 

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dseval import EvalSet, MixedSchema, Origin, SampleRecord, ThresholdGrid, build_eval_set, ds_f1
+from dseval import (
+    EvalSet, MixedSchema, Origin, SampleRecord, ThresholdGrid, build_eval_set, ds_metrics,
+)
 from dseval import ingest
 from dseval.core import DsevalError
 from dseval.cli import main
@@ -19,7 +21,6 @@ from dseval.ingest import (
     METRIC_SCALE,
     EmptyIdPopulation,
     IoError,
-    MetricReport,
     ParseError,
     SchemaError,
     load_features,
@@ -632,18 +633,16 @@ class TestReports:
         assert f"{entry['display']:.2f}" == "202.38"
 
     def test_json_round_trip_identity(self, tmp_path):
-        report = MetricReport(
-            {
-                "dataset": {"n_id": 3, "n_ood": 2, "id_accuracy": scaled(2 / 3)},
-                "single": {"s_id": {"f1": scaled(2 / 3), "aurc": scaled(0.1, 1000.0)}},
-                "double": {
-                    "id_channel": "s_id",
-                    "ood_channel": "s_ood",
-                    "ds_f1": scaled(0.8),
-                    "ds_aurc": scaled(0.05, 1000.0),
-                },
-            }
-        )
+        report = {
+            "dataset": {"n_id": 3, "n_ood": 2, "id_accuracy": scaled(2 / 3)},
+            "single": {"s_id": {"f1": scaled(2 / 3), "aurc": scaled(0.1, 1000.0)}},
+            "double": {
+                "id_channel": "s_id",
+                "ood_channel": "s_ood",
+                "ds_f1": scaled(0.8),
+                "ds_aurc": scaled(0.05, 1000.0),
+            },
+        }
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"
         write_report(report, first)
@@ -663,29 +662,23 @@ class TestReports:
             load_report(path)
 
     def test_markdown_layout(self, tmp_path):
-        report = MetricReport(
-            {
-                "dataset": {"n_id": 3, "n_ood": 2, "id_accuracy": scaled(2 / 3)},
-                "single": {
-                    "s_id": {"f1": scaled(0.6742), "aurc": scaled(0.20238, 1000.0)}
-                },
-                "double": {
-                    "id_channel": "s_id",
-                    "ood_channel": "s_ood",
-                    "ds_f1": scaled(0.8),
-                    "ds_aurc": scaled(0.19708, 1000.0),
-                },
-            }
-        )
+        report = {
+            "dataset": {"n_id": 3, "n_ood": 2, "id_accuracy": scaled(2 / 3)},
+            "single": {
+                "s_id": {"f1": scaled(0.6742), "aurc": scaled(0.20238, 1000.0)}
+            },
+            "double": {
+                "id_channel": "s_id",
+                "ood_channel": "s_ood",
+                "ds_f1": scaled(0.8),
+                "ds_aurc": scaled(0.19708, 1000.0),
+            },
+        }
         path = tmp_path / "report.md"
-        write_report(report, path, format="markdown")
+        write_report(report, path)
         text = path.read_text()
         assert "| s_id | 67.42 | 202.38 | - | - |" in text
         assert "| s_ood + s_id | - | - | 80.00 | 197.08 |" in text
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_report(MetricReport({}), tmp_path / "x", format="yaml")
 
 
 class TestCurveExport:
@@ -695,7 +688,7 @@ class TestCurveExport:
             id_thresholds=np.array([-0.4, 0.75]),
             ood_thresholds=np.array([-0.95, 0.5]),
         )
-        surface = ds_f1(es, "s_id", "s_ood", grid, return_surface=True).surface
+        surface = ds_metrics(es, "s_id", "s_ood", grid, return_surface=True)[0].surface
         path = tmp_path / "surface.csv"
         write_curve(surface, path)
         lines = path.read_text().splitlines()
@@ -759,7 +752,7 @@ class TestCurveExport:
             {"a": rng.normal(size=n), "b": rng.normal(size=n)},
         )
         grid = ThresholdGrid.quantile(es, "a", "b", t_grid=256)
-        surface = ds_f1(es, "a", "b", grid, return_surface=True).surface
+        surface = ds_metrics(es, "a", "b", grid, return_surface=True)[0].surface
         cells = surface.coverage.size
         assert cells == 257 * 257
         path = tmp_path / "surface.csv"

@@ -94,7 +94,7 @@ def test_test_opt_dominates_transfer():
 
 def test_grid_without_single_lines_is_refused(fixture_set):
     # the first threshold on each axis rejects the lowest sample
-    grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood", include_sentinel=False)
-    grid = ThresholdGrid(grid.id_thresholds[1:], grid.ood_thresholds[1:])
+    built = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
+    grid = ThresholdGrid(built.id_thresholds[2:], built.ood_thresholds[2:])
     with pytest.raises(ValueError, match="single modes"):
         select_thresholds(fixture_set, "s_id", "s_ood", grid)
