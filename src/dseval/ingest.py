@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat, starmap
@@ -21,6 +20,7 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+import orjson
 
 from .core import DsevalError, EvalSet
 
@@ -124,58 +124,73 @@ def _csv_rows(fh):
 
 
 # Characters of text split per chunk of plain rows (a ``readlines`` hint).
-# Small chunks keep few rows' text alive at once; the numbers of all chunks
-# go through one call of numpy's C reader, so a chunk costs little.
+# Small chunks keep few rows' text and Python floats alive at once; each
+# chunk's numbers are one orjson call and one copy into the output array.
 _PLAIN_CHUNK = 1 << 12
+
+# orjson reads three JSON texts otherwise than float(): the integer -0 as
+# int 0, and true and false, which become 1.0 and 0.0 in a float array. A
+# chunk whose rests hold the letter t or f, or a -0 that ends as an integer
+# does (at a comma, a bracket or white space), goes to the CSV reader's
+# pass. null becomes nan, which sends the file there as any non-finite
+# number does.
+_JSON_INTEGER_MINUS_ZERO = ("-0,", "-0]", "-0 ", "-0\t", "-0\r", "-0\n")
 
 
 def _read_plain(fh, k: int, take) -> np.ndarray | None:
     """The numbers of the rows left in ``fh`` as one N x k matrix, or None
     where the CSV reader's pass must decide instead: a row is not plain,
-    ``take`` rejects it, a cell is not a number numpy reads as float() does,
-    or a row is blank or holds other than k numbers. A number that is not
-    finite is returned as read; ``_read_matrix`` sends that file to the CSV
-    reader's pass as well, which names the row.
+    ``take`` rejects it, a cell is not a number orjson reads as float()
+    does, or a row is blank or holds other than k numbers. A number that is
+    not finite is returned as read; ``_read_matrix`` sends that file to the
+    CSV reader's pass as well, which names the row.
 
-    A row is plain when it holds no quote, no NUL (Python 3.10's CSV reader
-    rejects it) and none of U+001C-U+001F (numpy strips those from around a
-    number and float() does not), and its line is no longer than the CSV
-    reader's field limit; its cells are then exactly its line split at
-    commas. The lines are read a chunk at a time. Python splits each line
-    into its first three cells and the rest, and hands the chunk's split
-    rows to ``take``, which checks and records their first three cells,
+    A row is plain when it holds no quote and no NUL (Python 3.10's CSV
+    reader rejects it), and its line is no longer than the CSV reader's
+    field limit; its cells are then exactly its line split at commas. The
+    lines are read a chunk at a time. Python splits each line into its
+    first three cells and the rest, and hands the chunk's split rows to
+    ``take``, which checks and records their first three cells,
     raising ValueError, KeyError, IndexError or a DsevalError at a row it
-    rejects. One call of numpy's C reader parses the rests as the chunks
-    yield them and grows its one output array in place, so no list of
-    blocks holds the numbers a second time.
+    rejects. The chunk's rests are parsed as one JSON array of rows by
+    orjson, whose numbers are float()'s bit for bit; JSON rejects NaN,
+    Infinity, a number that overflows, a leading zero or plus sign, a bare
+    point and any character float() reads that JSON does not. Each block is
+    copied into one output array grown in place and trimmed at the end, so
+    no list of blocks holds the numbers a second time.
     """
     limit = csv.field_size_limit()
+    matrix = np.empty((0, k))
     n = 0
-
-    def rests():
-        nonlocal n
-        while lines := fh.readlines(_PLAIN_CHUNK):
-            text = "".join(lines)
-            if any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or (
-                len(text) > limit and max(map(len, lines)) > limit
-            ):
-                raise ValueError("a row is not plain")
-            # a rest keeps its line's terminator, which the C reader takes as
-            # the end of its line; a row of fewer than four cells has no rest
-            rows = [line.split(",", 3) for line in lines]
+    while lines := fh.readlines(_PLAIN_CHUNK):
+        text = "".join(lines)
+        if '"' in text or "\0" in text or (
+            len(text) > limit and max(map(len, lines)) > limit
+        ):
+            return None
+        # a rest keeps its line's terminator, which JSON takes as white
+        # space; a row of fewer than four cells has no rest
+        rows = [line.split(",", 3) for line in lines]
+        try:
             take(rows)
-            n += len(rows)
-            yield from map(itemgetter(3), rows)
-
-    try:
-        with warnings.catch_warnings():
-            # on a file of blank rests only; the shape check below rejects it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            matrix = np.loadtxt(rests(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    except (ValueError, KeyError, IndexError, DsevalError):
-        return None
-    # loadtxt skips a blank line, so a blank rest shows as a short matrix
-    return matrix if matrix.shape == (n, k) else None
+            doc = "[[" + "],[".join(map(itemgetter(3), rows)) + "]]"
+            if "t" in doc or "f" in doc or any(z in doc for z in _JSON_INTEGER_MINUS_ZERO):
+                return None
+            # a cell that is a JSON array or object fails here or below
+            block = np.array(orjson.loads(doc), np.float64)
+        except (ValueError, TypeError, KeyError, IndexError, DsevalError):
+            return None
+        # a blank rest is an empty row, a ragged one fails np.array above
+        if block.shape != (len(rows), k):
+            return None
+        if n + len(rows) > len(matrix):
+            # by an eighth at least: growing by each small block reallocates
+            # the matrix hundreds of times and leaves the heap fragmented
+            matrix.resize((max(n + len(rows), len(matrix) * 9 // 8), k), refcheck=False)
+        matrix[n : n + len(rows)] = block
+        n += len(rows)
+    matrix.resize((n, k), refcheck=False)
+    return matrix
 
 
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
@@ -190,8 +205,10 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
-# Rows joined into one string per write: a chunk of ~60-byte rows is tens of
-# kilobytes, and the per-call cost of the text layer is spread over them.
+# Rows of a four-field file joined into one string per write, and numbers
+# per orjson call: a chunk of ~60-byte rows is tens of kilobytes, and the
+# per-call cost of the text layer is spread over them. Files of more fields
+# take fewer rows per write, so a chunk of 64-d vector rows is not megabytes.
 _CHUNK_ROWS = 1024
 
 
@@ -200,11 +217,13 @@ def _write_csv(path, header: list[str], columns: list[Iterable[str]]) -> None:
     bytes csv.writer would write. A column yields cells ready to write
     (free text goes through ``_csv_cells``); one cell may hold several
     fields already joined by commas. Rows are joined and written a chunk
-    of ``_CHUNK_ROWS`` at a time, so no more than a chunk of text is held."""
+    of about ``4 * _CHUNK_ROWS`` fields at a time, so no more than a chunk
+    of text is held."""
     rows = map(",".join, zip(*columns))
+    step = max(1, 4 * _CHUNK_ROWS // len(header))
     with _open_write(path) as fh:
         fh.write(",".join(_csv_cells(header)) + "\r\n")
-        while chunk := list(islice(rows, _CHUNK_ROWS)):
+        while chunk := list(islice(rows, step)):
             chunk.append("")  # ends the last row
             fh.write("\r\n".join(chunk))
 
@@ -217,6 +236,41 @@ def _lazy(column: np.ndarray) -> Iterator:
     )
 
 
+def _chunks(n: int, width: int = 1) -> Iterator[slice]:
+    """Slices that cover ``n`` entries, or ``n`` rows of ``width`` numbers,
+    each of about ``_CHUNK_ROWS`` numbers and a row at least, so that a
+    chunk of wide rows holds few Python floats."""
+    step = max(1, _CHUNK_ROWS // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, n, step))
+
+
+def _float_text(blocks: Iterable[np.ndarray]) -> Iterator[str]:
+    """The ``repr`` of each float of each 1-d float64 block, or of each row
+    of each 2-d one with its cells joined by commas, formatted by one
+    orjson call per block.
+
+    orjson writes repr's shortest round-trip digits, and repr's text too
+    wherever 1e-4 <= |x| < 1e16 or x is zero. Elsewhere it writes another
+    exponent form (1e16, 0.00001) or null (nan, +-inf), so those cells, or
+    the rows that hold one, are formatted by repr instead.
+    """
+    for block in blocks:
+        items = block.tolist()  # orjson takes no numpy scalars or strided rows
+        text = orjson.dumps(items).decode()
+        magnitude = np.abs(block)
+        # a comparison with nan is False, so nan lands here too
+        odd = (block != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
+        if block.ndim == 1:
+            cells = text[1:-1].split(",")
+            for i in np.flatnonzero(odd).tolist():
+                cells[i] = repr(items[i])
+        else:
+            cells = text[2:-2].split("],[")
+            for i in np.flatnonzero(odd.any(axis=1)).tolist():
+                cells[i] = ",".join(map(repr, items[i]))
+        yield from cells
+
+
 def _run_reprs(column: np.ndarray) -> Iterator[str]:
     """The ``repr`` of each float of a sorted 1-d column, formatted once per
     run of equal values and repeated lazily. Runs split where the bits
@@ -227,7 +281,8 @@ def _run_reprs(column: np.ndarray) -> Iterator[str]:
     new_run[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
     starts = np.flatnonzero(new_run)
-    runs = zip(map(repr, column[starts].tolist()), np.diff(starts, append=bits.size).tolist())
+    reprs = _float_text(column[starts[at]] for at in _chunks(starts.size))
+    runs = zip(reprs, np.diff(starts, append=bits.size).tolist())
     return chain.from_iterable(starmap(repeat, runs))
 
 
@@ -344,13 +399,15 @@ _SCORES_FLAG_CELLS = np.array(["ood,", "id,0", "id,1"], dtype=object)
 def write_scores(eval_set: EvalSet, path) -> None:
     """Serialize an evaluation set back to the scores CSV format."""
     flags = _SCORES_FLAG_CELLS[eval_set.is_id + eval_set.id_correct.astype(np.intp)]
-    # _lazy yields Python floats, whose repr is the shortest round trip
-    scores = [map(repr, _lazy(eval_set.channel(ch))) for ch in eval_set.channel_names]
-    _write_csv(
-        path,
-        _SCORES_PREFIX + list(eval_set.channel_names),
-        [_csv_cells(eval_set.sample_ids.tolist()), flags.tolist(), *scores],
-    )
+    cells = [_csv_cells(eval_set.sample_ids.tolist()), flags.tolist()]
+    columns = [eval_set.channel(ch) for ch in eval_set.channel_names]
+    if columns:
+        # the channels of a chunk of rows are stacked and formatted as whole rows
+        cells.append(_float_text(
+            np.column_stack([c[at] for c in columns])
+            for at in _chunks(eval_set.n_total, len(columns))
+        ))
+    _write_csv(path, _SCORES_PREFIX + list(eval_set.channel_names), cells)
 
 
 @dataclass(frozen=True)
@@ -429,21 +486,16 @@ def load_features(path) -> VectorColumns:
 def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> None:
     """Serialize logit/feature records (mainly for fixtures and round trips)."""
     vectors = [r.logits if isinstance(r, LogitRecord) else r.features for r in records]
-    # domain, label and vector joined per row: no table of every cell's text
-    rows = (
-        ",".join(
-            [
-                r.origin.value,
-                "" if r.label is None else str(r.label),
-                *map(repr, np.asarray(vec, np.float64).tolist()),
-            ]
-        )
-        for r, vec in zip(records, vectors)
-    )
+    width = len(vectors[0])
+    if any(len(v) != width for v in vectors):
+        raise ValueError("the records' vectors differ in length")
+    flags = (f"{r.origin.value},{'' if r.label is None else r.label}" for r in records)
+    # stacked a chunk at a time: no second matrix of every vector is held
+    rows = _float_text(np.array(vectors[at], np.float64) for at in _chunks(len(vectors), width))
     _write_csv(
         path,
-        _VECTOR_PREFIX + [f"v{i}" for i in range(len(vectors[0]))],
-        [_csv_cells([r.sample_id for r in records]), rows],
+        _VECTOR_PREFIX + [f"v{i}" for i in range(width)],
+        [_csv_cells([r.sample_id for r in records]), flags, rows],
     )
 
 
@@ -555,12 +607,16 @@ def write_curve(surface: PairSurface, path) -> None:
     order = np.lexsort((surface.risk.ravel(), surface.coverage.ravel()))
     i, j = np.divmod(order, surface.ood_thresholds.size)
     # each threshold is formatted once and picked per row
-    taus = [
-        _lazy(np.array(list(map(repr, axis.tolist())), dtype=object)[at])
-        for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j))
-    ]
-    del i, j
+    taus = []
+    for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j)):
+        cells = np.array(list(_float_text(axis[s] for s in _chunks(axis.size))), dtype=object)
+        taus.append(_lazy(cells[at]))
+    del i, j, at
     # coverage is sorted, and takes at most n_id + 1 values
     values = [_run_reprs(surface.coverage.ravel()[order])]
-    values += [map(repr, _lazy(col.ravel()[order])) for col in (surface.risk, surface.f1)]
+    # risk and f1 are picked a chunk of rows at a time and formatted as pairs
+    values.append(_float_text(
+        np.column_stack([surface.risk.ravel()[order[at]], surface.f1.ravel()[order[at]]])
+        for at in _chunks(order.size, 2)
+    ))
     _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [*taus, *values])

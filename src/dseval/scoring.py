@@ -380,8 +380,16 @@ def fit_vim_alpha(logits, features, basis: PrincipalBasis) -> float:
 def _vim_alpha(logits, residual_norms: np.ndarray) -> float:
     """fit_vim_alpha() given the fit features' residual norms."""
     logits = np.asarray(logits, dtype=np.float64)
-    mean_logit = float(logits.max(axis=1).mean())
-    mean_residual = float(np.mean(residual_norms))
+    # a sum of huge finite values overflows; the checks below name it
+    with np.errstate(over="ignore"):
+        mean_logit = float(logits.max(axis=1).mean())
+        mean_residual = float(np.mean(residual_norms))
+    if not np.isfinite(mean_residual):
+        raise OutOfRange(
+            f"the mean residual norm of the fit features is {mean_residual}: they overflow"
+        )
+    if not np.isfinite(mean_logit):
+        raise OutOfRange(f"the mean max-logit of the fit logits is {mean_logit}: they overflow")
     if mean_residual <= 0.0:
         raise RankDeficient(
             "fit features lie inside the principal subspace; residual scale is zero"
@@ -449,11 +457,12 @@ def _block_rows(n_rows: int, row_floats: int) -> int:
     return max(1, min(n_rows, BLOCK_BYTES // (8 * row_floats)))
 
 
-def _finite_rows(out: np.ndarray, what: str) -> np.ndarray:
-    """``out``, or OutOfRange with ``row`` set at its first value that is not finite."""
+def _finite_rows(out: np.ndarray, what: str, why: str | None = None) -> np.ndarray:
+    """``out``, or OutOfRange with ``row`` set at its first value that is not
+    finite; the message gives that value, or ``why`` where one is given."""
     bad = np.flatnonzero(~np.isfinite(out))
     if bad.size:
-        exc = OutOfRange(f"{what} is {out[bad[0]]}")
+        exc = OutOfRange(why or f"{what} is {out[bad[0]]}")
         exc.row = int(bad[0])
         raise exc
     return out
@@ -555,7 +564,9 @@ def _mahalanobis_rows(x: np.ndarray, stats: GaussianStats) -> np.ndarray:
             best = np.full(n, np.inf)
             np.minimum.at(best, row, np.einsum("ij,jk,ik->i", d, cov_inv, d))
             out[lo : lo + n] = -best
-    return _finite_rows(out, "the Mahalanobis score")
+    # finite features and inverse covariance give a distance that is not
+    # finite only by overflow, and the sum of overflowed products may be nan
+    return _finite_rows(out, "the Mahalanobis score", "the Mahalanobis distance overflows")
 
 
 def _knn_sample(size: int, k: int) -> slice:

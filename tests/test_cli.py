@@ -624,6 +624,37 @@ class TestScoreCommand:
         err = capsys.readouterr().err
         assert err == "" or (err.startswith("dseval: error: ") and err.count("\n") == 1), err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "scaled, method, message",
+        [
+            # the fit rows' residual norms overflow, which alpha alone would not say
+            ("fit", "vim", "OutOfRange: the mean residual norm of the fit features is inf: "
+                           "they overflow"),
+            # the overflowed products of the distance sum to nan
+            ("eval", "mds", "OutOfRange: method 'mds' failed on sample 'ev0': "
+                            "the Mahalanobis distance overflows"),
+        ],
+    )
+    def test_overflow_at_1e200_is_named(
+        self, vector_files, capsys, tmp_path, scaled, method, message
+    ):
+        paths, _, features, fit_features = vector_files
+        records = fit_features if scaled == "fit" else features
+        write_vector_file(
+            [FeatureRecord(r.sample_id, r.origin, r.label, 1e200 * r.features) for r in records],
+            tmp_path / "huge.csv",
+        )
+        key = "fit_features" if scaled == "fit" else "features"
+        argv = [
+            "score", "--logits", paths["logits"], "--features", paths["features"],
+            "--fit", paths["fit_logits"], "--fit", paths["fit_features"],
+            "--method", method, "--out", tmp_path / "out.csv",
+        ]
+        argv[argv.index(paths[key])] = tmp_path / "huge.csv"
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"dseval: error: {message}\n"
+
     @pytest.mark.parametrize("kind", ["logits", "features"])
     @pytest.mark.parametrize("damage", sorted(_DAMAGE))
     def test_unreadable_vector_file(self, vector_files, capsys, kind, damage):
@@ -825,8 +856,9 @@ def test_unreadable_scores_file(fixture_csv, tmp_path, capsys, damage):
     ],
 )
 def test_blank_rows_and_empty_cells_give_one_line(tmp_path, capsys, name, text, message):
-    # an empty cell or a blank line may reach numpy's loadtxt, whose warning
-    # on a chunk with no numbers must not show: here it would be an error
+    # an empty cell or a blank line may reach the bulk reader's JSON parse,
+    # which must hand the file to the CSV pass without a warning: here it
+    # would be an error
     path = tmp_path / name
     path.write_text(text, newline="")
     if name == "scores.csv":

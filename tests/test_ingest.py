@@ -273,11 +273,14 @@ def test_byte_order_mark_keeps_row_numbers(tmp_path, kind):
 _MUTATIONS = ["quoted", "odd number", "odd text", "bad flags", "line ends", "blank line",
               "bom", "cell count", "field limit"]
 _ODD_NUMBERS = [
-    # float() reads these and numpy's C reader does not, or the other way round
-    "1_0", "\u0661", "\x1c5", "6\x1f", "\x1d7", "\x1e8",
-    # both read these, or neither does
-    " 1.5", "2.5 ", "\t3", "\x0c4", "\u30007", "\xa08", "nan", "-inf", "1e400", "1e-400",
-    "", " ", "0x1p3", "1d5", "\ufeff9",
+    # float() reads these and JSON does not
+    "1_0", "\u0661", "\x1c5", "6\x1f", "\x1d7", "\x1e8", "\x0c4", "\u30007", "\xa08", "nan",
+    "-inf", "1e400", "NaN", "Infinity", "-Infinity", "01.5", ".5", "5.", "+1",
+    # JSON reads these otherwise than float() (int 0, 1.0, 0.0, nan), or float() does not
+    "-0", "true", "false", "null", "[1]", "{}",
+    # both read these alike, or neither reads them
+    " 1.5", "2.5 ", "\t3", "1e-400", "0", "7", "9007199254740993", "1" + "0" * 29, "1E5",
+    "1e+5", "-0.0", "-0e0", "1e-0", "", " ", "0x1p3", "1d5", "\ufeff9", "[", "]",
 ]
 
 
@@ -378,6 +381,23 @@ def test_bulk_reader_matches_the_csv_pass(tmp_path_factory, kind, data):
         assert taken == [True]
 
 
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize("token", _ODD_NUMBERS)
+def test_odd_number_gives_what_the_csv_pass_gives(tmp_path, kind, token):
+    # alone in a middle cell, at the end of a line or at the end of the
+    # file, where the JSON text around it differs
+    loader, header = _LOADERS[kind]
+    path = tmp_path / "data.csv"
+    for rows in [f"a,id,1,{token},0.5\r\nb,ood,,0.25,0.5\r\n",
+                 f"a,id,1,0.5,{token}\r\nb,ood,,0.25,0.5\r\n",
+                 f"a,id,1,0.5,0.5\r\nb,ood,,0.25,{token}"]:
+        path.write_bytes((header + rows).encode())
+        got = _outcome(loader, path)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_read_plain", lambda *args: None)
+            assert got == _outcome(loader, path), rows
+
+
 def test_load_scores_peak_memory(tmp_path):
     # No table of cell text is held. The base counts the str objects of the
     # ids as well as the columns, 0.52 + 1.17 MB; the tracemalloc peak is
@@ -400,10 +420,10 @@ def test_load_scores_peak_memory(tmp_path):
 
 
 def test_load_features_peak_memory(tmp_path):
-    # One loadtxt call grows its output in place: the tracemalloc peak is
-    # about 1.37x the 2.56 MB of the 5000 x 64 matrix (np.fromiter over every
-    # cell reached 1.57x). Parsing chunks into a list of blocks and joining
-    # them holds the numbers twice, about 2x.
+    # Each chunk's block is copied into one output array grown in place: the
+    # tracemalloc peak is about 1.29x the 2.56 MB of the 5000 x 64 matrix
+    # (np.fromiter over every cell reached 1.57x). Parsing chunks into a list
+    # of blocks and joining them holds the numbers twice, about 2.2x.
     rng = np.random.default_rng(5)
     records = [
         FeatureRecord(f"s{i:05d}", Origin.ID if i % 2 else Origin.OOD, i % 10 if i % 2 else None,
@@ -421,6 +441,57 @@ def test_load_features_peak_memory(tmp_path):
         tracemalloc.stop()
     assert matrix.shape == (5000, 64)
     assert peak <= 1.5 * matrix.nbytes, (peak, matrix.nbytes)
+
+
+# 200 floats either side of each edge of the range where orjson writes
+# repr's text, both signs, and the values it writes otherwise or not at all
+_FORMAT_EDGES = np.concatenate(
+    [sign * (np.array([edge]).view(np.int64) + np.arange(-200, 201)).view(np.float64)
+     for edge in (1e-4, 1e16) for sign in (1.0, -1.0)]
+    + [[0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, np.nan, np.inf, -np.inf, 1e15,
+        2.0**53, 0.1]]
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    values=st.lists(st.floats() | st.sampled_from(_FORMAT_EDGES.tolist()), max_size=24),
+    width=st.integers(1, 4),
+    chunk=st.sampled_from([1, 3, ingest._CHUNK_ROWS]),
+)
+def test_float_text_is_repr(values, width, chunk):
+    # nan, +-inf, +-0.0, subnormals and the edges, in columns and in rows,
+    # across chunk boundaries
+    column = np.array(values, np.float64)
+    matrix = column[: column.size // width * width].reshape(-1, width)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_CHUNK_ROWS", chunk)
+        cells = ingest._float_text(column[at] for at in ingest._chunks(column.size))
+        assert list(cells) == list(map(repr, values))
+        rows = ingest._float_text(matrix[at] for at in ingest._chunks(len(matrix), width))
+        assert list(rows) == [",".join(map(repr, row)) for row in matrix.tolist()]
+        # a strided column, as a matrix's transposed rows are
+        cells = ingest._float_text(matrix.T[0][at] for at in ingest._chunks(len(matrix)))
+        assert list(cells) == list(map(repr, matrix[:, 0].tolist()))
+
+
+def test_write_vector_file_matches_per_row_repr(tmp_path, monkeypatch):
+    # every edge value, in rows of 4 written 7 at a time
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)
+    vectors = _FORMAT_EDGES[: _FORMAT_EDGES.size // 4 * 4].reshape(-1, 4)
+    records = [
+        FeatureRecord(f"s{i}", Origin.ID if i % 3 else Origin.OOD, i % 5 if i % 3 else None, v)
+        for i, v in enumerate(vectors)
+    ]
+    write_vector_file(records, tmp_path / "ours.csv")
+    # the writer this replaced: one repr per cell, joined per row
+    lines = ["sample_id,domain,label,v0,v1,v2,v3"] + [
+        ",".join([r.sample_id, r.origin.value, "" if r.label is None else str(r.label),
+                  *map(repr, r.features.tolist())])
+        for r in records
+    ]
+    reference = "".join(line + "\r\n" for line in lines)
+    assert (tmp_path / "ours.csv").read_bytes() == reference.encode()
 
 
 def test_zero_channel_set_writes_its_rows(tmp_path):
@@ -566,6 +637,15 @@ class TestVectorFiles:
             path.write_text("sample_id,domain,label,v0,v1,v2\n")
             loaded = load_features(path)
             assert loaded.matrix.shape == (0, 3) and loaded.sample_ids.size == 0
+
+    def test_vectors_of_other_lengths_rejected(self, tmp_path):
+        # in one chunk of rows or in two, as the header holds one width
+        for at in (1, 200):
+            vectors = [np.zeros(3)] * 300
+            vectors[at] = np.zeros(2)
+            records = [FeatureRecord(f"s{i}", Origin.OOD, None, v) for i, v in enumerate(vectors)]
+            with pytest.raises(ValueError, match="vectors differ in length"):
+                write_vector_file(records, tmp_path / "features.csv")
 
     def test_label_on_ood_rejected(self, tmp_path):
         path = tmp_path / "logits.csv"
