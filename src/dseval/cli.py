@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -282,10 +283,7 @@ def _cmd_eval(args) -> int:
             "id_channel": args.id_channel,
             "ood_channel": args.ood_channel,
             "ds_f1": scaled(f1_result.value, METRIC_SCALE),
-            "best_pair": {
-                "tau_id": f1_result.best_pair.tau_id,
-                "tau_ood": f1_result.best_pair.tau_ood,
-            },
+            "best_pair": asdict(f1_result.best_pair),
             "ds_aurc": scaled(aurc_result.value, AURC_SCALE),
         },
         "config": {
@@ -334,21 +332,11 @@ def _cmd_select(args) -> int:
             test_set, args.id_channel, args.ood_channel, picked.frozen
         )
         modes[mode.value] = {
-            "frozen": {
-                "tau_id": picked.frozen.tau_id,
-                "tau_ood": picked.frozen.tau_ood,
-            },
+            "frozen": asdict(picked.frozen),
             "val_f1": scaled(picked.val_f1, METRIC_SCALE),
             "test_f1_transfer": scaled(transfer_f1, METRIC_SCALE),
             "test_f1_opt": scaled(opt[mode].test_f1, METRIC_SCALE),
-            "test_counts": {
-                "ta": counts.ta,
-                "fa": counts.fa,
-                "fr": counts.fr,
-                "accepted_total": counts.accepted_total,
-                "accepted_id": counts.accepted_id,
-                "accepted_ood": counts.accepted_ood,
-            },
+            "test_counts": asdict(counts),
         }
     report = {
         "tool": _tool_block(),

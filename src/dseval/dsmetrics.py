@@ -13,8 +13,9 @@ O(N log N + T_id * T_ood), a block of ID-threshold rows at a time, and hands
 each block to the reductions at once: :func:`ds_f1`, :func:`ds_aurc` and
 :func:`ds_metrics` (both from one sweep) hold no count table. Only a pair
 surface needs the tables, which :func:`ds_sweep_fast` fills from the same
-engine. Grids above ``MAX_SWEEP_CELLS`` cells, and DS-AURC with more coverage
-bins than that, raise :class:`GridTooLarge`.
+engine. Grids above ``MAX_SWEEP_CELLS`` cells, tables above
+``MAX_TABLE_CELLS`` cells, and DS-AURC with more coverage bins than
+``MAX_SWEEP_CELLS``, raise :class:`GridTooLarge`.
 
 Each result also holds each channel's single-score metric, read off the
 sentinel column and row of the same sweep (see :class:`_Lines`).
@@ -51,9 +52,13 @@ DEFAULT_T_GRID = 512
 DEFAULT_K_BINS = 200
 # Largest (T_id + 1) * (T_ood + 1) a sweep accepts. A streamed sweep holds no
 # table, so for it this bounds time: DS-F1 plus DS-AURC take about 1.5 s here
-# on one core of a 2-vCPU VM. The tables of ds_sweep_fast, which a pair
-# surface needs, take about 1.6 GB at this many cells.
+# on one core of a 2-vCPU VM.
 MAX_SWEEP_CELLS = 1 << 26
+# Largest (T_id + 1) * (T_ood + 1) that ds_sweep_fast fills tables for. A pair
+# surface peaks at 72 bytes per cell (tracemalloc at 2049^2): the three int64
+# count tables, the three float64 surfaces and their temporaries. That is
+# about 1.2 GB at this budget, and would be 4.9 GB at MAX_SWEEP_CELLS.
+MAX_TABLE_CELLS = 1 << 24
 # Cells per block of the count engine, so each of its three count layers
 # and each reduction buffer takes 512 KB.
 _BLOCK_CELLS = 1 << 16
@@ -189,13 +194,13 @@ class SweepTables:
     n_id: int
 
 
-def _check_budget(grid: ThresholdGrid) -> None:
+def _check_budget(grid: ThresholdGrid, budget: int) -> None:
     tid, tod = grid.id_thresholds.size, grid.ood_thresholds.size
     cells = (tid + 1) * (tod + 1)
-    if cells > MAX_SWEEP_CELLS:
+    if cells > budget:
         raise GridTooLarge(
             f"a {tid} x {tod} threshold grid needs {cells} cells per count "
-            f"table, above the budget of {MAX_SWEEP_CELLS}; use a coarser grid"
+            f"table, above the budget of {budget}; use a coarser grid"
         )
 
 
@@ -211,7 +216,7 @@ def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *con
     rows ``start:start + len(ta)``, valid until it returns, with counts
     identical to :func:`confusion_counts` at every pair.
     """
-    _check_budget(grid)
+    _check_budget(grid, MAX_SWEEP_CELLS)
     n_rows, n_cols = grid.id_thresholds.size, grid.ood_thresholds.size
     step = min(n_rows, max(1, _BLOCK_CELLS // n_cols))
     row = np.searchsorted(grid.id_thresholds, eval_set.channel(ch_id), side="right")
@@ -255,10 +260,11 @@ def ds_sweep_fast(
 ) -> SweepTables:
     """Count tables for every threshold pair, filled from the count engine.
 
-    ``consumers`` see every block as from :func:`_sweep`. Raises
-    :class:`GridTooLarge` before allocating any table.
+    ``consumers`` see every block as from :func:`_sweep`. A grid above
+    ``MAX_TABLE_CELLS`` raises :class:`GridTooLarge` before any table is
+    allocated.
     """
-    _check_budget(grid)
+    _check_budget(grid, MAX_TABLE_CELLS)
     shape = (grid.id_thresholds.size, grid.ood_thresholds.size)
     tables = [np.empty(shape, dtype=np.int64) for _ in range(3)]
 

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat, starmap
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -228,62 +228,32 @@ def _write_csv(path, header: list[str], columns: list[Iterable[str]]) -> None:
             fh.write("\r\n".join(chunk))
 
 
-def _lazy(column: np.ndarray) -> Iterator:
-    """The entries of a 1-d column as Python objects, converted a chunk at a
-    time and not as one list."""
-    return chain.from_iterable(
-        column[k : k + _CHUNK_ROWS].tolist() for k in range(0, column.size, _CHUNK_ROWS)
-    )
-
-
-def _chunks(n: int, width: int = 1) -> Iterator[slice]:
-    """Slices that cover ``n`` entries, or ``n`` rows of ``width`` numbers,
-    each of about ``_CHUNK_ROWS`` numbers and a row at least, so that a
-    chunk of wide rows holds few Python floats."""
+def _chunks(n: int, width: int) -> Iterator[slice]:
+    """Slices that cover ``n`` rows of ``width`` numbers, each of about
+    ``_CHUNK_ROWS`` numbers and a row at least, so that a chunk of wide rows
+    holds few Python floats."""
     step = max(1, _CHUNK_ROWS // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, n, step))
 
 
 def _float_text(blocks: Iterable[np.ndarray]) -> Iterator[str]:
-    """The ``repr`` of each float of each 1-d float64 block, or of each row
-    of each 2-d one with its cells joined by commas, formatted by one
-    orjson call per block.
+    """The ``repr`` of each row of each 2-d float64 block, its cells joined
+    by commas, formatted by one orjson call per block.
 
     orjson writes repr's shortest round-trip digits, and repr's text too
     wherever 1e-4 <= |x| < 1e16 or x is zero. Elsewhere it writes another
-    exponent form (1e16, 0.00001) or null (nan, +-inf), so those cells, or
-    the rows that hold one, are formatted by repr instead.
+    exponent form (1e16, 0.00001) or null (nan, +-inf), so the rows that
+    hold such a cell are formatted by repr instead.
     """
     for block in blocks:
         items = block.tolist()  # orjson takes no numpy scalars or strided rows
-        text = orjson.dumps(items).decode()
+        cells = orjson.dumps(items).decode()[2:-2].split("],[")
         magnitude = np.abs(block)
         # a comparison with nan is False, so nan lands here too
         odd = (block != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))
-        if block.ndim == 1:
-            cells = text[1:-1].split(",")
-            for i in np.flatnonzero(odd).tolist():
-                cells[i] = repr(items[i])
-        else:
-            cells = text[2:-2].split("],[")
-            for i in np.flatnonzero(odd.any(axis=1)).tolist():
-                cells[i] = ",".join(map(repr, items[i]))
+        for i in np.flatnonzero(odd.any(axis=1)).tolist():
+            cells[i] = ",".join(map(repr, items[i]))
         yield from cells
-
-
-def _run_reprs(column: np.ndarray) -> Iterator[str]:
-    """The ``repr`` of each float of a sorted 1-d column, formatted once per
-    run of equal values and repeated lazily. Runs split where the bits
-    differ, so values that compare equal but print apart (0.0 and -0.0)
-    never share a cell."""
-    bits = column.view(np.int64)
-    new_run = np.empty(bits.size, dtype=bool)
-    new_run[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=new_run[1:])
-    starts = np.flatnonzero(new_run)
-    reprs = _float_text(column[starts[at]] for at in _chunks(starts.size))
-    runs = zip(reprs, np.diff(starts, append=bits.size).tolist())
-    return chain.from_iterable(starmap(repeat, runs))
 
 
 def _parse_float(text: str, row: int, column: str) -> float:
@@ -606,17 +576,11 @@ def write_curve(surface: PairSurface, path) -> None:
     # order, which is (tau_id, tau_ood) order: both axes strictly increase
     order = np.lexsort((surface.risk.ravel(), surface.coverage.ravel()))
     i, j = np.divmod(order, surface.ood_thresholds.size)
-    # each threshold is formatted once and picked per row
-    taus = []
-    for axis, at in ((surface.id_thresholds, i), (surface.ood_thresholds, j)):
-        cells = np.array(list(_float_text(axis[s] for s in _chunks(axis.size))), dtype=object)
-        taus.append(_lazy(cells[at]))
-    del i, j, at
-    # coverage is sorted, and takes at most n_id + 1 values
-    values = [_run_reprs(surface.coverage.ravel()[order])]
-    # risk and f1 are picked a chunk of rows at a time and formatted as pairs
-    values.append(_float_text(
-        np.column_stack([surface.risk.ravel()[order[at]], surface.f1.ravel()[order[at]]])
-        for at in _chunks(order.size, 2)
-    ))
-    _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [*taus, *values])
+    values = [surface.coverage.ravel(), surface.risk.ravel(), surface.f1.ravel()]
+    # a chunk of rows is picked through the sort order and formatted as whole rows
+    rows = _float_text(
+        np.column_stack([surface.id_thresholds[i[at]], surface.ood_thresholds[j[at]],
+                         *(v[order[at]] for v in values)])
+        for at in _chunks(order.size, 5)
+    )
+    _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], [rows])

@@ -132,34 +132,27 @@ _CORRECT = PopulationParams(mean_s_id=2.0, mean_s_ood=0.0)
 _WRONG = PopulationParams(mean_s_id=-1.5, mean_s_ood=0.0)
 
 
+def _preset(
+    n_id: int, n_ood: int, id_accuracy: float, seed: int, mean_s_ood: float
+) -> SynthConfig:
+    return SynthConfig(
+        n_id, n_ood, id_accuracy, _CORRECT, _WRONG,
+        PopulationParams(mean_s_id=2.0, mean_s_ood=mean_s_ood), seed,
+    )
+
+
 def far_ood_config(
     n_id: int, n_ood: int, id_accuracy: float = 0.75, seed: int = 0
 ) -> SynthConfig:
     """OOD shifted 8 sigma below the ID bulk on s_ood."""
-    return SynthConfig(
-        n_id=n_id,
-        n_ood=n_ood,
-        id_accuracy=id_accuracy,
-        correct=_CORRECT,
-        wrong=_WRONG,
-        ood=PopulationParams(mean_s_id=2.0, mean_s_ood=-8.0),
-        seed=seed,
-    )
+    return _preset(n_id, n_ood, id_accuracy, seed, mean_s_ood=-8.0)
 
 
 def near_ood_config(
     n_id: int, n_ood: int, id_accuracy: float = 0.75, seed: int = 0
 ) -> SynthConfig:
     """OOD overlapping the ID bulk on s_ood."""
-    return SynthConfig(
-        n_id=n_id,
-        n_ood=n_ood,
-        id_accuracy=id_accuracy,
-        correct=_CORRECT,
-        wrong=_WRONG,
-        ood=PopulationParams(mean_s_id=2.0, mean_s_ood=-1.0),
-        seed=seed,
-    )
+    return _preset(n_id, n_ood, id_accuracy, seed, mean_s_ood=-1.0)
 
 
 def config_to_dict(config: SynthConfig) -> dict:

@@ -925,6 +925,20 @@ def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_surface_over_the_table_budget_gives_one_line(fixture_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dsmetrics, "MAX_TABLE_CELLS", 3)
+    out, surface = tmp_path / "report.json", tmp_path / "surface.csv"
+    args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
+    assert run([*args, "--surface", surface, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("dseval: error: GridTooLarge: a "), err
+    assert "threshold grid needs" in err and "above the budget of 3;" in err, err
+    assert err.count("\n") == 1, err
+    assert not out.exists() and not surface.exists()
+    # without a surface no table is filled, so the budget does not apply
+    assert run([*args, "--out", out]) == 0
+
+
 @pytest.mark.parametrize("command", ["eval", "select"])
 def test_huge_grid_flag_is_refused_before_allocating(tmp_path, capsys, no_huge_arrays, command):
     # the grid stops at one threshold per distinct score, 10001 per axis

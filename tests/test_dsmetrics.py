@@ -473,6 +473,39 @@ def test_sweep_takes_the_cell_budget_exactly(fixture_set):
             ds_f1(fixture_set, "s_id", "s_ood", grid)
 
 
+def _pair_surface(eval_set, ch_id, ch_ood, grid):
+    return ds_metrics(eval_set, ch_id, ch_ood, grid, return_surface=True)[0].surface
+
+
+@pytest.mark.parametrize("tables", [ds_sweep_fast, _pair_surface])
+def test_tables_over_their_budget_refused_before_allocating(fixture_set, tables):
+    # within the streamed sweep's budget: only the tables are refused
+    axis = np.arange(4097, dtype=np.float64)
+    grid = ThresholdGrid(axis, axis.copy())
+    assert dsmetrics.MAX_TABLE_CELLS < 4098 * 4098 <= dsmetrics.MAX_SWEEP_CELLS
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge, match="4097 x 4097 threshold grid .* 16777216;"):
+            tables(fixture_set, "s_id", "s_ood", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_tables_take_their_budget_exactly(fixture_set):
+    grid = ThresholdGrid(np.arange(9, dtype=np.float64), np.array([0.0]))  # 10 x 2 cells
+    with mock.patch.object(dsmetrics, "MAX_TABLE_CELLS", 20):
+        assert ds_sweep_fast(fixture_set, "s_id", "s_ood", grid).ta.shape == (9, 1)
+        assert _pair_surface(fixture_set, "s_id", "s_ood", grid).coverage.shape == (9, 1)
+    with mock.patch.object(dsmetrics, "MAX_TABLE_CELLS", 19):
+        for tables in (ds_sweep_fast, _pair_surface):
+            with pytest.raises(GridTooLarge, match="20 cells .* above the budget of 19;"):
+                tables(fixture_set, "s_id", "s_ood", grid)
+        # a streamed sweep holds no table
+        assert ds_metrics(fixture_set, "s_id", "s_ood", grid)[0].surface is None
+
+
 @pytest.mark.parametrize("reduce", [ds_aurc, ds_metrics])
 def test_coverage_bins_over_the_budget_refused_before_allocating(fixture_set, reduce):
     grid = ThresholdGrid.quantile(fixture_set, "s_id", "s_ood")

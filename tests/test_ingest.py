@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 import sys
@@ -460,18 +461,18 @@ _FORMAT_EDGES = np.concatenate(
     chunk=st.sampled_from([1, 3, ingest._CHUNK_ROWS]),
 )
 def test_float_text_is_repr(values, width, chunk):
-    # nan, +-inf, +-0.0, subnormals and the edges, in columns and in rows,
-    # across chunk boundaries
-    column = np.array(values, np.float64)
+    # nan, +-inf, +-0.0, subnormals and the edges, in one-cell and wider
+    # rows, across chunk boundaries
+    column = np.array(values, np.float64).reshape(-1, 1)
     matrix = column[: column.size // width * width].reshape(-1, width)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "_CHUNK_ROWS", chunk)
-        cells = ingest._float_text(column[at] for at in ingest._chunks(column.size))
+        cells = ingest._float_text(column[at] for at in ingest._chunks(len(column), 1))
         assert list(cells) == list(map(repr, values))
         rows = ingest._float_text(matrix[at] for at in ingest._chunks(len(matrix), width))
         assert list(rows) == [",".join(map(repr, row)) for row in matrix.tolist()]
-        # a strided column, as a matrix's transposed rows are
-        cells = ingest._float_text(matrix.T[0][at] for at in ingest._chunks(len(matrix)))
+        # a strided column, as a matrix's first column is
+        cells = ingest._float_text(matrix[:, :1][at] for at in ingest._chunks(len(matrix), 1))
         assert list(cells) == list(map(repr, matrix[:, 0].tolist()))
 
 
@@ -789,7 +790,9 @@ class TestCurveExport:
             ):
                 writer.writerow(map(repr, row))
 
-    @pytest.mark.parametrize("coverage", ["one run", "all distinct", "signed zeros"])
+    @pytest.mark.parametrize(
+        "coverage", ["one run", "all distinct", "signed zeros", "odd magnitudes"]
+    )
     def test_matches_a_per_row_reference(self, tmp_path, monkeypatch, coverage):
         monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)
         rng = np.random.default_rng(9)
@@ -799,6 +802,8 @@ class TestCurveExport:
             "all distinct": rng.permutation(np.arange(54) / 7).reshape(shape),
             # equal as floats, so sorted together, but printed apart
             "signed zeros": np.where(rng.random(shape) < 0.5, 0.0, -0.0),
+            # below 1e-4, where orjson's text is not repr's
+            "odd magnitudes": rng.random(shape) * 1e-5,
         }[coverage]
         surface = PairSurface(
             id_thresholds=np.sort(rng.normal(size=shape[0])),
@@ -808,6 +813,16 @@ class TestCurveExport:
             risk=np.round(rng.random(shape), 1),
             f1=rng.random(shape),
         )
+        if coverage == "odd magnitudes":
+            # rows that hold such a cell are formatted by repr as a whole
+            surface = dataclasses.replace(
+                surface,
+                id_thresholds=np.array([-1e300, -5e-324, -0.0, 5e-324, 0.25, 1e300]),
+                ood_thresholds=np.array(
+                    [-1e300, -2.5, -5e-324, -0.0, 5e-324, 3e-5, 0.7, 1e16, 1e300]
+                ),
+                risk=surface.risk * 1e-5,
+            )
         write_curve(surface, tmp_path / "ours.csv")
         self._per_row_reference(surface, tmp_path / "reference.csv")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
@@ -818,12 +833,14 @@ class TestCurveExport:
         assert (tmp_path / "c.csv").read_bytes() == b"tau_id,tau_ood,coverage,risk,f1\r\n"
 
     def test_peak_memory_at_257_squared(self, tmp_path):
-        """No column of the export is held as one list.
+        """Only the sort order and its threshold indices are held whole; the
+        rows are picked and formatted a chunk at a time.
 
-        A 257 x 257 surface has 66049 cells. The sort order and the picked
-        threshold and value columns take 8 bytes per cell each, about 53
-        bytes per cell at the peak. Coverage held as one list of its cells
-        reached 65 bytes per cell, or 79 as a list of Python floats.
+        A 257 x 257 surface has 66049 cells. The sort order and the two
+        threshold indices it splits into take 8 bytes per cell each, about
+        30 bytes per cell at the peak. An object array of formatted
+        thresholds picked per row took 45 bytes per cell, and coverage held
+        as one list of its cells 65, or 79 as a list of Python floats.
         """
         rng = np.random.default_rng(3)
         n = 20_000
@@ -843,7 +860,7 @@ class TestCurveExport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 60 * cells, (peak, cells)
+        assert peak < 40 * cells, (peak, cells)
 
     def test_only_a_surface_exports(self, tmp_path):
         with pytest.raises(TypeError, match="PairSurface"):
