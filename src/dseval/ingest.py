@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import filterfalse, islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -130,10 +130,12 @@ _PLAIN_CHUNK = 1 << 12
 
 # orjson reads three JSON texts otherwise than float(): the integer -0 as
 # int 0, and true and false, which become 1.0 and 0.0 in a float array. A
-# chunk whose rests hold the letter t or f, or a -0 that ends as an integer
-# does (at a comma, a bracket or white space), goes to the CSV reader's
-# pass. null becomes nan, which sends the file there as any non-finite
-# number does.
+# chunk whose rests hold the letter t or f goes to the CSV reader's pass,
+# and so does one that holds a -0 ending as an integer does (at a comma, a
+# bracket or white space). That text is searched for only when the parsed
+# block holds a zero, since the integer -0 parses as one; real data holds
+# many -0.x prefixes, each a partial match. null becomes nan, which sends
+# the file there as any non-finite number does.
 _JSON_INTEGER_MINUS_ZERO = ("-0,", "-0]", "-0 ", "-0\t", "-0\r", "-0\n")
 
 
@@ -155,9 +157,11 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
     rejects. The chunk's rests are parsed as one JSON array of rows by
     orjson, whose numbers are float()'s bit for bit; JSON rejects NaN,
     Infinity, a number that overflows, a leading zero or plus sign, a bare
-    point and any character float() reads that JSON does not. Each block is
-    copied into one output array grown in place and trimmed at the end, so
-    no list of blocks holds the numbers a second time.
+    point and any character float() reads that JSON does not. Rests that
+    hold a t or an f are not parsed, and only a block that holds a zero is
+    searched for the text of an integer -0, which orjson reads as 0. Each
+    block is copied into one output array grown in place and trimmed at
+    the end, so no list of blocks holds the numbers a second time.
     """
     limit = csv.field_size_limit()
     matrix = np.empty((0, k))
@@ -174,7 +178,7 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
         try:
             take(rows)
             doc = "[[" + "],[".join(map(itemgetter(3), rows)) + "]]"
-            if "t" in doc or "f" in doc or any(z in doc for z in _JSON_INTEGER_MINUS_ZERO):
+            if "t" in doc or "f" in doc:
                 return None
             # a cell that is a JSON array or object fails here or below
             block = np.array(orjson.loads(doc), np.float64)
@@ -182,6 +186,8 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
             return None
         # a blank rest is an empty row, a ragged one fails np.array above
         if block.shape != (len(rows), k):
+            return None
+        if not block.all() and any(z in doc for z in _JSON_INTEGER_MINUS_ZERO):
             return None
         if n + len(rows) > len(matrix):
             # by an eighth at least: growing by each small block reallocates
@@ -391,12 +397,18 @@ class VectorColumns:
     matrix: np.ndarray
 
 
+# the label cell of an id row: int() also reads 1_0, +1, " 1" and non-ASCII digits
+_DECIMAL_INTEGER = re.compile("-?[0-9]+")
+
+
 def _vector_label(domain: str, label_text: str, lineno: int) -> int:
     """The class label of one vector row, 0 at an ood row; a domain or label
     cell that is not valid is a SchemaError that names row ``lineno``."""
     if domain == "id":
         try:
-            label = int(label_text)
+            if _DECIMAL_INTEGER.fullmatch(label_text) is None:
+                raise ValueError(label_text)
+            label = int(label_text)  # refuses more than sys.get_int_max_str_digits()
         except ValueError:
             raise SchemaError(
                 f"row {lineno}, column 'label': id rows need an integer class "
@@ -436,9 +448,16 @@ def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
         is_id.append(row[1] == "id")
         ids.append(row[0])
 
+    # the label of each (domain, label) cell pair seen so far in this file
+    known: dict[tuple[str, str], int] = {}
+
     def take(rows) -> None:
-        for row in rows:
-            take_row(row, 0)  # a rejected row goes to the CSV pass, which names it
+        pairs = list(map(itemgetter(1, 2), rows))
+        for pair in filterfalse(known.__contains__, pairs):
+            known[pair] = _vector_label(*pair, 0)  # the CSV pass names a rejected row
+        labels.extend(map(known.__getitem__, pairs))
+        is_id.extend(map("id".__eq__, map(itemgetter(0), pairs)))
+        ids.extend(map(itemgetter(0), rows))
 
     matrix = _read_matrix(fh, header, (ids, is_id, labels), take, take_row)
     ids, is_id, labels = np.array(ids, object), np.array(is_id, bool), np.array(labels, np.int64)

@@ -625,7 +625,7 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     margin = np.float32(16 * (dim + 4) * np.finfo(np.float32).eps)
     sample = _knn_sample(size, k)
-    step = max(1, BLOCK_BYTES // (16 * size))
+    step = max(1, BLOCK_BYTES // (16 * (size + dim)))
     # the float32 bank, negated so that the product with a row is its ``near``
     far = np.negative(vectors, dtype=np.float32).T
     squares = np.empty((step, 1, 1))
@@ -665,9 +665,13 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
         inner = values <= (kth - margin)[rows]
         band = ~(inner | (values > (kth + margin)[rows]))
         band_rows = rows[band]
-        dists = np.linalg.norm(
-            vectors[flat[band] - band_rows * size] - queries[band_rows], axis=1
-        )
+        members = flat[band] - band_rows * size
+        # wide vectors can leave many in the band: their distances are taken
+        # a block at a time too
+        dists = np.empty(members.size)
+        for at in range(0, members.size, step):
+            part = slice(at, at + step)
+            dists[part] = np.linalg.norm(vectors[members[part]] - queries[band_rows[part]], axis=1)
         ranks = k - np.bincount(rows[inner], minlength=n)
         dists = _padded_rows(dists, band_rows, n)
         dists.sort(axis=1)

@@ -399,6 +399,106 @@ def test_odd_number_gives_what_the_csv_pass_gives(tmp_path, kind, token):
             assert got == _outcome(loader, path), rows
 
 
+def _bulk_and_csv(loader, path):
+    """The outcome of ``loader`` with the bulk reader, whether the bulk
+    reader took the file, and the outcome of the CSV reader's pass alone."""
+    taken = []
+    bulk = ingest._read_plain
+
+    def read_plain(*args):
+        matrix = bulk(*args)
+        taken.append(matrix is not None)
+        return matrix
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_read_plain", read_plain)
+        got = _outcome(loader, path)
+        mp.setattr(ingest, "_read_plain", lambda *args: None)
+        return got, taken, _outcome(loader, path)
+
+
+def _wide_rows(n=200, k=64):
+    """``n`` rows of ``k`` cells, most of them -0.x, across many chunks of
+    the bulk reader, with zeros written 0, -0.0 and -0e0 but never -0."""
+    rng = np.random.default_rng(61)
+    rows = []
+    for i in range(n):
+        cells = list(map(repr, (-rng.random(k)).tolist()))
+        cells[i % k] = ("0", "-0.0", "-0e0")[i % 3]
+        domain, label = ("id", str(i % 10)) if i % 2 else ("ood", "")
+        rows.append([f"r{i}", domain, label, *cells])
+    return rows
+
+
+def _write_rows(path, rows):
+    header = ["sample_id", "domain", "label", *(f"v{i}" for i in range(len(rows[0]) - 3))]
+    path.write_text("".join(",".join(row) + "\r\n" for row in [header, *rows]))
+    assert path.stat().st_size > 30 * ingest._PLAIN_CHUNK
+
+
+def test_zeros_without_an_integer_minus_zero_stay_in_bulk(tmp_path):
+    path = tmp_path / "features.csv"
+    _write_rows(path, _wide_rows())
+    got, taken, expected = _bulk_and_csv(load_features, path)
+    assert taken == [True]
+    assert got == expected
+    matrix = load_features(path).matrix
+    signs = [np.signbit(matrix[i, i % 64]) for i in range(200)]
+    assert signs == [i % 3 > 0 for i in range(200)]
+    assert np.count_nonzero(matrix) == 200 * 63
+
+
+def test_a_late_integer_minus_zero_gives_the_csv_pass(tmp_path):
+    rows = _wide_rows()
+    rows[190][3 + 5] = "-0"
+    path = tmp_path / "features.csv"
+    _write_rows(path, rows)
+    got, taken, expected = _bulk_and_csv(load_features, path)
+    assert taken == [False]
+    assert got == expected
+    assert np.signbit(load_features(path).matrix[190, 5])
+
+
+@pytest.mark.parametrize(
+    "domain, label, message",
+    [
+        ("id", "x", "row 152, column 'label': id rows need an integer class index, got 'x'"),
+        ("id", "1_0", "row 152, column 'label': id rows need an integer class index, got '1_0'"),
+        ("ood", "3", "row 152, column 'label': ood rows must leave this empty"),
+        ("test", "", "row 152, column 'domain': expected 'id' or 'ood', got 'test'"),
+    ],
+)
+def test_a_late_bad_label_or_domain_is_named(tmp_path, domain, label, message):
+    # the rows before it hold every valid (domain, label) pair of the file
+    rows = _wide_rows()
+    rows[150][1:3] = [domain, label]
+    path = tmp_path / "features.csv"
+    _write_rows(path, rows)
+    got, taken, expected = _bulk_and_csv(load_features, path)
+    assert taken == [False]
+    assert got == expected == (SchemaError, message)
+
+
+@pytest.mark.parametrize(
+    "cell, label",
+    [("1_0", None), (" 1", None), ("+1", None), ("١", None), ("--1", None), ("-", None),
+     ("01", 1), ("-3", -3)],
+)
+def test_vector_labels_are_ascii_decimal_integers(tmp_path, cell, label):
+    # int() reads every one of these but "--1" and "-"
+    path = tmp_path / "logits.csv"
+    path.write_text(_VEC + f"a,id,{cell},0.5,0.25\r\nb,ood,,0.1,0.2\r\n", encoding="utf-8")
+    got, taken, expected = _bulk_and_csv(load_logits, path)
+    assert got == expected
+    if label is None:
+        assert taken == [False]
+        assert got == (SchemaError, "row 2, column 'label': id rows need an integer class "
+                                    f"index, got {cell!r}")
+    else:
+        assert taken == [True]
+        assert load_logits(path).labels.tolist() == [label, 0]
+
+
 def test_load_scores_peak_memory(tmp_path):
     # No table of cell text is held. The base counts the str objects of the
     # ids as well as the columns, 0.52 + 1.17 MB; the tracemalloc peak is

@@ -687,6 +687,23 @@ def test_batched_knn_peak_memory():
     assert peak <= 2_500_000
 
 
+def test_batched_knn_block_counts_the_feature_width():
+    """A small bank of wide vectors: the block of query rows is sized by the
+    bank and the width together. Sized by the bank alone it was 1310 rows of
+    2048-d queries, and the tracemalloc peak was about 96 MB."""
+    rng = np.random.default_rng(44)
+    bank = build_feature_bank(rng.normal(0, 1, (100, 2048)))
+    inputs = ScoreInputs(None, rng.normal(0, 1, (3000, 2048)))
+    tracemalloc.start()
+    try:
+        got = METHODS["knn"].score_batch(inputs, (bank, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * scoring.BLOCK_BYTES, peak
+    assert np.array_equal(got, [knn_score(q, bank, 3) for q in inputs.features])
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
