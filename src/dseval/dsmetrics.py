@@ -51,17 +51,20 @@ __all__ = [
 DEFAULT_T_GRID = 512
 DEFAULT_K_BINS = 200
 # Largest (T_id + 1) * (T_ood + 1) a sweep accepts. A streamed sweep holds no
-# table, so for it this bounds time: DS-F1 plus DS-AURC take about 1.5 s here
-# on one core of a 2-vCPU VM.
+# table, so for it this bounds time: DS-F1 plus DS-AURC from one sweep take
+# about 1.6 s at this budget (20k samples) on one core of a 2-vCPU VM.
 MAX_SWEEP_CELLS = 1 << 26
 # Largest (T_id + 1) * (T_ood + 1) that ds_sweep_fast fills tables for. A pair
-# surface peaks at 72 bytes per cell (tracemalloc at 2049^2): the three int64
-# count tables, the three float64 surfaces and their temporaries. That is
-# about 1.2 GB at this budget, and would be 4.9 GB at MAX_SWEEP_CELLS.
+# surface peaks at about 48.5 bytes per cell (tracemalloc at 2049^2): the three
+# int64 count tables, the three float64 surfaces and one int64 temporary,
+# freed before the last surface. That is about 0.8 GB at this budget, and
+# would be 3.3 GB at MAX_SWEEP_CELLS.
 MAX_TABLE_CELLS = 1 << 24
-# Cells per block of the count engine, so each of its three count layers
-# and each reduction buffer takes 512 KB.
+# Cells per block of the count engine, so each of its three int32 count
+# layers takes 256 KB and each float64 reduction buffer 512 KB.
 _BLOCK_CELLS = 1 << 16
+# The engine counts in int32 below this many samples, and in int64 from it.
+_INT32_SAMPLES = 1 << 31
 # Narrowest row that the ID-axis suffix sum adds row by row; on narrower
 # blocks a strided cumsum is faster than one call per row.
 _ROW_ADD_COLS = 128
@@ -115,18 +118,26 @@ def quantile_grid(scores, t_grid: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ThresholdGrid:
-    """Sorted candidate thresholds per axis; sentinels, when present, come first."""
+    """Sorted candidate thresholds per axis; sentinels, when present, come first.
+
+    Each axis is stored as a read-only 1-d float64 copy of what it was given.
+    """
 
     id_thresholds: np.ndarray
     ood_thresholds: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.id_thresholds, self.ood_thresholds):
+        for name in ("id_thresholds", "ood_thresholds"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            if arr.ndim != 1:
+                raise ValueError(f"grid thresholds must be 1-d, got {arr.ndim}-d {name}")
             if arr.size == 0:
                 raise EmptyGrid("threshold grid must be non-empty on both axes")
-            if np.any(np.diff(arr) <= 0):
+            # a NaN gives a NaN difference, which fails `> 0`; a lone one has none
+            if np.isnan(arr[0]) or not np.all(np.diff(arr) > 0):
                 raise ValueError("grid thresholds must be strictly increasing")
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def exhaustive(cls, eval_set: EvalSet, ch_id: str, ch_ood: str) -> "ThresholdGrid":
@@ -204,6 +215,11 @@ def _check_budget(grid: ThresholdGrid, budget: int) -> None:
         )
 
 
+def _count_dtype(n_samples: int) -> type:
+    """The engine's count dtype: no count exceeds the sample count."""
+    return np.int32 if n_samples < _INT32_SAMPLES else np.int64
+
+
 def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers) -> None:
     """The count engine: hands every block of ID-threshold rows to each consumer.
 
@@ -212,9 +228,11 @@ def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *con
     From the last ID row up, each block of about ``_BLOCK_CELLS`` cells is
     histogrammed into one reused buffer, suffix-summed in place along both
     axes and offset by the row carried from the block below. Then
-    ``consumer(start, ta, accepted_id, accepted_ood)`` gets views of table
-    rows ``start:start + len(ta)``, valid until it returns, with counts
-    identical to :func:`confusion_counts` at every pair.
+    ``consumer(start, ta, accepted_id, accepted)`` gets views of table rows
+    ``start:start + len(ta)``, valid until it returns: the TA, accepted-ID
+    and accepted-total counts of each pair, identical to
+    :func:`confusion_counts` (``accepted`` is its ``accepted_total``). The
+    views are int32 below ``_INT32_SAMPLES`` samples and int64 from there.
     """
     _check_budget(grid, MAX_SWEEP_CELLS)
     n_rows, n_cols = grid.id_thresholds.size, grid.ood_thresholds.size
@@ -233,24 +251,29 @@ def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *con
     if len(ends) > 1:  # a stable sort of small integers is a radix sort
         key = key[np.argsort(block.astype(np.min_scalar_type(len(ends))), kind="stable")]
     del row, col, keep, layer, block, offset
-    buf = np.empty((step, 3, n_cols), dtype=np.int64)
-    carry = np.zeros((3, n_cols), dtype=np.int64)
+    dtype = _count_dtype(eval_set.n_total)
+    one = dtype(1)  # a Python 1 would take add.at off its fast path for int32
+    buf = np.empty((step, 3, n_cols), dtype=dtype)
+    carry = np.zeros((3, n_cols), dtype=dtype)
     for b, begin, end in zip(range(len(ends)), [0, *ends], ends):
         n = min(step, n_rows - b * step)
         counts = buf[step - n :]
         counts.fill(0)
-        np.add.at(buf.reshape(-1), key[begin:end], 1)
+        np.add.at(buf.reshape(-1), key[begin:end], one)
+        # cumsum would otherwise sum int32 in the platform integer
         flipped = counts[..., ::-1]
-        np.cumsum(flipped, axis=2, out=flipped)
+        np.cumsum(flipped, axis=2, out=flipped, dtype=dtype)
         counts[-1] += carry
         if n_cols >= _ROW_ADD_COLS:
             for i in range(n - 2, -1, -1):
                 counts[i] += counts[i + 1]
         else:  # one call per row costs too much on narrow rows
             flipped = counts[::-1]
-            np.cumsum(flipped, axis=0, out=flipped)
+            np.cumsum(flipped, axis=0, out=flipped, dtype=dtype)
         carry[...] = counts[0]
+        # the layers handed on: TA, accepted ID, and all accepted
         counts[:, 1] += counts[:, 0]
+        counts[:, 2] += counts[:, 1]
         for consume in consumers:
             consume(n_rows - b * step - n, counts[:, 0], counts[:, 1], counts[:, 2])
 
@@ -258,11 +281,12 @@ def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *con
 def ds_sweep_fast(
     eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers
 ) -> SweepTables:
-    """Count tables for every threshold pair, filled from the count engine.
+    """Int64 count tables for every threshold pair, filled from the count engine.
 
-    ``consumers`` see every block as from :func:`_sweep`. A grid above
-    ``MAX_TABLE_CELLS`` raises :class:`GridTooLarge` before any table is
-    allocated.
+    ``consumers`` see every block as from :func:`_sweep`: ``(start, ta,
+    accepted_id, accepted)``, where ``accepted`` is the accepted total and
+    the views may be int32. A grid above ``MAX_TABLE_CELLS`` raises
+    :class:`GridTooLarge` before any table is allocated.
     """
     _check_budget(grid, MAX_TABLE_CELLS)
     shape = (grid.id_thresholds.size, grid.ood_thresholds.size)
@@ -273,6 +297,8 @@ def ds_sweep_fast(
             table[start : start + len(part)] = part
 
     _sweep(eval_set, ch_id, ch_ood, grid, fill, *consumers)
+    _, accepted_id, accepted = tables
+    accepted -= accepted_id  # the accepted total becomes the accepted-OOD table
     return SweepTables(grid.id_thresholds, grid.ood_thresholds, *tables, eval_set.n_id)
 
 
@@ -300,42 +326,48 @@ class DsResult:
 
 
 def _surface(tables: SweepTables) -> PairSurface:
+    # built in place: one int64 temporary, freed before coverage is allocated
     accepted = tables.accepted_id + tables.accepted_ood
-    with np.errstate(invalid="ignore", divide="ignore"):
-        risk = (accepted - tables.ta) / accepted
+    # algebraically 2*precision*recall/(precision+recall); exact with the
+    # empty-acceptance convention F1=0 since TA=0 there
+    f1 = np.add(accepted, tables.n_id, dtype=np.float64)
+    np.divide(tables.ta, f1, out=f1)
+    f1 *= 2.0  # exact, so equal to 2 * TA / (accepted + n_id)
+    risk = np.subtract(accepted, tables.ta, dtype=np.float64)
+    # empty acceptance keeps risk 0: FA = 0 there, and 0 / 1 is 0
+    np.divide(risk, np.maximum(accepted, 1, out=accepted), out=risk)
+    del accepted
     return PairSurface(
         id_thresholds=tables.id_thresholds,
         ood_thresholds=tables.ood_thresholds,
         coverage=tables.accepted_id / tables.n_id,
-        risk=np.where(accepted > 0, risk, 0.0),
-        # algebraically 2*precision*recall/(precision+recall); exact with the
-        # empty-acceptance convention F1=0 since TA=0 there
-        f1=2.0 * tables.ta / (accepted + tables.n_id),
+        risk=risk,
+        f1=f1,
     )
 
 
 class _BestF1:
     """Engine consumer: the maximum F1 over the blocks it is handed, and where.
 
-    F1 is 2 * (TA / (accepted + n_id)), exactly the surface's 2 * TA / (accepted
-    + n_id) as doubling is exact; ties go to the smallest (tau_ood, tau_id).
+    F1 is 2 * (TA / (accepted + n_id)), exactly the surface's value as doubling
+    is exact; so only each block's maximum of TA / (accepted + n_id) is
+    doubled. Ties go to the smallest (tau_ood, tau_id).
     """
 
     def __init__(self, n_id: int, grid: ThresholdGrid):
         self.n_id, self.grid, self.best, self.at, self._scratch = n_id, grid, -1.0, None, None
 
-    def __call__(self, start, ta, accepted_id, accepted_ood):
+    def __call__(self, start, ta, accepted_id, accepted):
         if self._scratch is None:  # the engine's first block is its largest
             self._scratch = np.empty(ta.shape), np.empty(ta.shape, dtype=bool)
-        f1, hit = (a[: len(ta)] for a in self._scratch)
-        np.add(accepted_id, accepted_ood, out=f1, dtype=np.float64)
-        f1 += self.n_id
-        np.divide(ta, f1, out=f1)
-        f1 *= 2.0
-        top = float(f1.max())
+        half, hit = (a[: len(ta)] for a in self._scratch)
+        np.add(accepted, self.n_id, out=half, dtype=np.float64)
+        np.divide(ta, half, out=half)
+        top_half = half.max()
+        top = 2.0 * float(top_half)
         if top < self.best:
             return
-        np.equal(f1, top, out=hit)
+        np.equal(half, top_half, out=hit)
         j = int(hit.any(axis=0).argmax())
         here = (j, start + int(hit[:, j].argmax()))
         if top > self.best or here < self.at:
@@ -369,15 +401,15 @@ class _MinRisk:
             )
         return BinnedCurve.bin_index(np.arange(n_id + 1) / n_id, k_bins)
 
-    def __call__(self, start, ta, accepted_id, accepted_ood):
+    def __call__(self, start, ta, accepted_id, accepted):
         if self._scratch is None:  # the engine's first block is its largest
-            self._scratch = [np.empty(ta.shape, dtype=t) for t in (np.int64, np.float64, bool)]
-        accepted, risk, any_accepted = (a[: len(ta)] for a in self._scratch)
-        np.add(accepted_id, accepted_ood, out=accepted)
+            dtypes = self.bin_of.dtype, np.float64, bool
+            self._scratch = [np.empty(ta.shape, dtype=t) for t in dtypes]
+        bins, risk, any_accepted = (a[: len(ta)] for a in self._scratch)
         np.subtract(accepted, ta, out=risk, dtype=np.float64)
         # empty acceptance keeps risk 0: FA = 0 there
         np.divide(risk, accepted, out=risk, where=np.greater(accepted, 0, out=any_accepted))
-        bins = np.take(self.bin_of, accepted_id, out=accepted, mode="clip")
+        np.take(self.bin_of, accepted_id, out=bins, mode="clip")
         np.minimum.at(self.minima, bins.ravel(), risk.ravel())
 
     def result(self) -> DsResult:

@@ -336,6 +336,17 @@ def _sweep_cases(draw):
     return es, ThresholdGrid(*axes)
 
 
+# Each count dtype with the sample limit that makes the engine count in it
+_COUNT_DTYPES = ((np.int32, dsmetrics._INT32_SAMPLES), (np.int64, 0))
+
+
+def _engine(block, row_add_cols, int32_samples):
+    """The count engine at one block size, row-sum branch and count dtype."""
+    return mock.patch.multiple(
+        dsmetrics, _BLOCK_CELLS=block, _ROW_ADD_COLS=row_add_cols, _INT32_SAMPLES=int32_samples
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     case=_sweep_cases(),
@@ -345,22 +356,37 @@ def _sweep_cases(draw):
 )
 def test_sweep_matches_references(case, picks, block, row_add_cols):
     es, grid = case
-    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block), mock.patch.object(
-        dsmetrics, "_ROW_ADD_COLS", row_add_cols
-    ):
-        tables = ds_sweep_fast(es, "a", "b", grid)
     ta, accepted_id, accepted_ood = _naive_tables(es, grid)
-    assert tables.ta.dtype == tables.accepted_id.dtype == np.int64
-    assert np.array_equal(tables.ta, ta)
-    assert np.array_equal(tables.accepted_id, accepted_id)
-    assert np.array_equal(tables.accepted_ood, accepted_ood)
-    for i, j in picks:
-        i, j = i % grid.id_thresholds.size, j % grid.ood_thresholds.size
-        pair = ThresholdPair(float(grid.id_thresholds[i]), float(grid.ood_thresholds[j]))
-        c = confusion_counts(es, "a", "b", pair)
-        assert (c.ta, c.accepted_id, c.accepted_ood) == (
-            tables.ta[i, j], tables.accepted_id[i, j], tables.accepted_ood[i, j]
-        )
+    for dtype, int32_samples in _COUNT_DTYPES:
+        seen = set()
+        with _engine(block, row_add_cols, int32_samples):
+            tables = ds_sweep_fast(
+                es, "a", "b", grid, lambda start, *views: seen.update(v.dtype for v in views)
+            )
+        assert seen == {np.dtype(dtype)}
+        assert tables.ta.dtype == tables.accepted_id.dtype == tables.accepted_ood.dtype == np.int64
+        assert np.array_equal(tables.ta, ta)
+        assert np.array_equal(tables.accepted_id, accepted_id)
+        assert np.array_equal(tables.accepted_ood, accepted_ood)
+        for i, j in picks:
+            i, j = i % grid.id_thresholds.size, j % grid.ood_thresholds.size
+            pair = ThresholdPair(float(grid.id_thresholds[i]), float(grid.ood_thresholds[j]))
+            c = confusion_counts(es, "a", "b", pair)
+            assert (c.ta, c.accepted_id, c.accepted_ood) == (
+                tables.ta[i, j], tables.accepted_id[i, j], tables.accepted_ood[i, j]
+            )
+
+
+def test_count_dtype_holds_every_count():
+    """int32 up to its largest value as a sample count, int64 from 2^31 samples."""
+    tracemalloc.start()
+    try:
+        dtypes = dsmetrics._count_dtype((1 << 31) - 1), dsmetrics._count_dtype(1 << 31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dtypes == (np.int32, np.int64)
+    assert peak < 1 << 10
 
 
 def _table_formulas(es, ta, accepted_id, accepted_ood):
@@ -378,31 +404,35 @@ def _table_formulas(es, ta, accepted_id, accepted_ood):
     k_bins=st.integers(1, 12),
 )
 def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins):
-    """At any block size, the streamed metrics and the tables equal the whole-table results."""
+    """At any block size and count dtype, the streamed metrics and the tables
+    equal the whole-table results."""
     es, grid = case
-    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block), mock.patch.object(
-        dsmetrics, "_ROW_ADD_COLS", row_add_cols
-    ):
-        f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
-        alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
-        tables = ds_sweep_fast(es, "a", "b", grid)
     naive = _naive_tables(es, grid)
-    for table, expected in zip((tables.ta, tables.accepted_id, tables.accepted_ood), naive):
-        assert np.array_equal(table, expected)
     f1_table, coverage, risk = _table_formulas(es, *naive)
     best = float(f1_table.max())
     rows, cols = np.nonzero(f1_table == best)
     j = int(cols.min())
     i = int(rows[cols == j].min())
-    assert f1.value == best
-    assert f1.best_pair == ThresholdPair(
-        float(grid.id_thresholds[i]), float(grid.ood_thresholds[j])
-    )
     curve = bin_risk_points(coverage.ravel(), risk.ravel(), k_bins)
-    assert np.array_equal(aurc_result.curve.values, curve.values)
-    assert np.array_equal(aurc_result.curve.filled, curve.filled)
-    assert aurc_result.value == float(np.sum(curve.values)) / k_bins
-    assert alone[0] == f1 and alone[1].value == aurc_result.value
+    for _, int32_samples in _COUNT_DTYPES:
+        with _engine(block, row_add_cols, int32_samples):
+            f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
+            alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
+            tables = ds_sweep_fast(es, "a", "b", grid)
+            surface = _pair_surface(es, "a", "b", grid)
+        for table, expected in zip((tables.ta, tables.accepted_id, tables.accepted_ood), naive):
+            assert np.array_equal(table, expected)
+        assert np.array_equal(surface.f1, f1_table)
+        assert np.array_equal(surface.coverage, coverage)
+        assert np.array_equal(surface.risk, risk)
+        assert f1.value == best
+        assert f1.best_pair == ThresholdPair(
+            float(grid.id_thresholds[i]), float(grid.ood_thresholds[j])
+        )
+        assert np.array_equal(aurc_result.curve.values, curve.values)
+        assert np.array_equal(aurc_result.curve.filled, curve.filled)
+        assert aurc_result.value == float(np.sum(curve.values)) / k_bins
+        assert alone[0] == f1 and alone[1].value == aurc_result.value
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,28 +444,28 @@ def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins
 )
 def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
     """Column 0 and row 0 of the sweep give the single-threshold metrics exactly,
-    wherever the first threshold on the other axis accepts every sample."""
+    at either count dtype, wherever the first threshold on the other axis
+    accepts every sample."""
     es, grid = case
-    with mock.patch.object(dsmetrics, "_BLOCK_CELLS", block), mock.patch.object(
-        dsmetrics, "_ROW_ADD_COLS", row_add_cols
-    ):
-        f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
-        alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
     lines = [
         ("id_only", "a", grid.id_thresholds, grid.ood_thresholds[0] <= es.channel("b").min()),
         ("ood_only", "b", grid.ood_thresholds, grid.id_thresholds[0] <= es.channel("a").min()),
     ]
-    for name, channel, axis, exists in lines:
-        results = [getattr(r, name) for r in (f1, aurc_result, *alone)]
-        if not exists:
-            assert results == [None] * 4
-            continue
-        value, tau = best_f1_single(es, channel, axis)
-        area = aurc(risk_coverage_curve(es, channel, axis), k_bins)
-        at = "tau_id" if name == "id_only" else "tau_ood"
-        for best in (results[0], results[2]):
-            assert best.value == value and getattr(best.best_pair, at) == tau
-        assert results[1].value == area and results[3].value == area
+    for _, int32_samples in _COUNT_DTYPES:
+        with _engine(block, row_add_cols, int32_samples):
+            f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
+            alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
+        for name, channel, axis, exists in lines:
+            results = [getattr(r, name) for r in (f1, aurc_result, *alone)]
+            if not exists:
+                assert results == [None] * 4
+                continue
+            value, tau = best_f1_single(es, channel, axis)
+            area = aurc(risk_coverage_curve(es, channel, axis), k_bins)
+            at = "tau_id" if name == "id_only" else "tau_ood"
+            for best in (results[0], results[2]):
+                assert best.value == value and getattr(best.best_pair, at) == tau
+            assert results[1].value == area and results[3].value == area
 
 
 def test_no_lines_without_an_accept_all_threshold(fixture_set):
@@ -550,9 +580,64 @@ def test_eval_metrics_peak_memory():
     assert peak < table_bytes
 
 
+def test_pair_surface_peak_memory():
+    """A pair surface holds three int64 tables and three float64 surfaces (48
+    B/cell) and builds them with one int64 temporary at a time."""
+    rng = np.random.default_rng(5)
+    n = 20_000
+    es = EvalSet.from_columns(
+        [f"s{i}" for i in range(n)],
+        rng.random(n) < 0.6,
+        rng.random(n) < 0.7,
+        {"a": rng.normal(size=n), "b": rng.normal(size=n)},
+    )
+    grid = ThresholdGrid.quantile(es, "a", "b", t_grid=2048)
+    tracemalloc.start()
+    try:
+        surface = _pair_surface(es, "a", "b", grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert surface.f1.shape == (2049, 2049)
+    assert peak < 52 * 2049 * 2049
+
+
 def test_empty_grid_rejected():
     with pytest.raises(EmptyGrid):
         ThresholdGrid(id_thresholds=np.array([]), ood_thresholds=np.array([0.0]))
+
+
+@pytest.mark.parametrize("axis", [[0.0, np.nan], [np.nan], [np.nan, 1.0], [1.0, 1.0], [2.0, 1.0]])
+def test_grid_refuses_nan_and_unsorted_thresholds(axis):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ThresholdGrid(np.array(axis), np.array([0.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ThresholdGrid(np.array([0.0]), np.array(axis))
+
+
+def test_grid_refuses_an_axis_that_is_not_1d():
+    with pytest.raises(ValueError, match="1-d, got 2-d id_thresholds"):
+        ThresholdGrid(np.array([[0.0, 1.0]]), np.array([0.0]))
+    with pytest.raises(ValueError, match="1-d, got 0-d ood_thresholds"):
+        ThresholdGrid(np.array([0.0]), np.float64(1.0))
+
+
+def test_grid_copies_and_does_not_freeze_the_callers_arrays():
+    axis = np.array([0.0, 1.0, 2.0])
+    grid = ThresholdGrid(axis, axis)
+    assert axis.flags.writeable
+    axis[0] = 5.0
+    assert grid.id_thresholds.tolist() == grid.ood_thresholds.tolist() == [0.0, 1.0, 2.0]
+    assert not grid.id_thresholds.flags.writeable and not grid.ood_thresholds.flags.writeable
+
+
+def test_grid_takes_lists_as_float64_axes(fixture_set):
+    grid = ThresholdGrid([-1, 0.75, 2], [-1.0, 0.5])
+    assert grid.id_thresholds.dtype == grid.ood_thresholds.dtype == np.float64
+    from_arrays = ThresholdGrid(np.array([-1.0, 0.75, 2.0]), np.array([-1.0, 0.5]))
+    assert ds_f1(fixture_set, "s_id", "s_ood", grid) == ds_f1(
+        fixture_set, "s_id", "s_ood", from_arrays
+    )
 
 
 @settings(max_examples=30, deadline=None)
