@@ -214,11 +214,13 @@ def _cmd_score(args) -> int:
 
     channels, correct = {}, np.zeros(base.is_id.size, dtype=bool)
     if base.is_id.size:
+        # the inputs, with the columns they cache, are dropped once scored
         inputs = ScoreInputs(
             None if logits is None else logits.matrix,
             None if features is None else features.matrix,
         )
         channels = _channels(methods, inputs, fitted, base.sample_ids)
+        del inputs
         if logits is not None:
             correct = logits.matrix.argmax(axis=1) == logits.labels
     write_scores(EvalSet.from_columns(base.sample_ids, base.is_id, correct, channels), args.out)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 import numpy as np
 
@@ -442,12 +442,9 @@ def sirc_combine(s1: float, s1_max: float, s2: float, a: float, b: float) -> flo
 # Batched scoring: the method registry.
 #
 # Each scorer takes whole matrices (one row per sample) and returns one score
-# per row. The temporaries that would be the largest over all rows (bank dot
-# products in knn, rows x classes x features in mds, the residual's
-# projections, the absolute values in l1, the stacked rows of the principal
-# subspace fit) are built one block of rows at a time, so peak memory does
-# not grow with them. BLOCK_BYTES bounds all of one scorer's block buffers
-# together, not each of them.
+# per row. It builds its largest temporaries a block of rows at a time, so
+# peak memory does not grow with the rows; BLOCK_BYTES bounds one scorer's
+# block buffers together, not each of them.
 
 BLOCK_BYTES = 1 << 21
 
@@ -472,10 +469,6 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """softmax() of every row, with the same arithmetic."""
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
-
-
-def _msp_rows(z: np.ndarray) -> np.ndarray:
-    return _softmax_rows(z).max(axis=1)
 
 
 def _l1_rows(x: np.ndarray) -> np.ndarray:
@@ -503,9 +496,8 @@ def _energy_rows(z: np.ndarray, temperature: float) -> np.ndarray:
     return _finite_rows(out, f"energy at temperature {temperature}")
 
 
-def _neg_entropy_rows(z: np.ndarray) -> np.ndarray:
+def _neg_entropy_rows(p: np.ndarray) -> np.ndarray:
     """neg_entropy() of every row, with the same arithmetic."""
-    p = _softmax_rows(z)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (p * np.log(p)).sum(axis=1)
     # A row with an underflowed probability sums only its nonzero terms, as
@@ -575,48 +567,38 @@ def _knn_sample(size: int, k: int) -> slice:
 
 
 def _padded_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """The values of each row r < n (``rows`` sorted) in row r of an n x max matrix, NaN-padded.
-
-    NaN sorts last in np.sort and np.partition, so the padding never comes
-    before a row's own values.
-    """
+    """Each row r < n's values (``rows`` sorted) in row r of an n x max
+    matrix, NaN-padded: NaN sorts last in np.sort and np.partition."""
     counts = np.bincount(rows, minlength=n)
-    starts = np.cumsum(counts) - counts
-    padded = np.full((n, counts.max()), np.nan, dtype=values.dtype)
-    padded[rows, np.arange(rows.size) - starts[rows]] = values
+    width = counts.max()
+    at = (np.arange(n) * width - np.cumsum(counts) + counts)[rows]
+    at += np.arange(rows.size)
+    padded = np.full((n, width), np.nan, dtype=values.dtype)
+    padded.ravel()[at] = values
     return padded
 
 
 def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
     """knn_score() of every row, bit for bit (Sun et al., ICML 2022).
 
-    Float32 dot products with the bank pick a few candidates per row; only
-    they get knn_score()'s own float64 distance. For unit vectors
-    ||a-b||^2 = 2 - 2a.b, so ``near`` = -a.b orders the bank as the distances
-    do. Rounding a and b to float32 and summing D products moves each
-    ``near`` by less than about (D + 2) eps32 / 2, and the float64 distances
-    err far less, so two bank vectors whose ``near`` differ by more than
-    2 (D + 4) eps32 keep their order in the float64 distances. ``margin`` is
-    eight times that, which also covers rounding the cuts themselves.
+    For unit vectors ||a-b||^2 = 2 - 2a.b, so ``near`` = -a.b orders the bank
+    as the distances do. In float32 it errs by under (D + 2) eps32 / 2, so
+    values over 2 (D + 4) eps32 apart keep their float64 order; ``margin``
+    is eight times that, also for the cuts' rounding and two products
+    rounding one ``near`` apart. With N_k a row's k-th smallest ``near``, a
+    vector above N_k + margin is never needed, one at or below N_k - margin
+    only counts, and the float64 distances of the rest decide: the score is
+    their (k - count)-th smallest. A sample's k-th smallest (``_knn_sample``)
+    bounds N_k from above: a cut there plus ``margin`` keeps all they need.
+    NaN sorts last and is never cut, as in knn_score().
 
-    Per row, with N_k the k-th smallest ``near``:
-    - a vector with ``near`` above N_k + margin is farther than the k
-      vectors up to N_k, so it is never needed;
-    - one at or below N_k - margin is nearer than every vector from N_k on,
-      so it is among the k nearest and only counts;
-    - the distances of the rest (about one vector) decide the score: it is
-      their (k - count)-th smallest.
-    N_k is found without partitioning the whole row. The k-th smallest
-    ``near`` over a sample of the bank's columns (``_knn_sample``) is at
-    least N_k, since the sample is a subset, so keeping what lies at most
-    ``margin`` above it drops no vector the rules above need, wherever the
-    sample falls; N_k is then the k-th smallest of the few vectors kept.
-    NaN sorts last in every step and is never cut, as in knn_score().
-
-    Block buffers (the float32 bank, ``near``, the kept mask and the sample)
-    are allocated once per call and reused with ``out=``: glibc may serve a
-    fresh temporary of 128 KiB or more from a fresh mapping, whose pages
-    would be faulted in again every block.
+    The float32 bank is held negated, sampled columns first. Per group of
+    rows, the sample's product, partitioned in place, gives the bound, a
+    sweep over column tiles keeps candidates and one exact stage finishes.
+    A row holds 8 + 12 D bytes of queries, 40 per candidate (about k
+    stride) and a tile row as large, at 5 a column, or as wide as the
+    sample; a group takes half of BLOCK_BYTES. Buffers are reused: glibc
+    may map each fresh temporary of 128 KiB or more, faulted in every group.
     """
     vectors = bank.vectors
     size, dim = vectors.shape
@@ -624,16 +606,19 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
         raise KTooLarge(f"k={k} outside [1, {size}]")
     x = np.ascontiguousarray(x, dtype=np.float64)
     margin = np.float32(16 * (dim + 4) * np.finfo(np.float32).eps)
-    sample = _knn_sample(size, k)
-    step = max(1, BLOCK_BYTES // (16 * (size + dim)))
-    # the float32 bank, negated so that the product with a row is its ``near``
-    far = np.negative(vectors, dtype=np.float32).T
+    stride = _knn_sample(size, k).step
+    sampled = -(-size // stride)
+    rest = 8 + 12 * dim + 40 * k * stride
+    step = max(1, min(x.shape[0], BLOCK_BYTES // 2 // (rest + 5 * max(sampled, rest // 5))))
+    width = min(size, max(sampled, (BLOCK_BYTES // 2 - step * rest) // (5 * step)))
+    where = np.argsort(np.arange(size) % stride, kind="stable").astype(np.int32)
+    far = np.concatenate([vectors[o::stride].T for o in range(stride)], axis=1, dtype=np.float32)
+    np.negative(far, out=far)
     squares = np.empty((step, 1, 1))
     queries = np.empty((step, dim))
     queries32 = np.empty((step, dim), dtype=np.float32)
-    near = np.empty((step, size), dtype=np.float32)
-    kept = np.empty((step, size), dtype=bool)
-    low = np.empty((step, len(range(size)[sample])), dtype=np.float32)
+    tile = np.empty(step * width, dtype=np.float32)
+    kept = np.empty(step * width, dtype=bool)
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], step):
         n = min(step, x.shape[0] - lo)
@@ -649,25 +634,35 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
             except ZeroVector as exc:
                 exc.row = lo + r
                 raise
-        np.copyto(queries32[:n], queries[:n])
-        np.matmul(queries32[:n], far, out=near[:n])
-        np.copyto(low[:n], near[:n, sample])
-        low[:n].partition(k - 1, axis=1)
-        # `not >` keeps every vector a NaN would hide
-        np.greater(near[:n], low[:n, k - 1 : k] + margin, out=kept[:n])
-        np.logical_not(kept[:n], out=kept[:n])
-        flat = np.flatnonzero(kept[:n])
-        rows = flat // size
-        values = np.take(near[:n], flat)
+        q32 = queries32[:n]
+        np.copyto(q32, queries[:n])
+        low = np.matmul(q32, far[:, :sampled], out=tile[: n * sampled].reshape(n, sampled))
+        low.partition(k - 1, axis=1)
+        cut = low[:, k - 1 : k] + margin
+        rows, members, values = [], [], []
+        for c0 in range(0, size, width):
+            w = min(width, size - c0)
+            near = np.matmul(q32, far[:, c0 : c0 + w], out=tile[: n * w].reshape(n, w))
+            # `not >` keeps every vector a NaN would hide
+            np.greater(near, cut, out=kept[: n * w].reshape(n, w))
+            flat = np.flatnonzero(np.logical_not(kept[: n * w], out=kept[: n * w]))
+            values.append(tile.take(flat))
+            r, c = np.divmod(flat.astype(np.int32), w)
+            rows.append(r)
+            members.append(where[c0 : c0 + w][c])
+        rows = np.concatenate(rows)
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        values = np.concatenate(values)[order]
+        members = np.concatenate(members)[order]
+        del order
         kept_near = _padded_rows(values, rows, n)
         kept_near.partition(k - 1, axis=1)
         kth = kept_near[:, k - 1]
         inner = values <= (kth - margin)[rows]
         band = ~(inner | (values > (kth + margin)[rows]))
-        band_rows = rows[band]
-        members = flat[band] - band_rows * size
-        # wide vectors can leave many in the band: their distances are taken
-        # a block at a time too
+        band_rows, members = rows[band], members[band]
+        # in blocks: wide vectors may leave a wide band
         dists = np.empty(members.size)
         for at in range(0, members.size, step):
             part = slice(at, at + step)
@@ -731,20 +726,38 @@ class ScoreOptions:
     temperature: float = 1.0
 
 
-class FitSplit:
-    """The ID rows of the fit split, stacked, and the options the fits read.
+class ScoreInputs:
+    """Stacked rows (logits N x C, features N x D, or ``None``) and the
+    columns methods share, computed once."""
+
+    def __init__(self, logits=None, features=None):
+        self.logits, self.features, self._residual = logits, features, (None,)
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        return _softmax_rows(self.logits)
+
+    @cached_property
+    def l1(self) -> np.ndarray:
+        return _l1_rows(self.features)
+
+    def residual_norms(self, basis: PrincipalBasis) -> np.ndarray:
+        if self._residual[0] is not basis:
+            self._residual = basis, _residual_norms(self.features, basis)
+        return self._residual[1]
+
+
+class FitSplit(ScoreInputs):
+    """The ID rows of the fit split and the options the fits read.
 
     ``logits`` is N x C, ``features`` N x D and ``labels`` the N class labels
     of the features file; each is ``None`` when that fit file is absent. The
-    principal basis, which three methods share, is fitted once on first use,
-    and so are the fit rows' residual norms off it, which two methods share.
+    principal basis, which three methods share, is fitted once on first use.
     """
 
     def __init__(self, logits=None, features=None, labels=None, options=ScoreOptions()):
-        self.logits = logits
-        self.features = features
-        self.labels = labels
-        self.options = options
+        super().__init__(logits, features)
+        self.labels, self.options = labels, options
 
     @cached_property
     def basis(self) -> PrincipalBasis:
@@ -752,17 +765,6 @@ class FitSplit:
         if d is None:
             d = default_pca_dim(self.features.shape[1])
         return fit_principal_subspace(self.features, d)
-
-    @cached_property
-    def residual_norms(self) -> np.ndarray:
-        return _residual_norms(self.features, self.basis)
-
-
-class ScoreInputs(NamedTuple):
-    """Stacked evaluation rows: logits N x C and features N x D, or ``None``."""
-
-    logits: np.ndarray | None
-    features: np.ndarray | None
 
 
 def _no_fit(split: FitSplit) -> None:
@@ -790,39 +792,32 @@ def _fit_knn(split: FitSplit) -> tuple[FeatureBank, int]:
 
 
 def _fit_vim(split: FitSplit) -> tuple[PrincipalBasis, float]:
-    return split.basis, _vim_alpha(split.logits, split.residual_norms)
+    return split.basis, _vim_alpha(split.logits, split.residual_norms(split.basis))
 
 
 def _fit_sirc_res(split: FitSplit) -> tuple[PrincipalBasis, SircParams]:
-    return split.basis, fit_sirc_params(-split.residual_norms)
+    return split.basis, fit_sirc_params(-split.residual_norms(split.basis))
 
 
 def _vim_batch(x: ScoreInputs, fitted) -> np.ndarray:
     basis, alpha = fitted
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _energy_rows(x.logits, 1.0) + alpha * -_residual_norms(x.features, basis)
+        out = _energy_rows(x.logits, 1.0) + alpha * -x.residual_norms(basis)
     return _finite_rows(out, "the vim score")
 
 
-def _sirc_res_batch(x: ScoreInputs, fitted) -> np.ndarray:
-    basis, params = fitted
-    return _sirc_rows(
-        _msp_rows(x.logits), 1.0, -_residual_norms(x.features, basis), params
-    )
-
-
 METHODS: dict[str, ScoreMethod] = {
-    "msp": ScoreMethod((LOGITS,), lambda x, _: _msp_rows(x.logits)),
+    "msp": ScoreMethod((LOGITS,), lambda x, _: x.probs.max(axis=1)),
     "mls": ScoreMethod((LOGITS,), lambda x, _: x.logits.max(axis=1)),
     "energy": ScoreMethod(
         (LOGITS,),
         lambda x, temperature: _energy_rows(x.logits, temperature),
         fit=lambda split: split.options.temperature,
     ),
-    "neg_entropy": ScoreMethod((LOGITS,), lambda x, _: _neg_entropy_rows(x.logits)),
+    "neg_entropy": ScoreMethod((LOGITS,), lambda x, _: _neg_entropy_rows(x.probs)),
     "klm": ScoreMethod(
         (LOGITS, FIT_LOGITS),
-        lambda x, templates: _klm_rows(_softmax_rows(x.logits), templates),
+        lambda x, templates: _klm_rows(x.probs, templates),
         fit=_fit_templates,
     ),
     "mds": ScoreMethod(
@@ -836,11 +831,11 @@ METHODS: dict[str, ScoreMethod] = {
         fit=_fit_knn,
     ),
     "l1": ScoreMethod(
-        (FEATURES,), lambda x, _: _finite_rows(_l1_rows(x.features), "the L1 norm")
+        (FEATURES,), lambda x, _: _finite_rows(x.l1, "the L1 norm")
     ),
     "residual": ScoreMethod(
         (FEATURES, FIT_FEATURES),
-        lambda x, basis: _finite_rows(-_residual_norms(x.features, basis), "the residual score"),
+        lambda x, basis: _finite_rows(-x.residual_norms(basis), "the residual score"),
         fit=lambda split: split.basis,
     ),
     "vim": ScoreMethod(
@@ -848,12 +843,12 @@ METHODS: dict[str, ScoreMethod] = {
     ),
     "sirc_msp_l1": ScoreMethod(
         (LOGITS, FEATURES, FIT_FEATURES),
-        lambda x, params: _sirc_rows(
-            _msp_rows(x.logits), 1.0, _l1_rows(x.features), params
-        ),
-        fit=lambda split: fit_sirc_params(_l1_rows(split.features)),
+        lambda x, params: _sirc_rows(x.probs.max(axis=1), 1.0, x.l1, params),
+        fit=lambda split: fit_sirc_params(split.l1),
     ),
     "sirc_msp_res": ScoreMethod(
-        (LOGITS, FEATURES, FIT_FEATURES), _sirc_res_batch, fit=_fit_sirc_res
+        (LOGITS, FEATURES, FIT_FEATURES),
+        lambda x, a: _sirc_rows(x.probs.max(axis=1), 1.0, -x.residual_norms(a[0]), a[1]),
+        fit=_fit_sirc_res,
     ),
 }

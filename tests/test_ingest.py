@@ -417,12 +417,13 @@ def _bulk_and_csv(loader, path):
         return got, taken, _outcome(loader, path)
 
 
-def _wide_rows(n=200, k=64):
-    """``n`` rows of ``k`` cells, most of them -0.x, across many chunks of
-    the bulk reader, with zeros written 0, -0.0 and -0e0 but never -0."""
+def _wide_rows(k=64):
+    """Rows of ``k`` cells, most of them -0.x, across many chunks of the bulk
+    reader, with zeros written 0, -0.0 and -0e0 but never -0. A row takes
+    about 1.3 KB, so ``_PLAIN_CHUNK // 32`` rows span about 40 chunks."""
     rng = np.random.default_rng(61)
     rows = []
-    for i in range(n):
+    for i in range(ingest._PLAIN_CHUNK // 32):
         cells = list(map(repr, (-rng.random(k)).tolist()))
         cells[i % k] = ("0", "-0.0", "-0e0")[i % 3]
         domain, label = ("id", str(i % 10)) if i % 2 else ("ood", "")
@@ -443,9 +444,10 @@ def test_zeros_without_an_integer_minus_zero_stay_in_bulk(tmp_path):
     assert taken == [True]
     assert got == expected
     matrix = load_features(path).matrix
-    signs = [np.signbit(matrix[i, i % 64]) for i in range(200)]
-    assert signs == [i % 3 > 0 for i in range(200)]
-    assert np.count_nonzero(matrix) == 200 * 63
+    n = matrix.shape[0]
+    signs = [np.signbit(matrix[i, i % 64]) for i in range(n)]
+    assert signs == [i % 3 > 0 for i in range(n)]
+    assert np.count_nonzero(matrix) == n * 63
 
 
 def test_a_late_integer_minus_zero_gives_the_csv_pass(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,8 +450,9 @@ def test_batched_methods_match_per_row_references(monkeypatch, block_bytes):
             assert np.array_equal(got, want), name
 
 
-def test_shared_basis_is_fitted_once(monkeypatch):
-    calls = {"fit_principal_subspace": 0, "_residual_norms": 0}
+def _count_calls(monkeypatch, *names):
+    """Patch the scoring functions ``names`` to count their calls in the returned dict."""
+    calls = dict.fromkeys(names, 0)
 
     def counted(name):
         inner = getattr(scoring, name)
@@ -461,8 +463,13 @@ def test_shared_basis_is_fitted_once(monkeypatch):
 
         return call
 
-    for name in calls:
+    for name in names:
         monkeypatch.setattr(scoring, name, counted(name))
+    return calls
+
+
+def test_shared_basis_is_fitted_once(monkeypatch):
+    calls = _count_calls(monkeypatch, "fit_principal_subspace", "_residual_norms")
     _, split = _batch_fixture()
     basis = METHODS["residual"].fit(split)
     vim_basis, alpha = METHODS["vim"].fit(split)
@@ -471,6 +478,15 @@ def test_shared_basis_is_fitted_once(monkeypatch):
     # the fit rows' residual norms are computed once, for vim and sirc_msp_res
     assert calls == {"fit_principal_subspace": 1, "_residual_norms": 1}
     assert alpha == fit_vim_alpha(split.logits, split.features, basis)
+
+
+def test_shared_columns_are_computed_once_per_inputs(monkeypatch):
+    inputs, split = _batch_fixture()
+    fitted = {name: method.fit(split) for name, method in METHODS.items()}
+    calls = _count_calls(monkeypatch, "_softmax_rows", "_l1_rows", "_residual_norms")
+    for name, method in METHODS.items():
+        method.score_batch(inputs, fitted[name])
+    assert calls == {"_softmax_rows": 1, "_l1_rows": 1, "_residual_norms": 1}
 
 
 def _svd_basis(x, d):
@@ -593,12 +609,14 @@ class TestBatchedKnn:
             got, want = _knn_both(queries, bank, k)
             assert np.array_equal(got, want), k
 
-    def test_first_zero_row_is_reported(self):
-        bank = build_feature_bank(np.eye(3))
-        queries = np.array([[1.0, 0, 0], [0.0, 0, 0], [0.0, 0, 0]])
+    def test_first_zero_row_is_reported(self, knn_blocks):
+        # in a later group of rows at every block size but the default
+        bank = build_feature_bank(np.random.default_rng(39).normal(0, 1, (1000, 3)))
+        queries = np.ones((40, 3))
+        queries[[30, 35]] = 0.0
         with pytest.raises(ZeroVector) as info:
             METHODS["knn"].score_batch(ScoreInputs(None, queries), (bank, 1))
-        assert info.value.row == 1
+        assert info.value.row == 30
 
     def test_k_outside_bank(self):
         bank = build_feature_bank(np.eye(3))
@@ -608,8 +626,10 @@ class TestBatchedKnn:
 
 
 # Banks larger than the sample the k-th nearest is first bounded from, at the
-# default block size and at one row per block.
-@pytest.fixture(params=[None, 8], ids=["blocks", "rows"])
+# default block size, at one row per group with one tile as wide as the
+# sample (8 bytes), and at groups of a few rows over tiles that split the bank
+# unevenly, with a shorter last group (32 KiB).
+@pytest.fixture(params=[None, 8, 1 << 15], ids=["blocks", "rows", "tiles"])
 def knn_blocks(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(scoring, "BLOCK_BYTES", request.param)
@@ -624,10 +644,12 @@ class TestSampledKnn:
     def test_random_bank(self, knn_blocks):
         rng = np.random.default_rng(34)
         bank = rng.normal(0, 1, (1000, 16))
-        queries = np.vstack([bank[:10], -bank[10:15], rng.normal(0, 1, (25, 16))])
+        queries = np.vstack([bank[:10], -bank[10:15], rng.normal(0, 1, (26, 16))])
+        queries[20] = np.nan  # never cut: every vector is its candidate
         for k in (1, 2, 7, 1000):
             got, want = _knn_both(queries, bank, k)
-            assert np.array_equal(got, want), k
+            assert np.isnan(got[20])
+            assert np.array_equal(got, want, equal_nan=True), k
 
     def test_sample_holds_the_farthest_vectors(self, knn_blocks):
         # every query lies near one direction and the sampled columns hold
@@ -810,14 +832,18 @@ def test_batched_mahalanobis_is_exact(seed, n_classes, dim):
         assert np.array_equal(got, want)
 
 
+# 4096 bytes: groups of a few rows, a shorter last group, and two tiles
+# when a bank of 80 or more is sampled (k = 1)
+@pytest.mark.parametrize("block_bytes", [scoring.BLOCK_BYTES, 8, 1 << 12])
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 100_000),
-    n_bank=st.integers(1, 12),
+    n_bank=st.integers(1, 100),
     dim=st.integers(1, 6),
     quantize=st.booleans(),
+    which_k=st.sampled_from(["1", "bank", "any"]),
 )
-def test_batched_knn_is_exact(seed, n_bank, dim, quantize):
+def test_batched_knn_is_exact(block_bytes, seed, n_bank, dim, quantize, which_k):
     rng = np.random.default_rng(seed)
     bank = rng.normal(0, 1, (n_bank, dim))
     queries = np.vstack([bank, rng.normal(0, 1, (6, dim))])
@@ -825,6 +851,7 @@ def test_batched_knn_is_exact(seed, n_bank, dim, quantize):
         bank, queries = np.round(bank), np.round(queries)
         bank[~bank.any(axis=1)] = 1.0
         queries[~queries.any(axis=1)] = -1.0
-    k = int(rng.integers(1, n_bank + 1))
-    got, want = _knn_both(queries, bank, k)
+    k = {"1": 1, "bank": n_bank, "any": int(rng.integers(1, n_bank + 1))}[which_k]
+    with mock.patch.object(scoring, "BLOCK_BYTES", block_bytes):
+        got, want = _knn_both(queries, bank, k)
     assert np.array_equal(got, want)
