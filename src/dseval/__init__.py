@@ -52,10 +52,8 @@ from .metrics_single import (
     aurc,
     best_f1_single,
     bin_risk_points,
-    coverage,
     fpr_at_tpr,
     risk_coverage_curve,
-    selective_risk,
 )
 from .selection import (
     SelectionMode,

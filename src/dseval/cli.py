@@ -27,6 +27,7 @@ from .ingest import (
     AURC_SCALE,
     METRIC_SCALE,
     SchemaError,
+    _read_text,
     load_features,
     load_logits,
     load_scores,
@@ -366,16 +367,18 @@ def _cmd_select(args) -> int:
 # synth
 
 
+def _parse_config(fh) -> dict:
+    try:
+        return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise InvalidConfig(f"malformed synth config: {exc}") from None
+
+
 def _cmd_synth(args) -> int:
     if args.preset == "custom":
         if not args.config:
             raise UsageError("--preset custom requires --config")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidConfig(f"malformed synth config: {exc}") from None
-        config = config_from_dict(data)
+        config = config_from_dict(_read_text(args.config, _parse_config))
     else:
         if args.config:
             raise UsageError("--config is only valid with --preset custom")

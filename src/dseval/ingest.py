@@ -14,7 +14,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import partial
 from itertools import filterfalse, islice
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Sequence
@@ -146,7 +145,7 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
     where the CSV reader's pass must decide instead: a row is not plain,
     ``take`` rejects it, a cell is not a number orjson reads as float()
     does, or a row is blank or holds other than k numbers. A number that is
-    not finite is returned as read; ``_read_matrix`` sends that file to the
+    not finite is returned as read; ``_read_rows`` sends that file to the
     CSV reader's pass as well, which names the row.
 
     A row is plain when it holds no quote and no NUL (Python 3.10's CSV
@@ -154,16 +153,16 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
     field limit; its cells are then exactly its line split at commas. The
     lines are read a chunk at a time. Python splits each line into its
     first three cells and the rest, and hands the chunk's split rows to
-    ``take``, which checks and records their first three cells,
-    raising ValueError, KeyError, IndexError or a DsevalError at a row it
-    rejects. The chunk's rests are parsed as one JSON array of rows by
-    orjson, whose numbers are float()'s bit for bit; JSON rejects NaN,
-    Infinity, a number that overflows, a leading zero or plus sign, a bare
-    point and any character float() reads that JSON does not. Rests that
-    hold a t or an f are not parsed, and only a block that holds a zero is
-    searched for the text of an integer -0, which orjson reads as 0. Each
-    block is copied into one output array grown in place and trimmed at
-    the end, so no list of blocks holds the numbers a second time.
+    ``take``, which checks and records their first three cells, raising
+    IndexError or a DsevalError at a row it rejects. The chunk's rests are
+    parsed as one JSON array of rows by orjson, whose numbers are float()'s
+    bit for bit; JSON rejects NaN, Infinity, a number that overflows, a
+    leading zero or plus sign, a bare point and any character float() reads
+    that JSON does not. Rests that hold a t or an f are not parsed, and only
+    a block that holds a zero is searched for the text of an integer -0,
+    which orjson reads as 0. Each block is copied into one output array
+    grown in place and trimmed at the end, so no list of blocks holds the
+    numbers a second time.
     """
     limit = csv.field_size_limit()
     matrix = np.empty((0, k))
@@ -184,7 +183,7 @@ def _read_plain(fh, k: int, take) -> np.ndarray | None:
                 return None
             # a cell that is a JSON array or object fails here or below
             block = np.array(orjson.loads(doc), np.float64)
-        except (ValueError, TypeError, KeyError, IndexError, DsevalError):
+        except (ValueError, TypeError, IndexError, DsevalError):
             return None
         # a blank rest is an empty row, a ragged one fails np.array above
         if block.shape != (len(rows), k):
@@ -276,68 +275,89 @@ def _parse_float(text: str, row: int, column: str) -> float:
     return value
 
 
-# the (domain, correct) cells of a valid scores row: bit 0 is_id, bit 1 correct
-_SCORES_FLAGS = {("id", "1"): 3, ("id", "0"): 1, ("ood", ""): 0}
+def _header(fh, prefix: list[str]) -> list[str]:
+    """The header row of ``fh``, which must start with the cells ``prefix``."""
+    header = next(_csv_rows(fh), None)
+    if not header or header[: len(prefix)] != prefix:
+        raise ParseError(f"row 1: expected header starting with {','.join(prefix)}")
+    return header
 
 
-def _bad_scores_flags(domain: str, correct_text: str, lineno: int) -> SchemaError:
-    """The error of a (domain, correct) pair outside ``_SCORES_FLAGS`` at row ``lineno``."""
-    where = f"row {lineno}, column"
+def _scores_correct(domain: str, correct_text: str, lineno: int) -> bool:
+    """The correct flag of one scores row, False at an ood row; a domain or
+    correct cell that is not valid is a SchemaError that names row ``lineno``."""
+    if (domain, correct_text) in (("id", "1"), ("id", "0"), ("ood", "")):
+        return correct_text == "1"
     if domain not in ("id", "ood"):
-        return SchemaError(f"{where} 'domain': expected 'id' or 'ood', got {domain!r}")
-    if domain == "id":
-        return SchemaError(f"{where} 'correct': id rows need 0 or 1, got {correct_text!r}")
-    return SchemaError(f"{where} 'correct': ood rows must leave this empty, got {correct_text!r}")
+        raise SchemaError(f"row {lineno}, column 'domain': expected 'id' or 'ood', got {domain!r}")
+    rule = "id rows need 0 or 1" if domain == "id" else "ood rows must leave this empty"
+    raise SchemaError(f"row {lineno}, column 'correct': {rule}, got {correct_text!r}")
 
 
-def _take_scores(rows, ids: list, flags: bytearray) -> None:
-    """Record the ids and flags of a chunk of split plain rows; a row with
-    flags outside the table raises KeyError."""
-    flags.extend(map(_SCORES_FLAGS.__getitem__, map(itemgetter(1, 2), rows)))
-    ids.extend(map(itemgetter(0), rows))
+def _read_rows(fh, header: list[str], decode):
+    """The ids (a list), ID mask, values and finite N x K matrix of the rows after ``header``.
 
-
-def _read_matrix(fh, header: list[str], records, take, take_row) -> np.ndarray:
-    """The numbers of the rows after ``header`` as one N x K matrix, every
-    one finite, with each row's first three cells recorded in ``records``.
-
-    Plain rows are read in bulk (``_read_plain`` with ``take``). Any other
-    file, or one that holds a number that is not finite, is read again from
-    the start in one pass of the CSV reader, after ``records`` are emptied.
-    That pass checks each row as the reader yields it: its field count,
-    then ``take_row(row, lineno)``, which checks and records its first
-    three cells, then its cells left to right. The first bad row raises;
-    the numbers stream into one ``np.fromiter``, so no cell text outlives
-    its row.
+    ``decode(domain, cell, lineno)`` gives a row's value from its second and
+    third cells, or raises a DsevalError that names row ``lineno``; it runs
+    once per distinct pair, on a miss in the table of (is ID, value) per
+    pair. Each row keeps its code into that table: a byte until the table
+    outgrows one, then a list entry. Plain rows are read in bulk
+    (``_read_plain``); any other file, or one with a number that is not
+    finite, is read again in one pass of the CSV reader, which checks each
+    row's field count, then its pair, then its cells left to right, and
+    streams the numbers into one ``np.fromiter``.
     """
+    memo: dict[tuple[str, str], int] = {}
+    table: list[tuple[bool, Any]] = []
+    ids, codes = [], bytearray()
+    pair_of = itemgetter(1, 2)
+
+    def learn(domain: str, cell: str, lineno: int) -> int:
+        nonlocal codes
+        table.append((domain == "id", decode(domain, cell, lineno)))
+        if len(table) == 257:  # the next code needs more than a byte
+            codes = list(codes)
+        return memo.setdefault((domain, cell), len(table) - 1)
+
+    def take(rows) -> None:
+        n = len(codes)
+        try:
+            codes.extend(map(memo.__getitem__, map(pair_of, rows)))
+        except KeyError:
+            del codes[n:]
+            for pair in filterfalse(memo.__contains__, map(pair_of, rows)):
+                learn(*pair, 0)  # the CSV pass names a rejected row
+            codes.extend(map(memo.__getitem__, map(pair_of, rows)))
+        ids.extend(map(itemgetter(0), rows))
+
     columns = header[_PREFIX_CELLS:]
     matrix = _read_plain(fh, len(columns), take)
-    if matrix is not None and np.isfinite(matrix).all():
-        return matrix
-    for record in records:
-        record.clear()
-    fh.seek(0)
+    if matrix is None or not np.isfinite(matrix).all():
+        ids, codes = [], codes[:0]  # empty, as wide as before
+        fh.seek(0)
 
-    def numbers():
-        rows = islice(_csv_rows(fh), 1, None)
-        for lineno, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
-            take_row(row, lineno)
-            for column, cell in zip(columns, row[_PREFIX_CELLS:]):
-                yield _parse_float(cell, lineno, column)
+        def numbers():
+            rows = islice(_csv_rows(fh), 1, None)
+            for lineno, row in enumerate(rows, start=2):
+                if len(row) != len(header):
+                    raise ParseError(f"row {lineno}: expected {len(header)} fields, got {len(row)}")
+                code = memo.get(pair_of(row))
+                if code is None:  # learned first: it may widen the codes appended to
+                    code = learn(row[1], row[2], lineno)
+                codes.append(code)
+                ids.append(row[0])
+                for column, cell in zip(columns, row[_PREFIX_CELLS:]):
+                    yield _parse_float(cell, lineno, column)
 
-    return np.fromiter(numbers(), np.float64).reshape(-1, len(columns))
+        matrix = np.fromiter(numbers(), np.float64).reshape(-1, len(columns))
+    is_id, values = zip(*table) if table else ((), ())
+    codes = np.asarray(codes)  # uint8 from the bytes, int64 from a list
+    return ids, np.array(is_id, bool)[codes], np.array(values)[codes], matrix
 
 
 def _parse_scores(fh) -> EvalSet:
-    rows = _csv_rows(fh)
-    header = next(rows, None)
-    if not header or header[: len(_SCORES_PREFIX)] != _SCORES_PREFIX:
-        raise ParseError(
-            f"row 1: expected header starting with {','.join(_SCORES_PREFIX)}"
-        )
-    channels = header[len(_SCORES_PREFIX) :]
+    header = _header(fh, _SCORES_PREFIX)
+    channels = header[_PREFIX_CELLS:]
     if not channels:
         raise SchemaError("row 1: scores file declares no channel columns")
     for k, name in enumerate(channels):
@@ -345,24 +365,10 @@ def _parse_scores(fh) -> EvalSet:
             raise SchemaError(f"row 1: channel {k + 1} has an empty name")
         if name in channels[:k]:
             raise SchemaError(f"row 1: channel {name!r} appears more than once")
-    ids, flags = [], bytearray()
-
-    def take_row(row: list[str], lineno: int) -> None:
-        try:
-            flags.append(_SCORES_FLAGS[row[1], row[2]])
-        except KeyError:
-            raise _bad_scores_flags(row[1], row[2], lineno) from None
-        ids.append(row[0])
-
-    take = partial(_take_scores, ids=ids, flags=flags)
-    matrix = _read_matrix(fh, header, (ids, flags), take, take_row)
-    codes = np.frombuffer(flags, np.uint8)
-    is_id = (codes & 1).astype(bool)
+    ids, is_id, correct, matrix = _read_rows(fh, header, _scores_correct)
     if not is_id.any():
         raise EmptyIdPopulation("scores file contains no id rows")
-    return EvalSet.from_columns(
-        ids, is_id, (codes & 2).astype(bool), dict(zip(channels, matrix.T))
-    )
+    return EvalSet.from_columns(ids, is_id, correct, dict(zip(channels, matrix.T)))
 
 
 def load_scores(path) -> EvalSet:
@@ -432,38 +438,14 @@ def _vector_label(domain: str, label_text: str, lineno: int) -> int:
 
 
 def _parse_vectors(fh, min_dim: int, kind: str) -> VectorColumns:
-    rows = _csv_rows(fh)
-    header = next(rows, None)
-    if not header or header[: len(_VECTOR_PREFIX)] != _VECTOR_PREFIX:
-        raise ParseError(
-            f"row 1: expected header starting with {','.join(_VECTOR_PREFIX)}"
-        )
-    columns = header[len(_VECTOR_PREFIX) :]
+    header = _header(fh, _VECTOR_PREFIX)
+    columns = header[_PREFIX_CELLS:]
     if columns != [f"v{i}" for i in range(len(columns))]:
         raise SchemaError("row 1: vector columns must be named v0..v{K-1}")
     if len(columns) < min_dim:
         raise SchemaError(f"row 1: {kind} file needs at least {min_dim} components")
-    ids, is_id, labels = [], [], []
-
-    def take_row(row: list[str], lineno: int) -> None:
-        labels.append(_vector_label(row[1], row[2], lineno))
-        is_id.append(row[1] == "id")
-        ids.append(row[0])
-
-    # the label of each (domain, label) cell pair seen so far in this file
-    known: dict[tuple[str, str], int] = {}
-
-    def take(rows) -> None:
-        pairs = list(map(itemgetter(1, 2), rows))
-        for pair in filterfalse(known.__contains__, pairs):
-            known[pair] = _vector_label(*pair, 0)  # the CSV pass names a rejected row
-        labels.extend(map(known.__getitem__, pairs))
-        is_id.extend(map("id".__eq__, map(itemgetter(0), pairs)))
-        ids.extend(map(itemgetter(0), rows))
-
-    matrix = _read_matrix(fh, header, (ids, is_id, labels), take, take_row)
-    ids, is_id, labels = np.array(ids, object), np.array(is_id, bool), np.array(labels, np.int64)
-    return VectorColumns(ids, is_id, labels, matrix)
+    ids, is_id, labels, matrix = _read_rows(fh, header, _vector_label)
+    return VectorColumns(np.array(ids, object), is_id, labels.astype(np.int64, copy=False), matrix)
 
 
 def load_logits(path) -> VectorColumns:
@@ -531,7 +513,7 @@ def _fmt2(entry) -> str:
 def _render_markdown(data: dict[str, Any]) -> str:
     lines = ["# dseval report", ""]
     dataset = data.get("dataset")
-    if dataset:
+    if dataset and "n_id" in dataset:
         lines += [
             "| n_id | n_ood | ID accuracy |",
             "| --- | --- | --- |",
@@ -539,6 +521,9 @@ def _render_markdown(data: dict[str, Any]) -> str:
             f"{_fmt2(dataset.get('id_accuracy'))} |",
             "",
         ]
+    elif dataset:  # select's val and test splits
+        lines += ["| Split | n_id | n_ood |", "| --- | --- | --- |",
+                  *(f"| {k} | {v['n_id']} | {v['n_ood']} |" for k, v in dataset.items()), ""]
     single = data.get("single") or {}
     double = data.get("double")
     if single or double:

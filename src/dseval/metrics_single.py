@@ -24,8 +24,6 @@ __all__ = [
     "EmptySide",
     "RiskCoveragePoint",
     "BinnedCurve",
-    "coverage",
-    "selective_risk",
     "risk_coverage_curve",
     "bin_risk_points",
     "aurc",
@@ -80,26 +78,6 @@ class BinnedCurve:
         filled_idx = np.flatnonzero(filled)
         values = np.interp(np.arange(minima.size), filled_idx, minima[filled_idx])
         return cls(k_bins=minima.size, values=values, filled=filled)
-
-
-def coverage(eval_set: EvalSet, channel: str, tau: float) -> float:
-    """Fraction of ID samples with channel score >= tau."""
-    scores = eval_set.channel(channel)
-    accepted_id = int(np.count_nonzero(scores[eval_set.is_id] >= tau))
-    return accepted_id / eval_set.n_id
-
-
-def selective_risk(eval_set: EvalSet, accepted) -> float:
-    """Failure fraction of an accepted index set; 0 when nothing is accepted.
-
-    Failures are misclassified accepted ID samples plus every accepted OOD
-    sample.
-    """
-    accepted = np.asarray(accepted, dtype=np.intp)
-    if accepted.size == 0:
-        return 0.0
-    failures = int(np.count_nonzero(~eval_set.id_correct[accepted]))
-    return failures / accepted.size
 
 
 def _population_counts(eval_set: EvalSet, channel: str, thresholds: np.ndarray):

@@ -16,6 +16,7 @@ from dseval import (
     SampleRecord,
     ThresholdGrid,
     ThresholdPair,
+    accept_all_threshold,
     aupr,
     auroc,
     aurc,
@@ -28,7 +29,6 @@ from dseval import (
     f1_from_counts,
     fpr_at_tpr,
     risk_coverage_curve,
-    selective_risk,
 )
 from dseval.cli import main as cli_main
 from dseval.ingest import write_scores
@@ -112,11 +112,12 @@ def test_criterion_2_reduction_suite():
             for k in range(n)
         ]
         es = build_eval_set(records)
-        accepted = np.flatnonzero(rng.random(n) < rng.uniform(0.1, 0.9))
-        mixed = selective_risk(es, accepted)
-        wrong = sum(1 for i in accepted if not records[i].correct)
-        id_only = wrong / accepted.size if accepted.size else 0.0
-        assert mixed == id_only
+        tau = float(rng.normal())
+        (point,) = risk_coverage_curve(es, "a", [tau])
+        accepted = [r for r in records if r.scores["a"] >= tau]
+        wrong = sum(1 for r in accepted if not r.correct)
+        id_only = wrong / len(accepted) if accepted else 0.0
+        assert point.risk == id_only
 
     for trial in range(200):
         base = make_random_set(np.random.default_rng(5000 + trial))
@@ -191,7 +192,9 @@ def test_criterion_4_fixture_check():
         single, _ = best_f1_single(es, ch, axis)
         assert abs(single - 2 / 3) <= EXACT, ch
 
-    assert abs(selective_risk(es, np.arange(5)) - 0.6) <= EXACT
+    # accepting all five: C is wrong, X and Y are OOD
+    (point,) = risk_coverage_curve(es, "s_id", [accept_all_threshold(es.channel("s_id"))])
+    assert abs(point.risk - 0.6) <= EXACT
 
     tables = ds_sweep_fast(es, "s_id", "s_ood", grid)
     # FR = 3 - TA and FA = accepted - TA count samples, so neither is negative

@@ -23,6 +23,8 @@ DIGESTS = {
     "eval.md": "d39110b41aead19f02ea3002adc5b3a98c5a680f617001b0095c66aaa1db782f",
     "surface.csv": "b4f2efe3769808663320e3351f770d33779b8079052ea6ad4b9db7845088047a",
     "select.json": "3a1bfe6ddb9e02108932711726660e66b9adcc0c4d9ab2c4ff70dba877a7dde1",
+    # recorded when select first wrote Markdown
+    "select.md": "3eb331c352bef62159cd492d19f1dc66859a6c67c8f8970b69b8a474770285cf",
     "scores.csv": "b167a27cfd23cf5184edeef3c02102746348a4006f0882723530e6eaf4d94abf",
     # recorded before the blockwise l1 norms, which must keep these bytes
     "scores_fit.csv": "05227cdc707ac778849552cf61c6c881df46376eee2f4a0e8bceb883261dc631",
@@ -67,8 +69,8 @@ def outputs(tmp_path_factory):
         _run("eval", "--scores", "far.csv", *CHANNELS, "--grid", 64, "--bins", 50,
              "--surface", "surface.csv", "--out", "eval.json")
         _run("eval", "--scores", "near.csv", *CHANNELS, "--grid", 32, "--out", "eval.md")
-        _run("select", "--val", "far.csv", "--test", "near.csv", "--grid", 64,
-             "--out", "select.json")
+        for out in ("select.json", "select.md"):
+            _run("select", "--val", "far.csv", "--test", "near.csv", "--grid", 64, "--out", out)
         rng = np.random.default_rng(5)
         _vector_files(rng, "ev_", 60, 40)
         _vector_files(rng, "fit_", 120, 0)

@@ -95,6 +95,15 @@ class TestSynthCommand:
         es = load_scores(out)
         assert es.n_id == 10 and es.n_ood == 5
 
+    def test_config_byte_order_mark_is_dropped(self, tmp_path):
+        outs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            cfg, out = tmp_path / "cfg.json", tmp_path / f"scores{len(bom)}.csv"
+            cfg.write_bytes(bom + json.dumps(_FAR).encode())
+            assert run(["synth", "--preset", "custom", "--config", cfg, "--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestEvalCommand:
     def test_fixture_report(self, fixture_csv, tmp_path):
@@ -246,18 +255,16 @@ class TestEvalCommand:
     def test_oracle_cross_check(self, fixture_csv):
         oracle_check(fixture_csv)
 
-    def test_markdown_output(self, fixture_csv, tmp_path):
+    @pytest.mark.parametrize(
+        "command, line", [("eval", "| 80.00 |"), ("select", "| test | 3 | 2 |")]
+    )
+    def test_markdown_output(self, fixture_csv, tmp_path, command, line):
         out = tmp_path / "report.md"
-        run(
-            [
-                "eval",
-                "--scores", fixture_csv,
-                "--id-channel", "s_id",
-                "--ood-channel", "s_ood",
-                "--out", out,
-            ]
-        )
-        assert "| 80.00 |" in out.read_text()
+        inputs = {"eval": ["--scores", fixture_csv],
+                  "select": ["--val", fixture_csv, "--test", fixture_csv]}[command]
+        channels = ["--id-channel", "s_id", "--ood-channel", "s_ood"]
+        assert run([command, *inputs, *channels, "--out", out]) == 0
+        assert line in out.read_text()
 
 
 class TestSelectCommand:
@@ -798,6 +805,7 @@ def test_eval_at_huge_magnitudes(tmp_path):
         (["select", "--grid", 0], None, 2, "UsageError"),
         (["synth", "--seed", -1], None, 1, "InvalidConfig"),
         (["synth", "--preset", "custom"], "{not json", 1, "InvalidConfig"),
+        (["synth", "--preset", "custom"], b'{"n_id": "\xe9"}', 1, "ParseError"),
         (["synth", "--preset", "custom"], json.dumps({**_FAR, "n_id": "abc"}), 1, "InvalidConfig"),
         (["synth", "--preset", "custom"], json.dumps({**_FAR, "seed": 1.5e400}), 1,
          "InvalidConfig"),
@@ -819,7 +827,8 @@ def test_eval_at_huge_magnitudes(tmp_path):
 )
 def test_bad_flags_give_one_line(tmp_path, capsys, fixture_csv, argv, config, code, kind):
     if config is not None:
-        (tmp_path / "config.json").write_text(config)
+        config = config.encode() if isinstance(config, str) else config
+        (tmp_path / "config.json").write_bytes(config)
         argv = [*argv, "--config", tmp_path / "config.json"]
     inputs = {
         "eval": ["--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"],

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import json
 import re
 import sys
@@ -431,8 +432,10 @@ def _wide_rows(k=64):
     return rows
 
 
-def _write_rows(path, rows):
+def _write_rows(path, rows, kind="features"):
     header = ["sample_id", "domain", "label", *(f"v{i}" for i in range(len(rows[0]) - 3))]
+    if kind == "scores":
+        header[2:] = ["correct", *(f"c{i}" for i in range(len(rows[0]) - 3))]
     path.write_text("".join(",".join(row) + "\r\n" for row in [header, *rows]))
     assert path.stat().st_size > 30 * ingest._PLAIN_CHUNK
 
@@ -462,23 +465,52 @@ def test_a_late_integer_minus_zero_gives_the_csv_pass(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "domain, label, message",
+    "kind, domain, label, message",
     [
-        ("id", "x", "row 152, column 'label': id rows need an integer class index, got 'x'"),
-        ("id", "1_0", "row 152, column 'label': id rows need an integer class index, got '1_0'"),
-        ("ood", "3", "row 152, column 'label': ood rows must leave this empty"),
-        ("test", "", "row 152, column 'domain': expected 'id' or 'ood', got 'test'"),
+        ("features", "id", "x",
+         "row 152, column 'label': id rows need an integer class index, got 'x'"),
+        ("features", "id", "1_0",
+         "row 152, column 'label': id rows need an integer class index, got '1_0'"),
+        ("features", "ood", "3", "row 152, column 'label': ood rows must leave this empty"),
+        ("features", "test", "", "row 152, column 'domain': expected 'id' or 'ood', got 'test'"),
+        ("scores", "id", "2", "row 152, column 'correct': id rows need 0 or 1, got '2'"),
+        ("scores", "id", "", "row 152, column 'correct': id rows need 0 or 1, got ''"),
+        ("scores", "ood", "0",
+         "row 152, column 'correct': ood rows must leave this empty, got '0'"),
+        ("scores", "test", "", "row 152, column 'domain': expected 'id' or 'ood', got 'test'"),
     ],
 )
-def test_a_late_bad_label_or_domain_is_named(tmp_path, domain, label, message):
-    # the rows before it hold every valid (domain, label) pair of the file
+def test_a_late_bad_label_or_domain_is_named(tmp_path, kind, domain, label, message):
+    # the rows before it hold every valid (domain, label or correct) pair of the file
     rows = _wide_rows()
+    if kind == "scores":
+        for i, row in enumerate(rows):
+            row[2] = str(i // 2 % 2) if row[1] == "id" else ""
     rows[150][1:3] = [domain, label]
-    path = tmp_path / "features.csv"
-    _write_rows(path, rows)
-    got, taken, expected = _bulk_and_csv(load_features, path)
+    path = tmp_path / f"{kind}.csv"
+    _write_rows(path, rows, kind)
+    loader = load_scores if kind == "scores" else load_features
+    got, taken, expected = _bulk_and_csv(loader, path)
     assert taken == [False]
     assert got == expected == (SchemaError, message)
+
+
+@pytest.mark.parametrize("quoted", [None, 0, 1999])
+def test_row_codes_outgrow_a_byte(tmp_path, quoted):
+    # 2000 distinct labels over several chunks: a row's code into the table
+    # of pairs outgrows a byte. A quote in the first row sends the file to
+    # the CSV pass, which widens the codes; one in the last row sends it
+    # there after the bulk reader has widened them.
+    rows = [f"r{i},id,{i},0.5,0.25\r\n" for i in range(2000)]
+    if quoted is not None:
+        rows[quoted] = f'"r{quoted}",id,{quoted},0.5,0.25\r\n'
+    path = tmp_path / "logits.csv"
+    path.write_text(_VEC + "".join(rows))
+    assert path.stat().st_size > 2 * ingest._PLAIN_CHUNK
+    got, taken, expected = _bulk_and_csv(load_logits, path)
+    assert taken == [quoted is None]
+    assert got == expected
+    assert load_logits(path).labels.tolist() == list(range(2000))
 
 
 @pytest.mark.parametrize(
@@ -520,6 +552,24 @@ def test_load_scores_peak_memory(tmp_path):
     held += sum(es.channel(ch).nbytes for ch in es.channel_names)
     held += sum(map(sys.getsizeof, es.sample_ids.tolist()))
     assert peak <= 2 * held, (peak, held)
+
+
+@pytest.mark.parametrize("kind", sorted(_LOADERS))
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_loaders_leave_no_reference_cycles(tmp_path, kind, quote):
+    # Garbage in a cycle waits for the collector, so a loader whose row
+    # state sat in one would hold each file's ids past its return, and
+    # repeated loads would raise the peak. A quote gives the CSV pass.
+    loader, header = _LOADERS[kind]
+    path = tmp_path / "data.csv"
+    path.write_text(header + f"{quote}A{quote},id,1,0.5,0.25\r\nX,ood,,0.1,-2.0\r\n")
+    gc.collect()
+    gc.disable()
+    try:
+        loader(path)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_load_features_peak_memory(tmp_path):

@@ -19,42 +19,11 @@ from dseval import (
     aurc,
     best_f1_single,
     build_eval_set,
-    coverage,
     fpr_at_tpr,
     risk_coverage_curve,
-    selective_risk,
 )
 from dseval.oracle import oracle_auroc
 from conftest import make_random_set
-
-
-def test_coverage_sentinel_and_extremes(fixture_set):
-    lo = accept_all_threshold(fixture_set.channel("s_ood"))
-    assert coverage(fixture_set, "s_ood", lo) == 1.0
-    assert coverage(fixture_set, "s_ood", 2.0) == 0.0
-    # all three ID samples clear 0.5 on the OOD channel
-    assert coverage(fixture_set, "s_ood", 0.5) == 1.0
-
-
-def test_selective_risk_fixture(fixture_set):
-    assert selective_risk(fixture_set, np.arange(5)) == pytest.approx(0.6)
-    assert selective_risk(fixture_set, []) == 0.0
-    assert selective_risk(fixture_set, [0, 1]) == 0.0
-
-
-def test_selective_risk_equals_id_only_risk_without_ood():
-    rng = np.random.default_rng(3)
-    records = [
-        SampleRecord(f"i{k}", Origin.ID, bool(rng.random() < 0.6), {"a": float(rng.normal())})
-        for k in range(40)
-    ]
-    es = build_eval_set(records)
-    for _ in range(20):
-        accepted = np.flatnonzero(rng.random(40) < 0.5)
-        mixed = selective_risk(es, accepted)
-        wrong = sum(1 for i in accepted if not es.records[i].correct)
-        id_only = wrong / accepted.size if accepted.size else 0.0
-        assert mixed == id_only
 
 
 class TestRiskCoverageCurve:
