@@ -177,9 +177,12 @@ def _cmd_score(args) -> int:
         _align(logits, features)
 
     fits = args.fit or []
-    if len(fits) > 2:
-        raise UsageError("--fit may be given at most twice (logits fit, features fit)")
     kinds = [k for k, path in ((LOGITS, args.logits), (FEATURES, args.features)) if path]
+    if len(fits) > len(kinds):
+        raise UsageError(
+            f"{len(fits)} --fit files for {len(kinds)} --logits/--features input(s); "
+            "give at most one --fit per input"
+        )
     # the --fit files pair up with the inputs given, in order: logits first
     fit_paths = dict(zip([FIT_LOGITS if k == LOGITS else FIT_FEATURES for k in kinds], fits))
     given = {*kinds, *fit_paths}
@@ -336,9 +339,9 @@ def _cmd_select(args) -> int:
         )
         modes[mode.value] = {
             "frozen": asdict(picked.frozen),
-            "val_f1": scaled(picked.val_f1, METRIC_SCALE),
+            "val_f1": scaled(picked.f1, METRIC_SCALE),
             "test_f1_transfer": scaled(transfer_f1, METRIC_SCALE),
-            "test_f1_opt": scaled(opt[mode].test_f1, METRIC_SCALE),
+            "test_f1_opt": scaled(opt[mode].f1, METRIC_SCALE),
             "test_counts": asdict(counts),
         }
     report = {

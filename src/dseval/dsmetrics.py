@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DsevalError, EvalSet, ThresholdPair, accept_all_threshold
+from .core import DsevalError, EvalSet, ThresholdPair, acceptance_set, accept_all_threshold
 from .metrics_single import BinnedCurve
 
 __all__ = [
@@ -142,11 +142,7 @@ class ThresholdGrid:
     @classmethod
     def exhaustive(cls, eval_set: EvalSet, ch_id: str, ch_ood: str) -> "ThresholdGrid":
         """Every distinct empirical value per axis, after its sentinel."""
-        grids = []
-        for ch in (ch_id, ch_ood):
-            vals = np.unique(eval_set.channel(ch))
-            grids.append(np.concatenate([[accept_all_threshold(vals)], vals]))
-        return cls(*grids)
+        return cls.quantile(eval_set, ch_id, ch_ood, eval_set.n_total)
 
     @classmethod
     def quantile(
@@ -162,12 +158,10 @@ def confusion_counts(
     eval_set: EvalSet, ch_id: str, ch_ood: str, pair: ThresholdPair
 ) -> ConfusionCounts:
     """Per-sample confusion accounting at a single threshold pair."""
-    s_id = eval_set.channel(ch_id)
-    s_ood = eval_set.channel(ch_ood)
-    acc = (s_id >= pair.tau_id) & (s_ood >= pair.tau_ood)
-    accepted_id = int(np.count_nonzero(acc & eval_set.is_id))
-    accepted_ood = int(np.count_nonzero(acc)) - accepted_id
-    ta = int(np.count_nonzero(acc & eval_set.id_correct))
+    acc = acceptance_set(eval_set, ch_id, ch_ood, pair)
+    accepted_id = int(np.count_nonzero(eval_set.is_id[acc]))
+    accepted_ood = acc.size - accepted_id
+    ta = int(np.count_nonzero(eval_set.id_correct[acc]))
     return ConfusionCounts(
         ta=ta,
         fa=accepted_ood + (accepted_id - ta),
@@ -179,15 +173,9 @@ def confusion_counts(
 
 
 def f1_from_counts(counts: ConfusionCounts) -> float:
-    """F1 of a confusion record; 0 on an empty acceptance set."""
-    n_id = counts.ta + counts.fr
-    if counts.accepted_total == 0:
-        return 0.0
-    precision = counts.ta / counts.accepted_total
-    recall = counts.ta / n_id
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    """F1 of a confusion record, 0 on an empty acceptance set: twice :func:`_half_f1`
+    on Python ints (TA + FR is n_id), whose true division rounds the same quotient."""
+    return 2.0 * (counts.ta / (counts.accepted_total + counts.ta + counts.fr))
 
 
 @dataclass(frozen=True)
@@ -325,14 +313,18 @@ class DsResult:
     ood_only: DsResult | None = None
 
 
+def _half_f1(ta, accepted, n_id: int, out=None) -> np.ndarray:
+    """TA / (accepted + n_id) in float64: precision * recall / (precision + recall),
+    0 where nothing is accepted. Doubling is exact, so twice this is each F1."""
+    out = np.add(accepted, n_id, out=out, dtype=np.float64)
+    return np.divide(ta, out, out=out)
+
+
 def _surface(tables: SweepTables) -> PairSurface:
     # built in place: one int64 temporary, freed before coverage is allocated
     accepted = tables.accepted_id + tables.accepted_ood
-    # algebraically 2*precision*recall/(precision+recall); exact with the
-    # empty-acceptance convention F1=0 since TA=0 there
-    f1 = np.add(accepted, tables.n_id, dtype=np.float64)
-    np.divide(tables.ta, f1, out=f1)
-    f1 *= 2.0  # exact, so equal to 2 * TA / (accepted + n_id)
+    f1 = _half_f1(tables.ta, accepted, tables.n_id)
+    f1 *= 2.0
     risk = np.subtract(accepted, tables.ta, dtype=np.float64)
     # empty acceptance keeps risk 0: FA = 0 there, and 0 / 1 is 0
     np.divide(risk, np.maximum(accepted, 1, out=accepted), out=risk)
@@ -349,9 +341,8 @@ def _surface(tables: SweepTables) -> PairSurface:
 class _BestF1:
     """Engine consumer: the maximum F1 over the blocks it is handed, and where.
 
-    F1 is 2 * (TA / (accepted + n_id)), exactly the surface's value as doubling
-    is exact; so only each block's maximum of TA / (accepted + n_id) is
-    doubled. Ties go to the smallest (tau_ood, tau_id).
+    Only each block's maximum of :func:`_half_f1` is doubled, which gives the
+    surface's value exactly. Ties go to the smallest (tau_ood, tau_id).
     """
 
     def __init__(self, n_id: int, grid: ThresholdGrid):
@@ -361,8 +352,7 @@ class _BestF1:
         if self._scratch is None:  # the engine's first block is its largest
             self._scratch = np.empty(ta.shape), np.empty(ta.shape, dtype=bool)
         half, hit = (a[: len(ta)] for a in self._scratch)
-        np.add(accepted, self.n_id, out=half, dtype=np.float64)
-        np.divide(ta, half, out=half)
+        _half_f1(ta, accepted, self.n_id, half)
         top_half = half.max()
         top = 2.0 * float(top_half)
         if top < self.best:

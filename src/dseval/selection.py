@@ -10,7 +10,7 @@ expose the selection/deployment gap, so reports must label it as leaky.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .core import EvalSet, ThresholdPair
@@ -30,10 +30,10 @@ class SelectionMode(Enum):
 
 @dataclass(frozen=True)
 class SelectionResult:
-    mode: SelectionMode
+    """A mode's best pair on the split it was selected on, and its F1 there."""
+
     frozen: ThresholdPair
-    val_f1: float
-    test_f1: float | None = None
+    f1: float
 
 
 def select_thresholds(
@@ -49,7 +49,7 @@ def select_thresholds(
         raise ValueError("the single modes need a grid whose first thresholds accept all")
     picks = {SelectionMode.ID_ONLY: result.id_only, SelectionMode.OOD_ONLY: result.ood_only,
              SelectionMode.DOUBLE: result}
-    return {mode: SelectionResult(mode, pick.best_pair, pick.value) for mode, pick in picks.items()}
+    return {mode: SelectionResult(pick.best_pair, pick.value) for mode, pick in picks.items()}
 
 
 def apply_thresholds(
@@ -64,5 +64,4 @@ def test_opt(
     test_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid
 ) -> dict[SelectionMode, SelectionResult]:
     """Optimize every mode directly on the test set (leaky; reported as "test-opt")."""
-    results = select_thresholds(test_set, ch_id, ch_ood, grid)
-    return {mode: replace(result, test_f1=result.val_f1) for mode, result in results.items()}
+    return select_thresholds(test_set, ch_id, ch_ood, grid)

@@ -8,7 +8,7 @@ of the determinism contract.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -26,7 +26,6 @@ __all__ = [
     "far_ood_config",
     "near_ood_config",
     "config_from_dict",
-    "config_to_dict",
     "CHANNEL_ID",
     "CHANNEL_OOD",
 ]
@@ -153,10 +152,6 @@ def near_ood_config(
 ) -> SynthConfig:
     """OOD overlapping the ID bulk on s_ood."""
     return _preset(n_id, n_ood, id_accuracy, seed, mean_s_ood=-1.0)
-
-
-def config_to_dict(config: SynthConfig) -> dict:
-    return asdict(config)
 
 
 def _integer(data: dict, key: str) -> int:

@@ -223,7 +223,7 @@ def test_criterion_5_threshold_transfer_protocol():
         ):
             double_wins += 1
         opt = optimize_on_test(test, "s_id", "s_ood", test_grid)[SelectionMode.DOUBLE]
-        opt_dominates &= opt.test_f1 >= transferred[SelectionMode.DOUBLE] - EXACT
+        opt_dominates &= opt.f1 >= transferred[SelectionMode.DOUBLE]
     assert double_wins >= 95, f"double transfer won only {double_wins}/100"
     assert opt_dominates
     _passed("criterion-5 transfer protocol", f"double won {double_wins}/100")

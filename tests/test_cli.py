@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from dseval.scoring import (
     knn_score,
     msp,
 )
-from dseval.synth import config_to_dict, far_ood_config
+from dseval.synth import far_ood_config
 from conftest import make_fixture_set
 
 
@@ -552,6 +553,16 @@ class TestScoreCommand:
         assert run([*argv, "--out", tmp_path / "x.csv"]) == 1
         self._error_line(capsys, "IoError")
 
+    def test_more_fit_files_than_inputs(self, vector_files, capsys, tmp_path):
+        # a second --fit with only --logits given is refused before any fit file is opened
+        paths, *_ = vector_files
+        argv = ["score", "--logits", paths["logits"], "--fit", paths["fit_logits"],
+                "--fit", tmp_path / "no_such_file.csv", "--method", "msp,klm"]
+        assert run([*argv, "--out", tmp_path / "x.csv"]) == 2
+        err = self._error_line(capsys, "UsageError")
+        assert "2 --fit files for 1" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_fit_label_beyond_int64(self, vector_files, capsys, tmp_path):
         paths, *_ = vector_files
         text = paths["fit_features"].read_text().splitlines()
@@ -770,7 +781,7 @@ def test_cli_does_not_import_the_oracles():
     assert proc.stdout.split() == ["False", "False"]
 
 
-_FAR = config_to_dict(far_ood_config(10, 10))
+_FAR = asdict(far_ood_config(10, 10))
 
 
 def test_eval_at_huge_magnitudes(tmp_path):

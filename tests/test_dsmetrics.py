@@ -30,6 +30,8 @@ from dseval import (
 )
 from dseval import dsmetrics
 from dseval.oracle import oracle_ds_aurc
+from dseval.selection import apply_thresholds
+from dseval.synth import far_ood_config, generate, near_ood_config
 from conftest import make_random_set
 
 
@@ -102,6 +104,24 @@ def test_f1_from_counts(fixture_set):
     assert f1_from_counts(empty) == 0.0
 
 
+@pytest.mark.parametrize(
+    "config",
+    [near_ood_config(60, 40, seed=s) for s in range(3)] + [far_ood_config(60, 40, seed=0)],
+)
+def test_one_f1_for_every_pair(config):
+    # the scalar F1 of a pair's counts is the surface's F1 bit for bit, and a
+    # frozen best pair transfers to its own split at exactly the DS-F1 value
+    es = generate(config)
+    grid = ThresholdGrid.exhaustive(es, "s_id", "s_ood")
+    surface = _pair_surface(es, "s_id", "s_ood", grid)
+    for i, tau_id in enumerate(grid.id_thresholds):
+        for j, tau_ood in enumerate(grid.ood_thresholds):
+            counts = confusion_counts(es, "s_id", "s_ood", ThresholdPair(tau_id, tau_ood))
+            assert f1_from_counts(counts) == surface.f1[i, j], (i, j)
+    best = ds_f1(es, "s_id", "s_ood", grid)
+    assert apply_thresholds(es, "s_id", "s_ood", best.best_pair)[0] == best.value
+
+
 class TestDsF1:
     def test_fixture(self, fixture_set):
         grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
@@ -111,7 +131,7 @@ class TestDsF1:
         assert result.best_pair == ThresholdPair(tau_id=0.8, tau_ood=0.1)
         # the pair quoted alongside the fixture attains the same value
         quoted = confusion_counts(fixture_set, "s_id", "s_ood", ThresholdPair(0.75, 0.5))
-        assert f1_from_counts(quoted) == pytest.approx(result.value)
+        assert f1_from_counts(quoted) == result.value
         # and it strictly beats the best single threshold on either channel
         for ch, axis in (("s_id", grid.id_thresholds), ("s_ood", grid.ood_thresholds)):
             single, _ = best_f1_single(fixture_set, ch, axis)

@@ -17,7 +17,7 @@ from dseval.synth import far_ood_config, generate
 def test_fixture_double_mode(fixture_set):
     grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
     result = select_thresholds(fixture_set, "s_id", "s_ood", grid)[SelectionMode.DOUBLE]
-    assert result.val_f1 == pytest.approx(0.8)
+    assert result.f1 == pytest.approx(0.8)
     assert result.frozen == ThresholdPair(tau_id=0.8, tau_ood=0.1)
     # re-applying the frozen pair to the same data reproduces the value
     f1, counts = apply_thresholds(fixture_set, "s_id", "s_ood", result.frozen)
@@ -35,11 +35,11 @@ def test_single_modes_fix_other_axis_at_sentinel(fixture_set):
     grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
     results = select_thresholds(fixture_set, "s_id", "s_ood", grid)
     id_only = results[SelectionMode.ID_ONLY]
-    assert id_only.val_f1 == pytest.approx(2 / 3)
+    assert id_only.f1 == pytest.approx(2 / 3)
     assert id_only.frozen.tau_id == 0.8
     assert id_only.frozen.tau_ood == accept_all_threshold(fixture_set.channel("s_ood"))
     ood_only = results[SelectionMode.OOD_ONLY]
-    assert ood_only.val_f1 == pytest.approx(2 / 3)
+    assert ood_only.f1 == pytest.approx(2 / 3)
     assert ood_only.frozen.tau_id == accept_all_threshold(fixture_set.channel("s_id"))
 
 
@@ -53,7 +53,7 @@ def test_all_correct_no_ood_gives_one_at_sentinels():
     results = select_thresholds(es, "a", "b", grid)
     for mode in SelectionMode:
         result = results[mode]
-        assert result.val_f1 == 1.0
+        assert result.f1 == 1.0
         assert result.frozen.tau_id <= es.channel("a").min()
         assert result.frozen.tau_ood <= es.channel("b").min()
 
@@ -71,12 +71,12 @@ def test_double_val_dominates_single_modes():
         grid = ThresholdGrid.exhaustive(val, "s_id", "s_ood")
         results = select_thresholds(val, "s_id", "s_ood", grid)
         assert (
-            results[SelectionMode.DOUBLE].val_f1
-            >= results[SelectionMode.ID_ONLY].val_f1 - 1e-12
+            results[SelectionMode.DOUBLE].f1
+            >= results[SelectionMode.ID_ONLY].f1 - 1e-12
         )
         assert (
-            results[SelectionMode.DOUBLE].val_f1
-            >= results[SelectionMode.OOD_ONLY].val_f1 - 1e-12
+            results[SelectionMode.DOUBLE].f1
+            >= results[SelectionMode.OOD_ONLY].f1 - 1e-12
         )
 
 
@@ -89,7 +89,7 @@ def test_test_opt_dominates_transfer():
         picked = select_thresholds(val, "s_id", "s_ood", val_grid)[SelectionMode.DOUBLE]
         transferred, _ = apply_thresholds(test, "s_id", "s_ood", picked.frozen)
         opt = optimize_on_test(test, "s_id", "s_ood", test_grid)[SelectionMode.DOUBLE]
-        assert opt.test_f1 >= transferred - 1e-12
+        assert opt.f1 >= transferred
 
 
 def test_grid_without_single_lines_is_refused(fixture_set):

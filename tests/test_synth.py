@@ -1,3 +1,4 @@
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,6 @@ from dseval.synth import (
     PopulationParams,
     SynthConfig,
     config_from_dict,
-    config_to_dict,
     far_ood_config,
     generate,
     near_ood_config,
@@ -91,7 +91,7 @@ def test_invalid_configs():
         config_from_dict({"n_id": 5})
     with pytest.raises(InvalidConfig):
         generate(far_ood_config(10, 10, seed=-1))
-    fields = config_to_dict(far_ood_config(10, 10))
+    fields = asdict(far_ood_config(10, 10))
     for key, value in [("n_id", "abc"), ("correct", {"mean_s_id": "abc", "mean_s_ood": 0}),
                        ("wrong", [1, 2]), ("ood", {"mean_s_id": None, "mean_s_ood": 0})]:
         with pytest.raises(InvalidConfig):
@@ -108,4 +108,4 @@ def test_sample_cap_is_checked_before_drawing():
 
 def test_config_round_trip():
     config = near_ood_config(10, 20, 0.9, seed=42)
-    assert config_from_dict(config_to_dict(config)) == config
+    assert config_from_dict(asdict(config)) == config
