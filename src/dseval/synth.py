@@ -37,6 +37,9 @@ CHANNEL_OOD = "s_ood"
 # Largest n_id + n_ood that generate accepts: 100 times the largest benchmark
 # set. At this size the sample ids alone take about 1 GB.
 MAX_SAMPLES = 10_000_000
+# Sample ids formatted by one `%` template at a time; a chunk's text and
+# tuple stay far below the size of the id list.
+_ID_CHUNK = 4096
 
 
 class InvalidConfig(DsevalError):
@@ -98,6 +101,15 @@ def _draw(rng: np.random.Generator, pop: PopulationParams, n: int) -> np.ndarray
     return out
 
 
+def _ids(prefix: str, start: int, stop: int):
+    """``prefix`` plus each number of ``range(start, stop)`` at six digits or
+    more, in one list per ``_ID_CHUNK`` ids, each formatted by one ``%`` template."""
+    template = prefix + "%06d,"
+    for lo in range(start, stop, _ID_CHUNK):
+        hi = min(lo + _ID_CHUNK, stop)
+        yield ((template * (hi - lo))[:-1] % tuple(range(lo, hi))).split(",")
+
+
 def generate(config: SynthConfig) -> EvalSet:
     """Draw an evaluation set; identical configs give bit-identical sets."""
     _validate(config)
@@ -116,9 +128,8 @@ def generate(config: SynthConfig) -> EvalSet:
             raise InvalidConfig(f"{name} population draws a score that is not finite")
     scores = np.vstack(draws)
     rows = np.arange(len(scores))
-    ids = chain(
-        map("id-{:06d}".format, range(config.n_id)),
-        map("ood-{:06d}".format, range(config.n_id, len(scores))),
+    ids = chain.from_iterable(
+        chain(_ids("id-", 0, config.n_id), _ids("ood-", config.n_id, len(scores)))
     )
     channels = {CHANNEL_ID: scores[:, 0], CHANNEL_OOD: scores[:, 1]}
     return EvalSet.from_columns(ids, rows < config.n_id, rows < n_correct, channels)

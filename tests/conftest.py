@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dseval import Origin, SampleRecord, build_eval_set
+
+# The randomized properties draw fresh examples on every run; under the `ci`
+# profile a failure prints the blob that replays it (@reproduce_failure).
+# HYPOTHESIS_PROFILE=ci selects it; tests that set their own @settings keep it.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # Hand-checked five-record set: two correct ID samples sit on top of both
 # channels, the misclassified ID sample C fools the OOD channel, and the OOD

@@ -806,6 +806,28 @@ def test_eval_at_huge_magnitudes(tmp_path):
     assert report["double"]["ds_f1"]["raw"] == pytest.approx(0.8)
 
 
+def test_eval_and_select_across_the_float_range_stay_quiet(tmp_path):
+    """Scores at +-1e308 span more than the largest float: no warning, exit 0."""
+    scores = tmp_path / "span.csv"
+    scores.write_text(
+        "sample_id,domain,correct,s_id,s_ood\n"
+        "a,id,1,1e308,-1e308\nb,id,0,-1e308,1e308\n"
+        "c,ood,,1e308,1e308\nd,ood,,-1e308,-1e308\n"
+    )
+    channels = ["--id-channel", "s_id", "--ood-channel", "s_ood"]
+    for args in (
+        ["eval", "--scores", scores, *channels, "--out", tmp_path / "r.json"],
+        ["eval", "--scores", scores, *channels, "--surface", tmp_path / "s.csv",
+         "--out", tmp_path / "rs.json"],
+        ["select", "--val", scores, "--test", scores, "--out", tmp_path / "sel.json"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dseval.cli", *map(str, args)],
+            capture_output=True, text=True, env=_child_env(),
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 @pytest.mark.parametrize(
     "argv, config, code, kind",
     [

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -395,6 +396,21 @@ def test_sweep_matches_references(case, picks, block, row_add_cols):
             assert (c.ta, c.accepted_id, c.accepted_ood) == (
                 tables.ta[i, j], tables.accepted_id[i, j], tables.accepted_ood[i, j]
             )
+        # two layers: the same TA and accepted totals, and no accepted-ID view
+        two = [np.empty_like(ta), None, np.empty_like(ta)]
+
+        def fill(start, *views):
+            for table, part in zip(two, views):
+                if table is None:
+                    assert part is None
+                else:
+                    assert part.dtype == dtype
+                    table[start : start + len(part)] = part
+
+        with _engine(block, row_add_cols, int32_samples):
+            dsmetrics._sweep(es, "a", "b", grid, fill, accepted_id=False)
+        assert np.array_equal(two[0], ta)
+        assert np.array_equal(two[2], accepted_id + accepted_ood)
 
 
 def test_count_dtype_holds_every_count():
@@ -407,6 +423,15 @@ def test_count_dtype_holds_every_count():
         tracemalloc.stop()
     assert dtypes == (np.int32, np.int64)
     assert peak < 1 << 10
+
+
+def _table_best(f1_table, grid):
+    """The largest F1 of a whole table, at its smallest (tau_ood, tau_id)."""
+    best = float(f1_table.max())
+    rows, cols = np.nonzero(f1_table == best)
+    j = int(cols.min())
+    i = int(rows[cols == j].min())
+    return best, ThresholdPair(float(grid.id_thresholds[i]), float(grid.ood_thresholds[j]))
 
 
 def _table_formulas(es, ta, accepted_id, accepted_ood):
@@ -425,14 +450,12 @@ def _table_formulas(es, ta, accepted_id, accepted_ood):
 )
 def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins):
     """At any block size and count dtype, the streamed metrics and the tables
-    equal the whole-table results."""
+    equal the whole-table results; ``ds_f1`` sweeps two count layers and
+    ``ds_metrics`` three."""
     es, grid = case
     naive = _naive_tables(es, grid)
     f1_table, coverage, risk = _table_formulas(es, *naive)
-    best = float(f1_table.max())
-    rows, cols = np.nonzero(f1_table == best)
-    j = int(cols.min())
-    i = int(rows[cols == j].min())
+    best, best_pair = _table_best(f1_table, grid)
     curve = bin_risk_points(coverage.ravel(), risk.ravel(), k_bins)
     for _, int32_samples in _COUNT_DTYPES:
         with _engine(block, row_add_cols, int32_samples):
@@ -445,10 +468,7 @@ def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins
         assert np.array_equal(surface.f1, f1_table)
         assert np.array_equal(surface.coverage, coverage)
         assert np.array_equal(surface.risk, risk)
-        assert f1.value == best
-        assert f1.best_pair == ThresholdPair(
-            float(grid.id_thresholds[i]), float(grid.ood_thresholds[j])
-        )
+        assert f1.value == best and f1.best_pair == best_pair
         assert np.array_equal(aurc_result.curve.values, curve.values)
         assert np.array_equal(aurc_result.curve.filled, curve.filled)
         assert aurc_result.value == float(np.sum(curve.values)) / k_bins
@@ -464,8 +484,8 @@ def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins
 )
 def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
     """Column 0 and row 0 of the sweep give the single-threshold metrics exactly,
-    at either count dtype, wherever the first threshold on the other axis
-    accepts every sample."""
+    at either count dtype and layer count, wherever the first threshold on the
+    other axis accepts every sample."""
     es, grid = case
     lines = [
         ("id_only", "a", grid.id_thresholds, grid.ood_thresholds[0] <= es.channel("b").min()),
@@ -486,6 +506,106 @@ def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
             for best in (results[0], results[2]):
                 assert best.value == value and getattr(best.best_pair, at) == tau
             assert results[1].value == area and results[3].value == area
+
+
+def test_best_f1_reduces_under_a_seventh_of_a_large_grid():
+    """At 2049^2 on a 20k near-preset set, the column bound leaves about 8% of
+    the cells to reduce; the bound rows themselves are not counted."""
+    es = generate(near_ood_config(10_000, 10_000, seed=3))
+    grid = ThresholdGrid.quantile(es, "s_id", "s_ood", 2048)
+    assert grid.id_thresholds.size == grid.ood_thresholds.size == 2049
+    reduced = []
+
+    def counted(ta, *args, **kwargs):
+        if ta.ndim == 2:  # a block's span of columns, not a bound row
+            reduced.append(ta.size)
+        return half_f1(ta, *args, **kwargs)
+
+    half_f1 = dsmetrics._half_f1
+    with mock.patch.object(dsmetrics, "_half_f1", counted):
+        result = ds_f1(es, "s_id", "s_ood", grid)
+    assert sum(reduced) <= 0.15 * 2049 * 2049
+    # every cell's F1, a block at a time, without the bound
+    maxima = []
+    dsmetrics._sweep(
+        es, "s_id", "s_ood", grid,
+        lambda start, ta, accepted_id, accepted: maxima.append(
+            float((2.0 * ta / (accepted + es.n_id)).max())
+        ),
+    )
+    assert result.value == max(maxima)
+
+
+def test_only_ds_f1_sweeps_without_accepted_id(fixture_set):
+    """DS-F1 alone counts two layers and its reduction sees no accepted-ID
+    counts; a sweep that also reduces DS-AURC counts three."""
+    grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
+    seen = []
+    reduce = dsmetrics._BestF1.__call__
+
+    def spy(self, start, ta, accepted_id, accepted):
+        seen.append(accepted_id is None)
+        return reduce(self, start, ta, accepted_id, accepted)
+
+    with mock.patch.object(dsmetrics._BestF1, "__call__", spy):
+        ds_f1(fixture_set, "s_id", "s_ood", grid)
+        alone = seen[:]
+        seen.clear()
+        ds_metrics(fixture_set, "s_id", "s_ood", grid)
+    assert alone and all(alone)
+    assert seen and not any(seen)
+
+
+def _all_correct_set(n):
+    """n correct ID samples at distinct scores and no OOD: every pair that
+    accepts them all has F1 1."""
+    scores = np.arange(n, dtype=np.float64)
+    return EvalSet.from_columns(
+        [f"s{i}" for i in range(n)], [True] * n, [True] * n, {"a": scores, "b": scores}
+    )
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
+def test_best_f1_keeps_the_first_pair_on_later_ties(block):
+    """The seeded first pair holds the maximum, and the sentinel and data-minimum
+    rows and columns tie it in later blocks; the first pair stays the result."""
+    es = _all_correct_set(6)
+    grid = ThresholdGrid.exhaustive(es, "a", "b")
+    first = ThresholdPair(float(grid.id_thresholds[0]), float(grid.ood_thresholds[0]))
+    with _engine(block, 1 << 30, dsmetrics._INT32_SAMPLES):
+        f1, _ = ds_metrics(es, "a", "b", grid)
+        alone = ds_f1(es, "a", "b", grid)
+    for result in (f1, alone):
+        assert result.value == 1.0 and result.best_pair == first
+        assert result.id_only.best_pair == result.ood_only.best_pair == first
+
+
+@pytest.mark.parametrize("block", [1, 3, 1 << 16])
+def test_best_f1_from_a_first_pair_that_accepts_nothing(block):
+    """A first pair that accepts nothing seeds F1 0, and so does every other pair."""
+    es = _all_correct_set(6)
+    grid = ThresholdGrid([6.0, 7.0, 8.0], [6.5, 9.0])
+    with _engine(block, 1 << 30, dsmetrics._INT32_SAMPLES):
+        results = ds_f1(es, "a", "b", grid), ds_metrics(es, "a", "b", grid)[0]
+    for result in results:
+        assert result.value == 0.0 and result.best_pair == ThresholdPair(6.0, 6.5)
+
+
+@pytest.mark.parametrize("block", [1, 3, 64, 1 << 16])
+def test_best_f1_on_a_grid_without_sentinels(block):
+    """Without accept-all thresholds the seed is an interior pair's F1, and the
+    maximum and its pair still equal the whole table's."""
+    es = generate(near_ood_config(150, 100, seed=4))
+    grid = ThresholdGrid(
+        quantile_grid(es.channel("s_id"), 40)[1:], quantile_grid(es.channel("s_ood"), 25)[1:]
+    )
+    expected = _table_best(_pair_surface(es, "s_id", "s_ood", grid).f1, grid)
+    for row_add_cols in (1, 1 << 30):
+        with _engine(block, row_add_cols, dsmetrics._INT32_SAMPLES):
+            results = ds_f1(es, "s_id", "s_ood", grid), ds_metrics(es, "s_id", "s_ood", grid)[0]
+        for result in results:
+            assert (result.value, result.best_pair) == expected
+            assert result.id_only is result.ood_only is None
 
 
 def test_no_lines_without_an_accept_all_threshold(fixture_set):
@@ -633,6 +753,13 @@ def test_grid_refuses_nan_and_unsorted_thresholds(axis):
         ThresholdGrid(np.array(axis), np.array([0.0]))
     with pytest.raises(ValueError, match="strictly increasing"):
         ThresholdGrid(np.array([0.0]), np.array(axis))
+
+
+def test_grid_across_the_float_range_builds_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = ThresholdGrid([-1e308, 1e308], [-1e308, 0.0, 1e308])
+    assert grid.id_thresholds.tolist() == [-1e308, 1e308]
 
 
 def test_grid_refuses_an_axis_that_is_not_1d():

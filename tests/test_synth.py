@@ -106,6 +106,13 @@ def test_sample_cap_is_checked_before_drawing():
                 generate(far_ood_config(6, 5))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+def test_sample_ids_across_format_chunks(chunk):
+    with mock.patch.object(synth, "_ID_CHUNK", chunk):
+        ids = generate(far_ood_config(7, 5)).sample_ids
+    assert list(ids) == [f"id-{i:06d}" for i in range(7)] + [f"ood-{i:06d}" for i in range(7, 12)]
+
+
 def test_config_round_trip():
     config = near_ood_config(10, 20, 0.9, seed=42)
     assert config_from_dict(asdict(config)) == config
