@@ -11,15 +11,14 @@ DS-F1 maximises F1 over the grid product of thresholds. DS-AURC bins the
 bin. One count engine builds the counts of every pair by 2-D suffix sums in
 O(N log N + T_id * T_ood), a block of ID-threshold rows at a time, and hands
 each block to the reductions at once: :func:`ds_f1`, :func:`ds_aurc` and
-:func:`ds_metrics` (both from one sweep) hold no count table. The engine
-hands on three counts per block (TA, accepted ID, accepted total), or two
-for :func:`ds_f1`, which needs no accepted-ID count and so counts one layer
-fewer. DS-F1 starts from the F1 of the grid's first pair and reduces only
-the columns of a block whose exact upper bound can reach the best F1 so far
-(see :class:`_BestF1`). Only a pair surface needs the tables, which
-:func:`ds_sweep_fast` fills from the same engine. Grids above ``MAX_SWEEP_CELLS`` cells, tables above
-``MAX_TABLE_CELLS`` cells, and DS-AURC with more coverage bins than
-``MAX_SWEEP_CELLS``, raise :class:`GridTooLarge`.
+:func:`ds_metrics` (both from one sweep) hold no count table. DS-F1
+starts from the F1 of the grid's first pair and reduces only the columns of
+a block whose exact upper bound can reach the best F1 so far (see
+:class:`_BestF1`). Only a pair surface needs the tables, which
+:func:`ds_sweep_fast` fills from the same engine. Grids above
+``MAX_SWEEP_CELLS`` cells, tables above ``MAX_TABLE_CELLS`` cells, and
+DS-AURC with more coverage bins than ``MAX_SWEEP_CELLS``, raise
+:class:`GridTooLarge`.
 
 Each result also holds each channel's single-score metric, read off the
 sentinel column and row of the same sweep (see :class:`_Lines`).
@@ -57,7 +56,7 @@ DEFAULT_K_BINS = 200
 # Largest (T_id + 1) * (T_ood + 1) a sweep accepts. A streamed sweep holds no
 # table, so for it this bounds time: DS-F1 plus DS-AURC from one sweep take
 # about 1.0 s of CPU at this budget (20k samples) on one core of a 2-vCPU VM,
-# and DS-F1 alone about 0.2 s.
+# and DS-F1 alone about 0.3 s.
 MAX_SWEEP_CELLS = 1 << 26
 # Largest (T_id + 1) * (T_ood + 1) that ds_sweep_fast fills tables for. A pair
 # surface peaks at about 48.5 bytes per cell (tracemalloc at 2049^2): the three
@@ -65,9 +64,8 @@ MAX_SWEEP_CELLS = 1 << 26
 # freed before the last surface. That is about 0.8 GB at this budget, and
 # would be 3.3 GB at MAX_SWEEP_CELLS.
 MAX_TABLE_CELLS = 1 << 24
-# Cells per block of the count engine, so each of its int32 count layers
-# (three, or two for DS-F1 alone) takes 256 KB and each float64 reduction
-# buffer 512 KB.
+# Cells per block of the count engine, so each of its three int32 count
+# layers takes 256 KB and each float64 reduction buffer 512 KB.
 _BLOCK_CELLS = 1 << 16
 # The engine counts in int32 below this many samples, and in int64 from it.
 _INT32_SAMPLES = 1 << 31
@@ -215,10 +213,7 @@ def _count_dtype(n_samples: int) -> type:
     return np.int32 if n_samples < _INT32_SAMPLES else np.int64
 
 
-def _sweep(
-    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers,
-    accepted_id: bool = True,
-) -> None:
+def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers) -> None:
     """The count engine: hands every block of ID-threshold rows to each consumer.
 
     Each sample is bucketed once per axis (its bin is the number of grid
@@ -231,10 +226,6 @@ def _sweep(
     and accepted-total counts of each pair, identical to
     :func:`confusion_counts` (``accepted`` is its ``accepted_total``). The
     views are int32 below ``_INT32_SAMPLES`` samples and int64 from there.
-
-    With ``accepted_id=False`` the engine counts two layers instead of three
-    and hands ``None`` for accepted-ID: one layer add turns them into TA and
-    the accepted total.
     """
     _check_budget(grid, MAX_SWEEP_CELLS)
     n_rows, n_cols = grid.id_thresholds.size, grid.ood_thresholds.size
@@ -242,25 +233,21 @@ def _sweep(
     row = np.searchsorted(grid.id_thresholds, eval_set.channel(ch_id), side="right")
     col = np.searchsorted(grid.ood_thresholds, eval_set.channel(ch_ood), side="right")
     # bin 0 on either axis passes no threshold there; layer 0 of a block
-    # counts correct ID samples, and layer 1 the rest, or with accepted_id
-    # layer 1 misclassified ID and layer 2 OOD
+    # counts correct ID samples, layer 1 misclassified ID, layer 2 OOD
     keep = (row > 0) & (col > 0)
-    layer = 1 - eval_set.id_correct[keep].astype(np.int64)
-    if accepted_id:
-        layer += ~eval_set.is_id[keep]
-    n_layers = 3 if accepted_id else 2
+    layer = 2 - eval_set.is_id[keep].astype(np.int64) - eval_set.id_correct[keep]
     # counted from the last row, rows fall into blocks of `step`; a row sits
     # `step - 1 - offset` rows into the buffer, so a short top block fills its tail
     block, offset = np.divmod(n_rows - row[keep], step)
-    key = (step - 1 - offset) * (n_layers * n_cols) + layer * n_cols + col[keep] - 1
+    key = (step - 1 - offset) * (3 * n_cols) + layer * n_cols + col[keep] - 1
     ends = np.cumsum(np.bincount(block, minlength=-(-n_rows // step))).tolist()
     if len(ends) > 1:  # a stable sort of small integers is a radix sort
         key = key[np.argsort(block.astype(np.min_scalar_type(len(ends))), kind="stable")]
     del row, col, keep, layer, block, offset
     dtype = _count_dtype(eval_set.n_total)
     one = dtype(1)  # a Python 1 would take add.at off its fast path for int32
-    buf = np.empty((step, n_layers, n_cols), dtype=dtype)
-    carry = np.zeros((n_layers, n_cols), dtype=dtype)
+    buf = np.empty((step, 3, n_cols), dtype=dtype)
+    carry = np.zeros((3, n_cols), dtype=dtype)
     for b, begin, end in zip(range(len(ends)), [0, *ends], ends):
         n = min(step, n_rows - b * step)
         counts = buf[step - n :]
@@ -277,12 +264,11 @@ def _sweep(
             flipped = counts[::-1]
             np.cumsum(flipped, axis=0, out=flipped, dtype=dtype)
         carry[...] = counts[0]
-        # the layers handed on: TA, (accepted ID,) and all accepted
-        for k in range(1, n_layers):
-            counts[:, k] += counts[:, k - 1]
-        views = counts[:, 0], counts[:, 1] if accepted_id else None, counts[:, -1]
+        # the layers handed on: TA, accepted ID, and all accepted
+        counts[:, 1] += counts[:, 0]
+        counts[:, 2] += counts[:, 1]
         for consume in consumers:
-            consume(n_rows - b * step - n, *views)
+            consume(n_rows - b * step - n, counts[:, 0], counts[:, 1], counts[:, 2])
 
 
 def ds_sweep_fast(
@@ -461,9 +447,9 @@ class _Lines:
     def __call__(self, start, *block):
         self.full(start, *block)
         if self.id_only is not None:
-            self.id_only(start, *(part if part is None else part[:, :1] for part in block))
+            self.id_only(start, *(part[:, :1] for part in block))
         if self.ood_only is not None and start == 0:
-            self.ood_only(start, *(part if part is None else part[:1] for part in block))
+            self.ood_only(start, *(part[:1] for part in block))
 
     def result(self) -> DsResult:
         id_only, ood_only = (line and line.result() for line in (self.id_only, self.ood_only))
@@ -485,7 +471,7 @@ def ds_f1(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid) -> Ds
     is the smallest threshold.
     """
     best = _best_f1(eval_set, ch_id, ch_ood, grid)
-    _sweep(eval_set, ch_id, ch_ood, grid, best, accepted_id=False)
+    _sweep(eval_set, ch_id, ch_ood, grid, best)
     return best.result()
 
 

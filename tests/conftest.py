@@ -1,16 +1,15 @@
-import os
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from dseval import Origin, SampleRecord, build_eval_set
 
-# The randomized properties draw fresh examples on every run; under the `ci`
-# profile a failure prints the blob that replays it (@reproduce_failure).
-# HYPOTHESIS_PROFILE=ci selects it; tests that set their own @settings keep it.
-settings.register_profile("ci", print_blob=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+# A failing randomized property prints the blob that replays it
+# (@reproduce_failure). The profile extends the one already loaded, which on
+# CI runners is Hypothesis's own `ci` profile, and tests that set their own
+# @settings keep it.
+settings.register_profile("print-blob", settings.default, print_blob=True)
+settings.load_profile("print-blob")
 
 # Hand-checked five-record set: two correct ID samples sit on top of both
 # channels, the misclassified ID sample C fools the OOD channel, and the OOD

@@ -396,21 +396,6 @@ def test_sweep_matches_references(case, picks, block, row_add_cols):
             assert (c.ta, c.accepted_id, c.accepted_ood) == (
                 tables.ta[i, j], tables.accepted_id[i, j], tables.accepted_ood[i, j]
             )
-        # two layers: the same TA and accepted totals, and no accepted-ID view
-        two = [np.empty_like(ta), None, np.empty_like(ta)]
-
-        def fill(start, *views):
-            for table, part in zip(two, views):
-                if table is None:
-                    assert part is None
-                else:
-                    assert part.dtype == dtype
-                    table[start : start + len(part)] = part
-
-        with _engine(block, row_add_cols, int32_samples):
-            dsmetrics._sweep(es, "a", "b", grid, fill, accepted_id=False)
-        assert np.array_equal(two[0], ta)
-        assert np.array_equal(two[2], accepted_id + accepted_ood)
 
 
 def test_count_dtype_holds_every_count():
@@ -450,8 +435,7 @@ def _table_formulas(es, ta, accepted_id, accepted_ood):
 )
 def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins):
     """At any block size and count dtype, the streamed metrics and the tables
-    equal the whole-table results; ``ds_f1`` sweeps two count layers and
-    ``ds_metrics`` three."""
+    equal the whole-table results."""
     es, grid = case
     naive = _naive_tables(es, grid)
     f1_table, coverage, risk = _table_formulas(es, *naive)
@@ -484,8 +468,8 @@ def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins
 )
 def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
     """Column 0 and row 0 of the sweep give the single-threshold metrics exactly,
-    at either count dtype and layer count, wherever the first threshold on the
-    other axis accepts every sample."""
+    at either count dtype, wherever the first threshold on the other axis
+    accepts every sample."""
     es, grid = case
     lines = [
         ("id_only", "a", grid.id_thresholds, grid.ood_thresholds[0] <= es.channel("b").min()),
@@ -508,7 +492,7 @@ def test_sentinel_lines_equal_single_scores(case, block, row_add_cols, k_bins):
             assert results[1].value == area and results[3].value == area
 
 
-def test_best_f1_reduces_under_a_seventh_of_a_large_grid():
+def test_best_f1_reduces_under_15_percent_of_a_large_grid():
     """At 2049^2 on a 20k near-preset set, the column bound leaves about 8% of
     the cells to reduce; the bound rows themselves are not counted."""
     es = generate(near_ood_config(10_000, 10_000, seed=3))
@@ -534,26 +518,6 @@ def test_best_f1_reduces_under_a_seventh_of_a_large_grid():
         ),
     )
     assert result.value == max(maxima)
-
-
-def test_only_ds_f1_sweeps_without_accepted_id(fixture_set):
-    """DS-F1 alone counts two layers and its reduction sees no accepted-ID
-    counts; a sweep that also reduces DS-AURC counts three."""
-    grid = ThresholdGrid.exhaustive(fixture_set, "s_id", "s_ood")
-    seen = []
-    reduce = dsmetrics._BestF1.__call__
-
-    def spy(self, start, ta, accepted_id, accepted):
-        seen.append(accepted_id is None)
-        return reduce(self, start, ta, accepted_id, accepted)
-
-    with mock.patch.object(dsmetrics._BestF1, "__call__", spy):
-        ds_f1(fixture_set, "s_id", "s_ood", grid)
-        alone = seen[:]
-        seen.clear()
-        ds_metrics(fixture_set, "s_id", "s_ood", grid)
-    assert alone and all(alone)
-    assert seen and not any(seen)
 
 
 def _all_correct_set(n):
