@@ -32,13 +32,11 @@ from .dsmetrics import (
     EmptyScores,
     GridTooLarge,
     PairSurface,
-    SweepTables,
     ThresholdGrid,
     confusion_counts,
     ds_aurc,
     ds_f1,
     ds_metrics,
-    ds_sweep_fast,
     f1_from_counts,
     quantile_grid,
 )

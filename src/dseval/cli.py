@@ -1,8 +1,9 @@
 """Command-line front end: score, eval, select, synth.
 
 Every subcommand is deterministic given its flags (plus the seed where one
-applies), writes exactly one output file per path flag, and reports failures
-as a single machine-parsable line on stderr with a nonzero exit code.
+applies), writes exactly one output file per path flag, never over a file it
+reads or another of its outputs, and reports failures as a single
+machine-parsable line on stderr with a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -129,6 +131,29 @@ def _distinct_channels(args) -> None:
     # a report holds one single-score block or line per channel
     if args.id_channel == args.ood_channel:
         raise UsageError("--id-channel and --ood-channel must name different channels")
+
+
+def _same_file(a, b) -> bool:
+    try:  # a symlink, a `..` or a hard link to one file
+        return os.path.samefile(a, b)
+    except OSError:  # a file not written yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _distinct_outputs(args) -> None:
+    """Refuse an output path that names the same file as an input or another
+    output of the command, before anything is read: its write would replace that file."""
+    named = []
+    for flag in [*args.inputs, *args.outputs]:
+        paths = getattr(args, flag) or []  # --fit is a list
+        for path in [paths] if isinstance(paths, str) else paths:
+            if flag in args.outputs:
+                for other, taken in named:
+                    if _same_file(path, taken):
+                        raise UsageError(
+                            f"--{flag} {path} names the same file as --{other} {taken}"
+                        )
+            named.append((flag, path))
 
 
 def _fit_matrix(path, loader, kind: str):
@@ -414,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", type=int, help="principal subspace dimension")
     p.add_argument("--temperature", type=float, default=1.0, help="energy temperature")
     p.add_argument("--out", required=True, help="output scores CSV")
-    p.set_defaults(func=_cmd_score)
+    p.set_defaults(func=_cmd_score, inputs=["logits", "features", "fit"], outputs=["out"])
 
     p = sub.add_parser("eval", help="single and double-scoring metrics report")
     p.add_argument("--scores", required=True)
@@ -424,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=DEFAULT_K_BINS)
     p.add_argument("--surface", help="also export the per-pair surface CSV here")
     p.add_argument("--out", required=True, help="report path (.md for markdown)")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, inputs=["scores"], outputs=["surface", "out"])
 
     p = sub.add_parser("select", help="pick thresholds on val, freeze, apply to test")
     p.add_argument("--val", required=True)
@@ -434,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=sorted(_MODE_FLAGS), default="double")
     p.add_argument("--grid", type=int, default=DEFAULT_T_GRID)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_select)
+    p.set_defaults(func=_cmd_select, inputs=["val", "test"], outputs=["out"])
 
     p = sub.add_parser("synth", help="write a seeded synthetic scores file")
     p.add_argument("--seed", type=int, default=0)
@@ -444,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=["near", "far", "custom"], default="far")
     p.add_argument("--config", help="synth config JSON (with --preset custom)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_synth)
+    p.set_defaults(func=_cmd_synth, inputs=["config"], outputs=["out"])
     return parser
 
 
@@ -452,6 +477,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _distinct_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"dseval: error: UsageError: {exc}", file=sys.stderr)

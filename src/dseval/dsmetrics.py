@@ -14,11 +14,11 @@ each block to the reductions at once: :func:`ds_f1`, :func:`ds_aurc` and
 :func:`ds_metrics` (both from one sweep) hold no count table. DS-F1
 starts from the F1 of the grid's first pair and reduces only the columns of
 a block whose exact upper bound can reach the best F1 so far (see
-:class:`_BestF1`). Only a pair surface needs the tables, which
-:func:`ds_sweep_fast` fills from the same engine. Grids above
-``MAX_SWEEP_CELLS`` cells, tables above ``MAX_TABLE_CELLS`` cells, and
-DS-AURC with more coverage bins than ``MAX_SWEEP_CELLS``, raise
-:class:`GridTooLarge`.
+:class:`_BestF1`). A pair surface is one more reduction of the same sweep,
+which writes each block's coverage, risk and F1 into its arrays (see
+:class:`_Surface`). Grids above ``MAX_SWEEP_CELLS`` cells, surfaces above
+``MAX_SURFACE_CELLS`` cells, and DS-AURC with more coverage bins than
+``MAX_SWEEP_CELLS``, raise :class:`GridTooLarge`.
 
 Each result also holds each channel's single-score metric, read off the
 sentinel column and row of the same sweep (see :class:`_Lines`).
@@ -39,13 +39,11 @@ __all__ = [
     "GridTooLarge",
     "ConfusionCounts",
     "ThresholdGrid",
-    "SweepTables",
     "PairSurface",
     "DsResult",
     "quantile_grid",
     "confusion_counts",
     "f1_from_counts",
-    "ds_sweep_fast",
     "ds_f1",
     "ds_aurc",
     "ds_metrics",
@@ -58,12 +56,12 @@ DEFAULT_K_BINS = 200
 # about 1.0 s of CPU at this budget (20k samples) on one core of a 2-vCPU VM,
 # and DS-F1 alone about 0.3 s.
 MAX_SWEEP_CELLS = 1 << 26
-# Largest (T_id + 1) * (T_ood + 1) that ds_sweep_fast fills tables for. A pair
-# surface peaks at about 48.5 bytes per cell (tracemalloc at 2049^2): the three
-# int64 count tables, the three float64 surfaces and one int64 temporary,
-# freed before the last surface. That is about 0.8 GB at this budget, and
-# would be 3.3 GB at MAX_SWEEP_CELLS.
-MAX_TABLE_CELLS = 1 << 24
+# Largest (T_id + 1) * (T_ood + 1) that a pair surface is built for. The
+# surface's three float64 arrays peak at 24.8 bytes per cell (tracemalloc at
+# 2049^2), and write_curve's int64 sort order and two int64 indices take the
+# export to about 48 bytes per cell: about 0.8 GB at this budget, and 3.2 GB
+# at MAX_SWEEP_CELLS.
+MAX_SURFACE_CELLS = 1 << 24
 # Cells per block of the count engine, so each of its three int32 count
 # layers takes 256 KB and each float64 reduction buffer 512 KB.
 _BLOCK_CELLS = 1 << 16
@@ -183,21 +181,6 @@ def f1_from_counts(counts: ConfusionCounts) -> float:
     return 2.0 * (counts.ta / (counts.accepted_total + counts.ta + counts.fr))
 
 
-@dataclass(frozen=True)
-class SweepTables:
-    """Confusion count tables over the full grid product.
-
-    Entry [i, j] corresponds to the pair (id_thresholds[i], ood_thresholds[j]).
-    """
-
-    id_thresholds: np.ndarray
-    ood_thresholds: np.ndarray
-    ta: np.ndarray
-    accepted_id: np.ndarray
-    accepted_ood: np.ndarray
-    n_id: int
-
-
 def _check_budget(grid: ThresholdGrid, budget: int) -> None:
     tid, tod = grid.id_thresholds.size, grid.ood_thresholds.size
     cells = (tid + 1) * (tod + 1)
@@ -271,28 +254,8 @@ def _sweep(eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *con
             consume(n_rows - b * step - n, counts[:, 0], counts[:, 1], counts[:, 2])
 
 
-def ds_sweep_fast(
-    eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid, *consumers
-) -> SweepTables:
-    """Int64 count tables for every threshold pair, filled from the count engine.
-
-    ``consumers`` see every block as from :func:`_sweep`: ``(start, ta,
-    accepted_id, accepted)``, where ``accepted`` is the accepted total and
-    the views may be int32. A grid above ``MAX_TABLE_CELLS`` raises
-    :class:`GridTooLarge` before any table is allocated.
-    """
-    _check_budget(grid, MAX_TABLE_CELLS)
-    shape = (grid.id_thresholds.size, grid.ood_thresholds.size)
-    tables = [np.empty(shape, dtype=np.int64) for _ in range(3)]
-
-    def fill(start, *block):
-        for table, part in zip(tables, block):
-            table[start : start + len(part)] = part
-
-    _sweep(eval_set, ch_id, ch_ood, grid, fill, *consumers)
-    _, accepted_id, accepted = tables
-    accepted -= accepted_id  # the accepted total becomes the accepted-OOD table
-    return SweepTables(grid.id_thresholds, grid.ood_thresholds, *tables, eval_set.n_id)
+# Not called here: perfbench/spans.py wraps this name in this module.
+ds_sweep_fast = _sweep
 
 
 @dataclass(frozen=True)
@@ -325,22 +288,29 @@ def _half_f1(ta, accepted, n_id: int, out=None) -> np.ndarray:
     return np.divide(ta, out, out=out)
 
 
-def _surface(tables: SweepTables) -> PairSurface:
-    # built in place: one int64 temporary, freed before coverage is allocated
-    accepted = tables.accepted_id + tables.accepted_ood
-    f1 = _half_f1(tables.ta, accepted, tables.n_id)
-    f1 *= 2.0
-    risk = np.subtract(accepted, tables.ta, dtype=np.float64)
-    # empty acceptance keeps risk 0: FA = 0 there, and 0 / 1 is 0
-    np.divide(risk, np.maximum(accepted, 1, out=accepted), out=risk)
-    del accepted
-    return PairSurface(
-        id_thresholds=tables.id_thresholds,
-        ood_thresholds=tables.ood_thresholds,
-        coverage=tables.accepted_id / tables.n_id,
-        risk=risk,
-        f1=f1,
-    )
+class _Surface:
+    """Engine consumer: the coverage, risk and F1 of every pair, for export.
+
+    Each block is written into rows ``start:start + len(ta)`` of three float64
+    arrays allocated up front; a grid above ``MAX_SURFACE_CELLS`` raises
+    :class:`GridTooLarge` before they are.
+    """
+
+    def __init__(self, n_id: int, grid: ThresholdGrid):
+        _check_budget(grid, MAX_SURFACE_CELLS)
+        shape = grid.id_thresholds.size, grid.ood_thresholds.size
+        arrays = (np.empty(shape) for _ in range(3))
+        self.n_id = n_id
+        self.surface = PairSurface(grid.id_thresholds, grid.ood_thresholds, *arrays)
+
+    def __call__(self, start, ta, accepted_id, accepted):
+        rows = slice(start, start + len(ta))
+        f1 = _half_f1(ta, accepted, self.n_id, self.surface.f1[rows])
+        f1 *= 2.0
+        risk = np.subtract(accepted, ta, out=self.surface.risk[rows], dtype=np.float64)
+        # empty acceptance keeps risk 0: FA = 0 there, and 0 / 1 is 0
+        np.divide(risk, np.maximum(accepted, 1), out=risk)
+        np.divide(accepted_id, self.n_id, out=self.surface.coverage[rows])
 
 
 class _BestF1:
@@ -493,16 +463,14 @@ def ds_metrics(
     eval_set: EvalSet, ch_id: str, ch_ood: str, grid: ThresholdGrid,
     k_bins: int = DEFAULT_K_BINS, return_surface: bool = False,
 ) -> tuple[DsResult, DsResult]:
-    """:func:`ds_f1` and :func:`ds_aurc` from one sweep; a surface rides on the first.
-
-    Only a surface needs the count tables; without one the sweep holds none.
-    """
+    """:func:`ds_f1` and :func:`ds_aurc` from one sweep; a surface rides on the first."""
+    # the surface's budget is checked before anything is allocated
+    surface = _Surface(eval_set.n_id, grid) if return_surface else None
     best = _best_f1(eval_set, ch_id, ch_ood, grid)
     bin_of = _MinRisk.bins(eval_set.n_id, k_bins)
     minima = _Lines(eval_set, ch_id, ch_ood, grid, lambda: _MinRisk(bin_of, k_bins))
-    if not return_surface:
+    if surface is None:
         _sweep(eval_set, ch_id, ch_ood, grid, best, minima)
         return best.result(), minima.result()
-    # looked up on the module, so that a wrapper installed there sees the call
-    tables = ds_sweep_fast(eval_set, ch_id, ch_ood, grid, best, minima)
-    return replace(best.result(), surface=_surface(tables)), minima.result()
+    _sweep(eval_set, ch_id, ch_ood, grid, best, minima, surface)
+    return replace(best.result(), surface=surface.surface), minima.result()

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from dseval import Origin, SampleRecord, build_eval_set
+from dseval import Origin, SampleRecord, build_eval_set, dsmetrics
 
 # A failing randomized property prints the blob that replays it
 # (@reproduce_failure). The profile extends the one already loaded, which on
@@ -52,6 +54,23 @@ def make_random_set(rng, n=None, quantize_prob=0.5, accuracy=0.7):
         else:
             records.append(SampleRecord(f"ood{i}", Origin.OOD, None, scores))
     return build_eval_set(records)
+
+
+def count_tables(eval_set, ch_id, ch_ood, grid, *consumers):
+    """The TA, accepted-ID and accepted-OOD count of every pair, as int64
+    tables filled from the count engine's blocks; ``consumers`` see the same
+    blocks. A cell the engine never hands on keeps TA and accepted ID -1,
+    which no count equals."""
+    shape = grid.id_thresholds.size, grid.ood_thresholds.size
+    tables = [np.full(shape, -1, dtype=np.int64) for _ in range(3)]
+
+    def fill(start, *block):
+        for table, part in zip(tables, block):
+            table[start : start + len(part)] = part
+
+    dsmetrics._sweep(eval_set, ch_id, ch_ood, grid, fill, *consumers)
+    ta, accepted_id, accepted = tables
+    return SimpleNamespace(ta=ta, accepted_id=accepted_id, accepted_ood=accepted - accepted_id)
 
 
 @pytest.fixture

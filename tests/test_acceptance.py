@@ -25,7 +25,6 @@ from dseval import (
     confusion_counts,
     ds_aurc,
     ds_f1,
-    ds_sweep_fast,
     f1_from_counts,
     fpr_at_tpr,
     risk_coverage_curve,
@@ -43,7 +42,7 @@ from dseval.synth import (
     generate,
     near_ood_config,
 )
-from conftest import make_fixture_set, make_random_set
+from conftest import count_tables, make_fixture_set, make_random_set
 
 EXACT = 1e-12
 
@@ -158,7 +157,7 @@ def test_criterion_3_oracle_equivalence():
         fast_aurc = ds_aurc(es, "a", "b", grid, k_bins=k_bins).value
         assert abs(fast_aurc - oracle_ds_aurc(es, "a", "b", k_bins)) <= EXACT, trial
 
-        tables = ds_sweep_fast(es, "a", "b", grid)
+        tables = count_tables(es, "a", "b", grid)
         for i, tau_id in enumerate(grid.id_thresholds):
             for j, tau_ood in enumerate(grid.ood_thresholds):
                 c = confusion_counts(
@@ -196,7 +195,7 @@ def test_criterion_4_fixture_check():
     (point,) = risk_coverage_curve(es, "s_id", [accept_all_threshold(es.channel("s_id"))])
     assert abs(point.risk - 0.6) <= EXACT
 
-    tables = ds_sweep_fast(es, "s_id", "s_ood", grid)
+    tables = count_tables(es, "s_id", "s_ood", grid)
     # FR = 3 - TA and FA = accepted - TA count samples, so neither is negative
     assert np.all((0 <= tables.ta) & (tables.ta <= tables.accepted_id) & (tables.accepted_id <= 3))
     for i, tau_id in enumerate(grid.id_thresholds):

@@ -930,6 +930,52 @@ def test_errors_are_single_line(tmp_path, capsys):
     assert err.strip().count("\n") == 0
 
 
+_CHANNELS = ["--id-channel", "s_id", "--ood-channel", "s_ood"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--scores", "scores.csv", *_CHANNELS, "--surface", "s.csv", "--out", "s.csv"],
+        ["eval", "--scores", "scores.csv", *_CHANNELS, "--surface", "scores.csv", "--out", "r.json"],
+        ["eval", "--scores", "scores.csv", *_CHANNELS, "--out", "sub/../scores.csv"],
+        ["eval", "--scores", "scores.csv", *_CHANNELS, "--out", "link.csv"],  # a symlink
+        ["eval", "--scores", "scores.csv", *_CHANNELS, "--out", "hard.csv"],  # a hard link
+        ["select", "--val", "scores.csv", "--test", "scores.csv", "--out", "./scores.csv"],
+        ["score", "--logits", "logits.csv", "--method", "msp", "--out", "logits.csv"],
+        ["score", "--logits", "logits.csv", "--features", "features.csv", "--method", "msp",
+         "--out", "features.csv"],
+        ["score", "--logits", "logits.csv", "--fit", "fit.csv", "--method", "msp",
+         "--out", "fit.csv"],
+        ["synth", "--preset", "custom", "--config", "config.json", "--out", "config.json"],
+    ],
+    ids=["surface-out", "scores-surface", "scores-dotdot", "scores-symlink", "scores-hardlink",
+         "select-test", "score-logits", "score-features", "score-fit", "synth-config"],
+)
+def test_colliding_paths_are_refused(tmp_path, capsys, monkeypatch, argv):
+    """An output that names another output's or an input's file is a usage
+    error, and no file is read over or written."""
+    monkeypatch.chdir(tmp_path)
+    write_scores(make_fixture_set(), "scores.csv")
+    rows = [(f"s{i}", Origin.ID if i < 6 else Origin.OOD, i % 3 if i < 6 else None)
+            for i in range(9)]
+    rng = np.random.default_rng(0)
+    for name in ("logits.csv", "fit.csv"):
+        write_vector_file([LogitRecord(*row, rng.normal(size=3)) for row in rows], name)
+    write_vector_file([FeatureRecord(*row, rng.normal(size=4)) for row in rows], "features.csv")
+    Path("config.json").write_text(json.dumps(_FAR))
+    Path("sub").mkdir()
+    Path("link.csv").symlink_to("scores.csv")
+    os.link("scores.csv", "hard.csv")
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dseval: error: UsageError: "), err
+    assert "names the same file as" in err and err.count("\n") == 1, err
+    after = {path.name: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    assert after == before
+
+
 @pytest.fixture
 def no_huge_arrays(monkeypatch):
     """Make numpy refuse to build an array of more than 10**8 entries, so a
@@ -968,7 +1014,7 @@ def test_grid_over_the_cell_budget_gives_one_line(tmp_path, capsys):
 
 
 def test_surface_over_the_table_budget_gives_one_line(fixture_csv, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(dsmetrics, "MAX_TABLE_CELLS", 3)
+    monkeypatch.setattr(dsmetrics, "MAX_SURFACE_CELLS", 3)
     out, surface = tmp_path / "report.json", tmp_path / "surface.csv"
     args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
     assert run([*args, "--surface", surface, "--out", out]) == 1
@@ -977,7 +1023,7 @@ def test_surface_over_the_table_budget_gives_one_line(fixture_csv, tmp_path, cap
     assert "threshold grid needs" in err and "above the budget of 3;" in err, err
     assert err.count("\n") == 1, err
     assert not out.exists() and not surface.exists()
-    # without a surface no table is filled, so the budget does not apply
+    # without a surface the sweep holds no table, so the budget does not apply
     assert run([*args, "--out", out]) == 0
 
 
@@ -1022,29 +1068,26 @@ class TestSweepCount:
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
-        """Grids handed to the count engine and to the table-building sweep."""
-        calls = {"_sweep": [], "ds_sweep_fast": []}
-        for name, grids in calls.items():
-            monkeypatch.setattr(dsmetrics, name, _recording(getattr(dsmetrics, name), grids))
-        return calls
+        """Grids handed to the count engine."""
+        grids = []
+        monkeypatch.setattr(dsmetrics, "_sweep", _recording(dsmetrics._sweep, grids))
+        return grids
 
     def test_eval_sweeps_once_without_tables(self, sweeps, fixture_csv, tmp_path):
         args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
         assert run([*args, "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps["_sweep"]) == 1
-        assert len(sweeps["ds_sweep_fast"]) == 0
+        assert len(sweeps) == 1
 
     def test_eval_sweeps_once(self, sweeps, fixture_csv, tmp_path):
+        # the surface is one more reduction of the same sweep
         args = ["eval", "--scores", fixture_csv, "--id-channel", "s_id", "--ood-channel", "s_ood"]
         assert run([*args, "--surface", tmp_path / "s.csv", "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps["_sweep"]) == 1
-        assert len(sweeps["ds_sweep_fast"]) == 1
+        assert len(sweeps) == 1
 
     def test_select_sweeps_val_and_test_once_each(self, sweeps, fixture_csv, tmp_path):
         args = ["select", "--val", fixture_csv, "--test", fixture_csv]
         assert run([*args, "--out", tmp_path / "r.json"]) == 0
-        assert len(sweeps["_sweep"]) == 2
-        assert len(sweeps["ds_sweep_fast"]) == 0
+        assert len(sweeps) == 2
 
 
 def test_eval_and_select_count_only_through_the_sweep(monkeypatch, fixture_csv, tmp_path):

@@ -24,7 +24,6 @@ from dseval import (
     ds_aurc,
     ds_f1,
     ds_metrics,
-    ds_sweep_fast,
     f1_from_counts,
     quantile_grid,
     risk_coverage_curve,
@@ -33,7 +32,7 @@ from dseval import dsmetrics
 from dseval.oracle import oracle_ds_aurc
 from dseval.selection import apply_thresholds
 from dseval.synth import far_ood_config, generate, near_ood_config
-from conftest import make_random_set
+from conftest import count_tables, make_random_set
 
 
 class TestQuantileGrid:
@@ -110,15 +109,19 @@ def test_f1_from_counts(fixture_set):
     [near_ood_config(60, 40, seed=s) for s in range(3)] + [far_ood_config(60, 40, seed=0)],
 )
 def test_one_f1_for_every_pair(config):
-    # the scalar F1 of a pair's counts is the surface's F1 bit for bit, and a
-    # frozen best pair transfers to its own split at exactly the DS-F1 value
+    # the scalar F1, coverage and risk of a pair's counts are the surface's bit
+    # for bit, and a frozen best pair transfers to its own split at exactly
+    # the DS-F1 value
     es = generate(config)
     grid = ThresholdGrid.exhaustive(es, "s_id", "s_ood")
     surface = _pair_surface(es, "s_id", "s_ood", grid)
     for i, tau_id in enumerate(grid.id_thresholds):
         for j, tau_ood in enumerate(grid.ood_thresholds):
             counts = confusion_counts(es, "s_id", "s_ood", ThresholdPair(tau_id, tau_ood))
+            accepted = counts.accepted_total
             assert f1_from_counts(counts) == surface.f1[i, j], (i, j)
+            assert counts.accepted_id / es.n_id == surface.coverage[i, j], (i, j)
+            assert (accepted - counts.ta) / max(accepted, 1) == surface.risk[i, j], (i, j)
     best = ds_f1(es, "s_id", "s_ood", grid)
     assert apply_thresholds(es, "s_id", "s_ood", best.best_pair)[0] == best.value
 
@@ -249,7 +252,7 @@ class TestSweepFast:
         for _ in range(10):
             es = make_random_set(rng, n=25)
             grid = ThresholdGrid.exhaustive(es, "a", "b")
-            tables = ds_sweep_fast(es, "a", "b", grid)
+            tables = count_tables(es, "a", "b", grid)
             for i, tau_id in enumerate(grid.id_thresholds):
                 for j, tau_ood in enumerate(grid.ood_thresholds):
                     c = confusion_counts(
@@ -266,7 +269,7 @@ class TestSweepFast:
             id_thresholds=np.array([lo_id]),
             ood_thresholds=np.array([lo_ood]),
         )
-        tables = ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+        tables = count_tables(fixture_set, "s_id", "s_ood", grid)
         assert tables.ta[0, 0] == 2
         assert tables.accepted_id[0, 0] == 3
         assert tables.accepted_ood[0, 0] == 2
@@ -277,8 +280,8 @@ class TestSweepFast:
         perm = rng.permutation(len(es.records))
         shuffled = build_eval_set([es.records[i] for i in perm])
         grid = ThresholdGrid.exhaustive(es, "a", "b")
-        t1 = ds_sweep_fast(es, "a", "b", grid)
-        t2 = ds_sweep_fast(shuffled, "a", "b", grid)
+        t1 = count_tables(es, "a", "b", grid)
+        t2 = count_tables(shuffled, "a", "b", grid)
         assert np.array_equal(t1.ta, t2.ta)
         assert np.array_equal(t1.accepted_id, t2.accepted_id)
         assert np.array_equal(t1.accepted_ood, t2.accepted_ood)
@@ -287,7 +290,7 @@ class TestSweepFast:
         rng = np.random.default_rng(23)
         es = make_random_set(rng, n=35)
         grid = ThresholdGrid.exhaustive(es, "a", "b")
-        t = ds_sweep_fast(es, "a", "b", grid)
+        t = count_tables(es, "a", "b", grid)
         # FR = n_id - TA and FA = accepted - TA count samples, so neither is negative
         assert np.all((0 <= t.ta) & (t.ta <= t.accepted_id) & (t.accepted_id <= es.n_id))
         assert np.all((0 <= t.accepted_ood) & (t.accepted_ood <= es.n_ood))
@@ -381,11 +384,10 @@ def test_sweep_matches_references(case, picks, block, row_add_cols):
     for dtype, int32_samples in _COUNT_DTYPES:
         seen = set()
         with _engine(block, row_add_cols, int32_samples):
-            tables = ds_sweep_fast(
+            tables = count_tables(
                 es, "a", "b", grid, lambda start, *views: seen.update(v.dtype for v in views)
             )
         assert seen == {np.dtype(dtype)}
-        assert tables.ta.dtype == tables.accepted_id.dtype == tables.accepted_ood.dtype == np.int64
         assert np.array_equal(tables.ta, ta)
         assert np.array_equal(tables.accepted_id, accepted_id)
         assert np.array_equal(tables.accepted_ood, accepted_ood)
@@ -445,7 +447,7 @@ def test_block_reductions_match_table_formulas(case, block, row_add_cols, k_bins
         with _engine(block, row_add_cols, int32_samples):
             f1, aurc_result = ds_metrics(es, "a", "b", grid, k_bins)
             alone = ds_f1(es, "a", "b", grid), ds_aurc(es, "a", "b", grid, k_bins)
-            tables = ds_sweep_fast(es, "a", "b", grid)
+            tables = count_tables(es, "a", "b", grid)
             surface = _pair_surface(es, "a", "b", grid)
         for table, expected in zip((tables.ta, tables.accepted_id, tables.accepted_ood), naive):
             assert np.array_equal(table, expected)
@@ -582,7 +584,7 @@ def test_no_lines_without_an_accept_all_threshold(fixture_set):
     assert ds_f1(fixture_set, "s_id", "s_ood", full).id_only.value == pytest.approx(2 / 3)
 
 
-@pytest.mark.parametrize("sweep", [ds_sweep_fast, ds_metrics])
+@pytest.mark.parametrize("sweep", [dsmetrics._sweep, ds_metrics])
 def test_sweep_refuses_oversized_grid_before_allocating(fixture_set, sweep):
     axis = np.arange(100_000, dtype=np.float64)
     grid = ThresholdGrid(axis, axis.copy())
@@ -599,10 +601,10 @@ def test_sweep_refuses_oversized_grid_before_allocating(fixture_set, sweep):
 def test_sweep_takes_the_cell_budget_exactly(fixture_set):
     grid = ThresholdGrid(np.arange(9, dtype=np.float64), np.array([0.0]))  # 10 x 2 cells
     with mock.patch.object(dsmetrics, "MAX_SWEEP_CELLS", 20):
-        assert ds_sweep_fast(fixture_set, "s_id", "s_ood", grid).ta.shape == (9, 1)
+        assert count_tables(fixture_set, "s_id", "s_ood", grid).ta.shape == (9, 1)
     with mock.patch.object(dsmetrics, "MAX_SWEEP_CELLS", 19):
         with pytest.raises(GridTooLarge):
-            ds_sweep_fast(fixture_set, "s_id", "s_ood", grid)
+            count_tables(fixture_set, "s_id", "s_ood", grid)
         with pytest.raises(GridTooLarge):
             ds_f1(fixture_set, "s_id", "s_ood", grid)
 
@@ -611,16 +613,15 @@ def _pair_surface(eval_set, ch_id, ch_ood, grid):
     return ds_metrics(eval_set, ch_id, ch_ood, grid, return_surface=True)[0].surface
 
 
-@pytest.mark.parametrize("tables", [ds_sweep_fast, _pair_surface])
-def test_tables_over_their_budget_refused_before_allocating(fixture_set, tables):
-    # within the streamed sweep's budget: only the tables are refused
+def test_tables_over_their_budget_refused_before_allocating(fixture_set):
+    # within the streamed sweep's budget: only the surface is refused
     axis = np.arange(4097, dtype=np.float64)
     grid = ThresholdGrid(axis, axis.copy())
-    assert dsmetrics.MAX_TABLE_CELLS < 4098 * 4098 <= dsmetrics.MAX_SWEEP_CELLS
+    assert dsmetrics.MAX_SURFACE_CELLS < 4098 * 4098 <= dsmetrics.MAX_SWEEP_CELLS
     tracemalloc.start()
     try:
         with pytest.raises(GridTooLarge, match="4097 x 4097 threshold grid .* 16777216;"):
-            tables(fixture_set, "s_id", "s_ood", grid)
+            _pair_surface(fixture_set, "s_id", "s_ood", grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -629,14 +630,12 @@ def test_tables_over_their_budget_refused_before_allocating(fixture_set, tables)
 
 def test_tables_take_their_budget_exactly(fixture_set):
     grid = ThresholdGrid(np.arange(9, dtype=np.float64), np.array([0.0]))  # 10 x 2 cells
-    with mock.patch.object(dsmetrics, "MAX_TABLE_CELLS", 20):
-        assert ds_sweep_fast(fixture_set, "s_id", "s_ood", grid).ta.shape == (9, 1)
+    with mock.patch.object(dsmetrics, "MAX_SURFACE_CELLS", 20):
         assert _pair_surface(fixture_set, "s_id", "s_ood", grid).coverage.shape == (9, 1)
-    with mock.patch.object(dsmetrics, "MAX_TABLE_CELLS", 19):
-        for tables in (ds_sweep_fast, _pair_surface):
-            with pytest.raises(GridTooLarge, match="20 cells .* above the budget of 19;"):
-                tables(fixture_set, "s_id", "s_ood", grid)
-        # a streamed sweep holds no table
+    with mock.patch.object(dsmetrics, "MAX_SURFACE_CELLS", 19):
+        with pytest.raises(GridTooLarge, match="20 cells .* above the budget of 19;"):
+            _pair_surface(fixture_set, "s_id", "s_ood", grid)
+        # a streamed sweep holds no surface
         assert ds_metrics(fixture_set, "s_id", "s_ood", grid)[0].surface is None
 
 
@@ -685,8 +684,8 @@ def test_eval_metrics_peak_memory():
 
 
 def test_pair_surface_peak_memory():
-    """A pair surface holds three int64 tables and three float64 surfaces (48
-    B/cell) and builds them with one int64 temporary at a time."""
+    """A pair surface holds its three float64 arrays (24 B/cell) and the
+    engine's blocks, and no count table."""
     rng = np.random.default_rng(5)
     n = 20_000
     es = EvalSet.from_columns(
@@ -695,15 +694,15 @@ def test_pair_surface_peak_memory():
         rng.random(n) < 0.7,
         {"a": rng.normal(size=n), "b": rng.normal(size=n)},
     )
-    grid = ThresholdGrid.quantile(es, "a", "b", t_grid=2048)
+    grid = ThresholdGrid.quantile(es, "a", "b", t_grid=1024)
     tracemalloc.start()
     try:
         surface = _pair_surface(es, "a", "b", grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert surface.f1.shape == (2049, 2049)
-    assert peak < 52 * 2049 * 2049
+    assert surface.f1.shape == (1025, 1025)
+    assert peak < 30 * 1025 * 1025
 
 
 def test_empty_grid_rejected():
