@@ -58,9 +58,9 @@ DEFAULT_K_BINS = 200
 MAX_SWEEP_CELLS = 1 << 26
 # Largest (T_id + 1) * (T_ood + 1) that a pair surface is built for. The
 # surface's three float64 arrays peak at 24.8 bytes per cell (tracemalloc at
-# 2049^2), and write_curve's int64 sort order and two int64 indices take the
-# export to about 48 bytes per cell: about 0.8 GB at this budget, and 3.2 GB
-# at MAX_SWEEP_CELLS.
+# 2049^2), and write_curve's complex128 sort key and int64 sort order add
+# 24.0 more, so the export peaks at 48.0 bytes per cell: about 0.8 GB at this
+# budget, and 3.2 GB at MAX_SWEEP_CELLS.
 MAX_SURFACE_CELLS = 1 << 24
 # Cells per block of the count engine, so each of its three int32 count
 # layers takes 256 KB and each float64 reduction buffer 512 KB.

@@ -626,6 +626,25 @@ def test_float_text_is_repr(values, width, chunk):
         # a strided column, as a matrix's first column is
         cells = ingest._float_text(matrix[:, :1][at] for at in ingest._chunks(len(matrix), 1))
         assert list(cells) == list(map(repr, matrix[:, 0].tolist()))
+    # the same rows as one text per chunk, each row ended by CRLF
+    for block, expected in (
+        (column, [[v] for v in values]),
+        (matrix, matrix.tolist()),
+        (matrix[:, :1], matrix[:, :1].tolist()),
+    ):
+        lines = b"".join(ingest._float_lines(block[lo : lo + chunk]) for lo in range(0, len(block), chunk))
+        assert lines == "".join(",".join(map(repr, row)) + "\r\n" for row in expected).encode()
+
+
+def test_float32_blocks_print_float64_repr():
+    # orjson would print float32's shortest digits (0.1), not the float64 repr
+    # of the value; one row needs repr's path and one does not
+    block = np.array([[0.1, 0.7], [3e-5, 0.25]], np.float32)
+    rows = [",".join(map(repr, row)) for row in block.tolist()]
+    assert rows[0] == "0.10000000149011612,0.699999988079071"
+    assert list(ingest._float_text([block])) == rows
+    assert ingest._float_lines(block[:1]) == (rows[0] + "\r\n").encode()
+    assert ingest._float_lines(block) == "".join(row + "\r\n" for row in rows).encode()
 
 
 def test_write_vector_file_matches_per_row_repr(tmp_path, monkeypatch):
@@ -943,10 +962,12 @@ class TestCurveExport:
                 writer.writerow(map(repr, row))
 
     @pytest.mark.parametrize(
-        "coverage", ["one run", "all distinct", "signed zeros", "odd magnitudes"]
+        "coverage",
+        ["one run", "all distinct", "signed zeros", "odd magnitudes", "scattered odd rows", "float32"],
     )
     def test_matches_a_per_row_reference(self, tmp_path, monkeypatch, coverage):
-        monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)
+        # 54 rows in chunks of 7: the last chunk is short
+        monkeypatch.setattr(ingest, "_CURVE_ROWS", 7)
         rng = np.random.default_rng(9)
         shape = (6, 9)
         cov = {
@@ -956,6 +977,9 @@ class TestCurveExport:
             "signed zeros": np.where(rng.random(shape) < 0.5, 0.0, -0.0),
             # below 1e-4, where orjson's text is not repr's
             "odd magnitudes": rng.random(shape) * 1e-5,
+            # increasing in flat order, so sorted rows are flat rows
+            "scattered odd rows": (np.arange(54) / 54).reshape(shape),
+            "float32": rng.random(shape),
         }[coverage]
         surface = PairSurface(
             id_thresholds=np.sort(rng.normal(size=shape[0])),
@@ -975,7 +999,28 @@ class TestCurveExport:
                 ),
                 risk=surface.risk * 1e-5,
             )
+        repr_chunks = []
+        if coverage == "scattered odd rows":
+            # one odd cell in each of chunks 0, 2, 4 and 6, so one-call chunks
+            # and repr chunks alternate
+            f1 = surface.f1.ravel().copy()
+            f1[[3, 15, 30, 44]] = [3e-5, 1e16, 5e-324, 2.5e17]
+            surface = dataclasses.replace(surface, f1=f1.reshape(shape))
+            float_text = ingest._float_text
+
+            def counted(blocks):
+                repr_chunks.append(blocks)
+                return float_text(blocks)
+
+            monkeypatch.setattr(ingest, "_float_text", counted)
+        if coverage == "float32":
+            # printed as the float64 repr of each float32 value, not its shortest float32 text
+            surface = PairSurface(
+                *(np.asarray(getattr(surface, f.name), np.float32) for f in dataclasses.fields(surface))
+            )
         write_curve(surface, tmp_path / "ours.csv")
+        if coverage == "scattered odd rows":
+            assert len(repr_chunks) == 4
         self._per_row_reference(surface, tmp_path / "reference.csv")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -985,14 +1030,15 @@ class TestCurveExport:
         assert (tmp_path / "c.csv").read_bytes() == b"tau_id,tau_ood,coverage,risk,f1\r\n"
 
     def test_peak_memory_at_257_squared(self, tmp_path):
-        """Only the sort order and its threshold indices are held whole; the
+        """Only the complex sort key and the sort order are held whole; the
         rows are picked and formatted a chunk at a time.
 
-        A 257 x 257 surface has 66049 cells. The sort order and the two
-        threshold indices it splits into take 8 bytes per cell each, about
-        30 bytes per cell at the peak. An object array of formatted
-        thresholds picked per row took 45 bytes per cell, and coverage held
-        as one list of its cells 65, or 79 as a list of Python floats.
+        A 257 x 257 surface has 66049 cells. The key takes 16 bytes per
+        cell and the int64 order 8, about 24 bytes per cell at the peak;
+        the key is freed before the rows are written. Full-size threshold
+        indices beside the order took about 30, an object array of
+        formatted thresholds picked per row 45, and coverage held as one
+        list of its cells 65, or 79 as a list of Python floats.
         """
         rng = np.random.default_rng(3)
         n = 20_000
@@ -1017,3 +1063,47 @@ class TestCurveExport:
     def test_only_a_surface_exports(self, tmp_path):
         with pytest.raises(TypeError, match="PairSurface"):
             write_curve([], tmp_path / "curve.csv")
+
+    @pytest.mark.parametrize("field", ["coverage", "risk"])
+    def test_nan_sort_key_is_refused_before_the_file_opens(self, tmp_path, field):
+        # the complex key would sort a NaN-risk row after every finite row,
+        # where lexsort keeps it in its coverage group
+        columns = {"coverage": np.array([[0.5, 0.9, 0.5]]), "risk": np.array([[0.2, 0.1, 0.2]])}
+        columns[field][0, 0] = np.nan
+        surface = PairSurface(np.array([0.0]), np.array([0.0, 1.0, 2.0]), f1=np.zeros((1, 3)), **columns)
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"kept")
+        with pytest.raises(ValueError, match=f"{field} holds NaN"):
+            write_curve(surface, path)
+        assert path.read_bytes() == b"kept"
+
+    # every key value the sort orders, with ties: +-0.0 sort together
+    # but print apart, and +-inf sort at the ends
+    _SORT_POOL = [0.0, -0.0, np.inf, -np.inf, 5e-324, 1e-300, 0.25, 0.5, 1.0]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+        data=st.data(),
+        chunk=st.sampled_from([1, 4, ingest._CURVE_ROWS]),
+    )
+    def test_sort_matches_lexsort(self, tmp_path_factory, shape, data, chunk):
+        cells = shape[0] * shape[1]
+        coverage, risk = (
+            np.array(data.draw(st.lists(st.sampled_from(self._SORT_POOL), min_size=cells, max_size=cells)))
+            .reshape(shape)
+            for _ in range(2)
+        )
+        surface = PairSurface(
+            id_thresholds=np.arange(shape[0]) - 0.5,
+            ood_thresholds=np.arange(shape[1]) * 1.5,
+            coverage=coverage,
+            risk=risk,
+            f1=np.arange(cells).reshape(shape) / 8,
+        )
+        path = tmp_path_factory.mktemp("sort")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_CURVE_ROWS", chunk)
+            write_curve(surface, path / "ours.csv")
+        self._per_row_reference(surface, path / "reference.csv")
+        assert (path / "ours.csv").read_bytes() == (path / "reference.csv").read_bytes()
