@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 import orjson
@@ -212,35 +212,32 @@ def _csv_cells(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
-# Rows of a four-field file joined into one string per write, and numbers
-# per orjson call: a chunk of ~60-byte rows is tens of kilobytes, and the
-# per-call cost of the text layer is spread over them. Files of more fields
-# take fewer rows per write, so a chunk of 64-d vector rows is not megabytes.
-_CHUNK_ROWS = 1024
+# Cells per chunk of rows: each chunk's numbers are one orjson call and its
+# rows one write, 819 rows of a five-field file or 61 of a 64-d vector file.
+# Twice as many raised write_scores' peak by 0.36 MB at 100k rows; a quarter
+# as many wrote 12% slower.
+_CHUNK_CELLS = 1 << 12
 
 
-def _write_csv(path, header: list[str], columns: list[Iterable[str]]) -> None:
-    """Write ``header`` and then one row per position of ``columns`` in the
-    bytes csv.writer would write. A column yields cells ready to write
-    (free text goes through ``_csv_cells``); one cell may hold several
-    fields already joined by commas. Rows are joined and written a chunk
-    of about ``4 * _CHUNK_ROWS`` fields at a time, so no more than a chunk
-    of text is held."""
-    rows = map(",".join, zip(*columns))
-    step = max(1, 4 * _CHUNK_ROWS // len(header))
+def _write_csv(path, header: list[str], n_rows: int, numbers, text=()) -> None:
+    """Write ``header`` and then ``n_rows`` rows in the bytes csv.writer would
+    write. A row's cells are its cells of each column of ``text``, ready to
+    write (free text goes through ``_csv_cells``; one cell may hold several
+    fields already joined by commas), then its row of ``numbers(rows)``, a 2-d
+    float block for the slice ``rows``; ``numbers`` is None where there are no
+    number columns. Rows are formatted and written a chunk of about
+    ``_CHUNK_CELLS`` cells at a time, so no more than a chunk of text is held."""
+    text = [iter(column) for column in text]
+    step = max(1, _CHUNK_CELLS // len(header))
     with _open_write(path) as fh:
         fh.write(",".join(_csv_cells(header)) + "\r\n")
-        while chunk := list(islice(rows, step)):
-            chunk.append("")  # ends the last row
-            fh.write("\r\n".join(chunk))
-
-
-def _chunks(n: int, width: int) -> Iterator[slice]:
-    """Slices that cover ``n`` rows of ``width`` numbers, each of about
-    ``_CHUNK_ROWS`` numbers and a row at least, so that a chunk of wide rows
-    holds few Python floats."""
-    step = max(1, _CHUNK_ROWS // max(1, width))
-    return (slice(lo, lo + step) for lo in range(0, n, step))
+        for lo in range(0, n_rows, step):
+            columns = [list(islice(column, step)) for column in text]
+            if numbers is not None:
+                columns.append(_float_rows(numbers(slice(lo, lo + step))))
+            rows = columns[0] if len(columns) == 1 else list(map(",".join, zip(*columns)))
+            rows.append("")  # ends the last row
+            fh.write("\r\n".join(rows))
 
 
 def _odd_rows(block: np.ndarray) -> np.ndarray:
@@ -251,39 +248,22 @@ def _odd_rows(block: np.ndarray) -> np.ndarray:
     return ((block != 0) & ~((magnitude >= 1e-4) & (magnitude < 1e16))).any(axis=1)
 
 
-def _float_text(blocks: Iterable[np.ndarray]) -> Iterator[str]:
-    """The ``repr`` of each row of each 2-d float block, its cells joined
-    by commas, formatted from numpy by one orjson call per block.
+def _float_rows(block: np.ndarray) -> list[str]:
+    """The ``repr`` of each row of a 2-d float block of one row or more, its
+    cells joined by commas, formatted from numpy by one orjson call.
 
     orjson writes repr's shortest round-trip digits, and repr's text too
     wherever 1e-4 <= |x| < 1e16 or x is zero. Elsewhere it writes another
     exponent form (1e16, 0.00001) or null (nan, +-inf), so the rows that
     hold such a cell are formatted by repr instead. orjson takes only a
     C-contiguous array and would print float32 with float32's shortest
-    digits, so each block is made a contiguous float64 array first.
+    digits, so the block is made a contiguous float64 array first.
     """
-    for block in blocks:
-        block = np.ascontiguousarray(block, dtype=np.float64)
-        text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)
-        cells = text.decode()[2:-2].split("],[")
-        for i in np.flatnonzero(_odd_rows(block)).tolist():
-            cells[i] = ",".join(map(repr, block[i].tolist()))
-        yield from cells
-
-
-def _float_lines(block: np.ndarray) -> bytes:
-    """The rows of a 2-d float block as ``_float_text`` formats them, each
-    ended by CRLF, as ASCII bytes: one orjson call whose brackets become line
-    ends where no cell needs ``repr``, ``_float_text`` otherwise."""
     block = np.ascontiguousarray(block, dtype=np.float64)
-    if _odd_rows(block).any():
-        return ("\r\n".join(_float_text([block])) + "\r\n").encode()
-    # one expression, so no more than two copies of the text are alive
-    return (
-        orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-1]
-        .replace(b"],[", b"\r\n")
-        .replace(b"]", b"\r\n")
-    )
+    rows = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[")
+    for i in np.flatnonzero(_odd_rows(block)).tolist():
+        rows[i] = ",".join(map(repr, block[i].tolist()))
+    return rows
 
 
 def _parse_float(text: str, row: int, column: str) -> float:
@@ -406,15 +386,11 @@ _SCORES_FLAG_CELLS = np.array(["ood,", "id,0", "id,1"], dtype=object)
 def write_scores(eval_set: EvalSet, path) -> None:
     """Serialize an evaluation set back to the scores CSV format."""
     flags = _SCORES_FLAG_CELLS[eval_set.is_id + eval_set.id_correct.astype(np.intp)]
-    cells = [_csv_cells(eval_set.sample_ids.tolist()), flags.tolist()]
     columns = [eval_set.channel(ch) for ch in eval_set.channel_names]
-    if columns:
-        # the channels of a chunk of rows are stacked and formatted as whole rows
-        cells.append(_float_text(
-            np.column_stack([c[at] for c in columns])
-            for at in _chunks(eval_set.n_total, len(columns))
-        ))
-    _write_csv(path, _SCORES_PREFIX + list(eval_set.channel_names), cells)
+    # the channels of a chunk of rows are stacked and formatted as whole rows
+    stack = (lambda at: np.column_stack([c[at] for c in columns])) if columns else None
+    cells = [_csv_cells(eval_set.sample_ids.tolist()), flags.tolist()]
+    _write_csv(path, _SCORES_PREFIX + list(eval_set.channel_names), eval_set.n_total, stack, cells)
 
 
 @dataclass(frozen=True)
@@ -481,17 +457,18 @@ def load_features(path) -> VectorColumns:
 
 def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> None:
     """Serialize logit/feature records (mainly for fixtures and round trips)."""
+    if not records:
+        raise ValueError("there is no record to take the vectors' width from")
     vectors = [r.logits if isinstance(r, LogitRecord) else r.features for r in records]
     width = len(vectors[0])
     if any(len(v) != width for v in vectors):
         raise ValueError("the records' vectors differ in length")
     flags = (f"{r.origin.value},{'' if r.label is None else r.label}" for r in records)
+    ids = _csv_cells([r.sample_id for r in records])
+    header = _VECTOR_PREFIX + [f"v{i}" for i in range(width)]
     # stacked a chunk at a time: no second matrix of every vector is held
-    rows = _float_text(np.array(vectors[at], np.float64) for at in _chunks(len(vectors), width))
     _write_csv(
-        path,
-        _VECTOR_PREFIX + [f"v{i}" for i in range(width)],
-        [_csv_cells([r.sample_id for r in records]), flags, rows],
+        path, header, len(vectors), lambda at: np.array(vectors[at], np.float64), [ids, flags]
     )
 
 
@@ -596,14 +573,6 @@ def _render_markdown(data: dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-# Rows of a surface export formatted per orjson call and written per write.
-# At 257^2 cells (a 20k-row file), 2048 rows wrote as fast as 1024 and
-# faster than 4096 or 8192, whose chunks also raised the tracemalloc peak
-# from 24 to 38 and 69 B/cell: a chunk that holds one odd cell goes through
-# repr's path whole.
-_CURVE_ROWS = 2048
-
-
 def write_curve(surface: PairSurface, path) -> None:
     """Export a pair surface as CSV (tau_id,tau_ood,coverage,risk,f1 columns),
     rows sorted by coverage then risk. A NaN in coverage or risk has no
@@ -624,12 +593,12 @@ def write_curve(surface: PairSurface, path) -> None:
     order = np.argsort(key, kind="stable")
     del key  # the sort order is the one full-size array held while writing
     n_cols = surface.ood_thresholds.size
-    with _open_write(path) as fh:
-        out = fh.buffer  # every row is ASCII, so its bytes skip the text layer
-        out.write(b"tau_id,tau_ood,coverage,risk,f1\r\n")
-        for lo in range(0, order.size, _CURVE_ROWS):
-            at = order[lo : lo + _CURVE_ROWS]
-            i, j = np.divmod(at, n_cols)
-            out.write(_float_lines(np.column_stack(
-                [surface.id_thresholds[i], surface.ood_thresholds[j], *(v[at] for v in values)]
-            )))
+
+    def rows(at: slice) -> np.ndarray:
+        at = order[at]
+        i, j = np.divmod(at, n_cols)
+        return np.column_stack(
+            [surface.id_thresholds[i], surface.ood_thresholds[j], *(v[at] for v in values)]
+        )
+
+    _write_csv(path, ["tau_id", "tau_ood", "coverage", "risk", "f1"], order.size, rows)

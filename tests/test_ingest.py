@@ -610,30 +610,22 @@ _FORMAT_EDGES = np.concatenate(
 @given(
     values=st.lists(st.floats() | st.sampled_from(_FORMAT_EDGES.tolist()), max_size=24),
     width=st.integers(1, 4),
-    chunk=st.sampled_from([1, 3, ingest._CHUNK_ROWS]),
+    chunk=st.sampled_from([1, 3, ingest._CHUNK_CELLS]),
 )
-def test_float_text_is_repr(values, width, chunk):
+def test_float_rows_is_repr(values, width, chunk):
     # nan, +-inf, +-0.0, subnormals and the edges, in one-cell and wider
     # rows, across chunk boundaries
     column = np.array(values, np.float64).reshape(-1, 1)
     matrix = column[: column.size // width * width].reshape(-1, width)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ingest, "_CHUNK_ROWS", chunk)
-        cells = ingest._float_text(column[at] for at in ingest._chunks(len(column), 1))
-        assert list(cells) == list(map(repr, values))
-        rows = ingest._float_text(matrix[at] for at in ingest._chunks(len(matrix), width))
-        assert list(rows) == [",".join(map(repr, row)) for row in matrix.tolist()]
-        # a strided column, as a matrix's first column is
-        cells = ingest._float_text(matrix[:, :1][at] for at in ingest._chunks(len(matrix), 1))
-        assert list(cells) == list(map(repr, matrix[:, 0].tolist()))
-    # the same rows as one text per chunk, each row ended by CRLF
     for block, expected in (
         (column, [[v] for v in values]),
         (matrix, matrix.tolist()),
+        # a strided column, as a matrix's first column is
         (matrix[:, :1], matrix[:, :1].tolist()),
     ):
-        lines = b"".join(ingest._float_lines(block[lo : lo + chunk]) for lo in range(0, len(block), chunk))
-        assert lines == "".join(",".join(map(repr, row)) + "\r\n" for row in expected).encode()
+        chunks = (ingest._float_rows(block[lo : lo + chunk]) for lo in range(0, len(block), chunk))
+        rows = [",".join(map(repr, row)) for row in expected]
+        assert [row for chunk_rows in chunks for row in chunk_rows] == rows
 
 
 def test_float32_blocks_print_float64_repr():
@@ -642,14 +634,15 @@ def test_float32_blocks_print_float64_repr():
     block = np.array([[0.1, 0.7], [3e-5, 0.25]], np.float32)
     rows = [",".join(map(repr, row)) for row in block.tolist()]
     assert rows[0] == "0.10000000149011612,0.699999988079071"
-    assert list(ingest._float_text([block])) == rows
-    assert ingest._float_lines(block[:1]) == (rows[0] + "\r\n").encode()
-    assert ingest._float_lines(block) == "".join(row + "\r\n" for row in rows).encode()
+    assert ingest._float_rows(block) == rows
+    assert ingest._float_rows(block[:1]) == rows[:1]
+    # a strided float32 column
+    assert ingest._float_rows(block[:, :1]) == [repr(v) for v in block[:, 0].tolist()]
 
 
 def test_write_vector_file_matches_per_row_repr(tmp_path, monkeypatch):
-    # every edge value, in rows of 4 written 7 at a time
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 7)
+    # every edge value, in rows of 4 written 7 at a time: 7 rows of 7 cells
+    monkeypatch.setattr(ingest, "_CHUNK_CELLS", 49)
     vectors = _FORMAT_EDGES[: _FORMAT_EDGES.size // 4 * 4].reshape(-1, 4)
     records = [
         FeatureRecord(f"s{i}", Origin.ID if i % 3 else Origin.OOD, i % 5 if i % 3 else None, v)
@@ -673,6 +666,28 @@ def test_zero_channel_set_writes_its_rows(tmp_path):
     path = tmp_path / "scores.csv"
     write_scores(es, path)
     assert path.read_bytes() == b"sample_id,domain,correct\r\nA,id,1\r\nX,ood,\r\n"
+
+
+def test_write_scores_peak_memory(tmp_path):
+    # Beside the eval set, the writer holds the id and flag lists, about 24
+    # bytes a row (about 2.7 MB at 100k rows), and one chunk of rows at a time.
+    # Holding a channel's Python floats (32 bytes each with the list) or the
+    # whole file's text (about 55 bytes a row) passes 32 bytes a row.
+    n = 100_000
+    rng = np.random.default_rng(6)
+    es = EvalSet.from_columns(
+        [f"id-{i:06d}" for i in range(n)], rng.random(n) < 0.5, rng.random(n) < 0.7,
+        {"s_id": rng.normal(size=n), "s_ood": rng.normal(size=n)},
+    )
+    path = tmp_path / "scores.csv"
+    write_scores(es, path)
+    tracemalloc.start()
+    try:
+        write_scores(es, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * n + 2**20, (peak, n)
 
 
 def _csv_writer_scores(eval_set, path):
@@ -727,9 +742,10 @@ def test_write_scores_matches_csv_writer(tmp_path_factory, ids, channels, data):
 _QUOTED = ["a,b", 'say "hi"', "cr\rx", "lf\nx", '",\r\n"']
 
 
-@pytest.mark.parametrize("chunk_rows", [3, ingest._CHUNK_ROWS])
+@pytest.mark.parametrize("chunk_rows", [3, 1024, ingest._CHUNK_CELLS // 5])
 def test_write_scores_across_chunks_matches_csv_writer(tmp_path, monkeypatch, chunk_rows):
-    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    # rows of five cells, so chunks of chunk_rows rows
+    monkeypatch.setattr(ingest, "_CHUNK_CELLS", 5 * chunk_rows)
     n = 3 * chunk_rows + 2
     ids = [f"s{i}" for i in range(n)]
     for k, boundary in enumerate(range(chunk_rows, n, chunk_rows)):
@@ -818,6 +834,12 @@ class TestVectorFiles:
             records = [FeatureRecord(f"s{i}", Origin.OOD, None, v) for i, v in enumerate(vectors)]
             with pytest.raises(ValueError, match="vectors differ in length"):
                 write_vector_file(records, tmp_path / "features.csv")
+
+    def test_no_records_rejected(self, tmp_path):
+        # the header needs a width, and no record gives one
+        with pytest.raises(ValueError, match="no record to take the vectors' width from"):
+            write_vector_file([], tmp_path / "features.csv")
+        assert not (tmp_path / "features.csv").exists()
 
     def test_label_on_ood_rejected(self, tmp_path):
         path = tmp_path / "logits.csv"
@@ -966,8 +988,8 @@ class TestCurveExport:
         ["one run", "all distinct", "signed zeros", "odd magnitudes", "scattered odd rows", "float32"],
     )
     def test_matches_a_per_row_reference(self, tmp_path, monkeypatch, coverage):
-        # 54 rows in chunks of 7: the last chunk is short
-        monkeypatch.setattr(ingest, "_CURVE_ROWS", 7)
+        # 54 rows of five cells in chunks of 7 rows: the last chunk is short
+        monkeypatch.setattr(ingest, "_CHUNK_CELLS", 35)
         rng = np.random.default_rng(9)
         shape = (6, 9)
         cov = {
@@ -999,20 +1021,22 @@ class TestCurveExport:
                 ),
                 risk=surface.risk * 1e-5,
             )
-        repr_chunks = []
+        chunks, repr_chunks = [], []
         if coverage == "scattered odd rows":
-            # one odd cell in each of chunks 0, 2, 4 and 6, so one-call chunks
-            # and repr chunks alternate
+            # one odd cell in each of chunks 0, 2, 4 and 6, so chunks with
+            # and without a row for repr alternate
             f1 = surface.f1.ravel().copy()
             f1[[3, 15, 30, 44]] = [3e-5, 1e16, 5e-324, 2.5e17]
             surface = dataclasses.replace(surface, f1=f1.reshape(shape))
-            float_text = ingest._float_text
+            float_rows = ingest._float_rows
 
-            def counted(blocks):
-                repr_chunks.append(blocks)
-                return float_text(blocks)
+            def counted(block):
+                chunks.append(block)
+                if ingest._odd_rows(block).any():
+                    repr_chunks.append(block)
+                return float_rows(block)
 
-            monkeypatch.setattr(ingest, "_float_text", counted)
+            monkeypatch.setattr(ingest, "_float_rows", counted)
         if coverage == "float32":
             # printed as the float64 repr of each float32 value, not its shortest float32 text
             surface = PairSurface(
@@ -1020,7 +1044,8 @@ class TestCurveExport:
             )
         write_curve(surface, tmp_path / "ours.csv")
         if coverage == "scattered odd rows":
-            assert len(repr_chunks) == 4
+            # one formatter call per chunk
+            assert len(chunks) == 8 and len(repr_chunks) == 4
         self._per_row_reference(surface, tmp_path / "reference.csv")
         assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
@@ -1085,7 +1110,7 @@ class TestCurveExport:
     @given(
         shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
         data=st.data(),
-        chunk=st.sampled_from([1, 4, ingest._CURVE_ROWS]),
+        chunk=st.sampled_from([1, 4, ingest._CHUNK_CELLS // 5]),
     )
     def test_sort_matches_lexsort(self, tmp_path_factory, shape, data, chunk):
         cells = shape[0] * shape[1]
@@ -1103,7 +1128,8 @@ class TestCurveExport:
         )
         path = tmp_path_factory.mktemp("sort")
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_CURVE_ROWS", chunk)
+            # rows of five cells, so chunks of chunk rows
+            mp.setattr(ingest, "_CHUNK_CELLS", 5 * chunk)
             write_curve(surface, path / "ours.csv")
         self._per_row_reference(surface, path / "reference.csv")
         assert (path / "ours.csv").read_bytes() == (path / "reference.csv").read_bytes()
