@@ -97,8 +97,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _tool_block() -> dict:
-    return {"name": "dseval", "version": __version__}
+def _report(args, flags, **blocks) -> dict:
+    """The tool, then ``blocks`` in order, then the ``flags`` and the display scales."""
+    config = {f: str(getattr(args, f)) if f in args.inputs else getattr(args, f) for f in flags}
+    return {
+        "tool": {"name": "dseval", "version": __version__},
+        **blocks,
+        "config": {**config, "include_sentinel": True, "seed": None},
+        "scaling": {"metrics": METRIC_SCALE, "aurc": AURC_SCALE},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +281,12 @@ def _cmd_eval(args) -> int:
         col = eval_set.channel(args.ood_channel)
         id_scores = col[eval_set.is_id]
         ood_scores = col[~eval_set.is_id]
-        ood_block = {
-            "channel": args.ood_channel,
-            "auroc": scaled(auroc(id_scores, ood_scores), METRIC_SCALE),
-            "fpr_at_95": scaled(fpr_at_tpr(id_scores, ood_scores), METRIC_SCALE),
-            "aupr": scaled(aupr(id_scores, ood_scores), METRIC_SCALE),
-        }
+        metrics = scaled(
+            auroc=auroc(id_scores, ood_scores),
+            fpr_at_95=fpr_at_tpr(id_scores, ood_scores),
+            aupr=aupr(id_scores, ood_scores),
+        )
+        ood_block = {"channel": args.ood_channel, **metrics}
 
     want_surface = args.surface is not None
     f1_result, aurc_result = ds_metrics(
@@ -291,44 +298,28 @@ def _cmd_eval(args) -> int:
     # each channel alone is a sentinel line of the sweep
     single = {
         ch: {
-            "f1": scaled(f1.value, METRIC_SCALE),
+            **scaled(f1=f1.value),
             "f1_threshold": getattr(f1.best_pair, tau),
-            "aurc": scaled(area.value, AURC_SCALE),
+            **scaled(aurc=area.value),
         }
         for ch, f1, area, tau in (
             (args.id_channel, f1_result.id_only, aurc_result.id_only, "tau_id"),
             (args.ood_channel, f1_result.ood_only, aurc_result.ood_only, "tau_ood"),
         )
     }
-
-    report = {
-        "tool": _tool_block(),
-        "dataset": {
-            "n_id": eval_set.n_id,
-            "n_ood": eval_set.n_ood,
-            "id_accuracy": scaled(eval_set.id_accuracy, METRIC_SCALE),
-        },
-        "single": single,
-        "ood_detection": ood_block,
-        "double": {
-            "id_channel": args.id_channel,
-            "ood_channel": args.ood_channel,
-            "ds_f1": scaled(f1_result.value, METRIC_SCALE),
-            "best_pair": asdict(f1_result.best_pair),
-            "ds_aurc": scaled(aurc_result.value, AURC_SCALE),
-        },
-        "config": {
-            "scores": str(args.scores),
-            "id_channel": args.id_channel,
-            "ood_channel": args.ood_channel,
-            "grid": args.grid,
-            "bins": args.bins,
-            "include_sentinel": True,
-            "seed": None,
-        },
-        "scaling": {"metrics": METRIC_SCALE, "aurc": AURC_SCALE},
+    double = {
+        "id_channel": args.id_channel,
+        "ood_channel": args.ood_channel,
+        **scaled(ds_f1=f1_result.value),
+        "best_pair": asdict(f1_result.best_pair),
+        **scaled(ds_aurc=aurc_result.value),
     }
-
+    accuracy = scaled(id_accuracy=eval_set.id_accuracy)
+    dataset = {"n_id": eval_set.n_id, "n_ood": eval_set.n_ood, **accuracy}
+    report = _report(
+        args, ["scores", "id_channel", "ood_channel", "grid", "bins"],
+        dataset=dataset, single=single, ood_detection=ood_block, double=double,
+    )
     write_report(report, args.out)
     return 0
 
@@ -364,29 +355,15 @@ def _cmd_select(args) -> int:
         )
         modes[mode.value] = {
             "frozen": asdict(picked.frozen),
-            "val_f1": scaled(picked.f1, METRIC_SCALE),
-            "test_f1_transfer": scaled(transfer_f1, METRIC_SCALE),
-            "test_f1_opt": scaled(opt[mode].f1, METRIC_SCALE),
+            **scaled(val_f1=picked.f1, test_f1_transfer=transfer_f1, test_f1_opt=opt[mode].f1),
             "test_counts": asdict(counts),
         }
-    report = {
-        "tool": _tool_block(),
-        "dataset": {
-            "val": {"n_id": val_set.n_id, "n_ood": val_set.n_ood},
-            "test": {"n_id": test_set.n_id, "n_ood": test_set.n_ood},
-        },
-        "selection": {"primary_mode": _MODE_FLAGS[args.mode].value, "modes": modes},
-        "config": {
-            "val": str(args.val),
-            "test": str(args.test),
-            "id_channel": args.id_channel,
-            "ood_channel": args.ood_channel,
-            "grid": args.grid,
-            "include_sentinel": True,
-            "seed": None,
-        },
-        "scaling": {"metrics": METRIC_SCALE, "aurc": AURC_SCALE},
-    }
+    dataset = {"val": {"n_id": val_set.n_id, "n_ood": val_set.n_ood},
+               "test": {"n_id": test_set.n_id, "n_ood": test_set.n_ood}}
+    report = _report(
+        args, ["val", "test", "id_channel", "ood_channel", "grid"], dataset=dataset,
+        selection={"primary_mode": _MODE_FLAGS[args.mode].value, "modes": modes},
+    )
     write_report(report, args.out)
     return 0
 

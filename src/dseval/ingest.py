@@ -463,6 +463,8 @@ def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> N
     width = len(vectors[0])
     if any(len(v) != width for v in vectors):
         raise ValueError("the records' vectors differ in length")
+    if not width:
+        raise ValueError("the records' vectors are empty; a vector file needs 1 component or more")
     flags = (f"{r.origin.value},{'' if r.label is None else r.label}" for r in records)
     ids = _csv_cells([r.sample_id for r in records])
     header = _VECTOR_PREFIX + [f"v{i}" for i in range(width)]
@@ -472,10 +474,11 @@ def write_vector_file(records: Sequence[LogitRecord | FeatureRecord], path) -> N
     )
 
 
-def scaled(raw: float, scale: float = METRIC_SCALE) -> dict[str, float]:
-    """A report entry carrying the raw value and its display-scaled twin."""
-    raw = float(raw)
-    return {"raw": raw, "display": raw * scale}
+def scaled(**raw: float) -> dict[str, dict[str, float]]:
+    """Report entries in argument order: each raw value with its display twin,
+    x1000 for a key that contains "aurc" (the AURC family), else x100."""
+    scale = {key: AURC_SCALE if "aurc" in key else METRIC_SCALE for key in raw}
+    return {key: {"raw": float(v), "display": float(v) * scale[key]} for key, v in raw.items()}
 
 
 def _parse_report(fh) -> dict[str, Any]:
@@ -502,72 +505,55 @@ def write_report(report: dict[str, Any], path) -> None:
         fh.write(text)
 
 
-def _fmt2(entry) -> str:
-    if entry is None:
+def _named(block) -> list[dict]:
+    """The rows of a ``{name: row}`` block, each holding its name under "name"."""
+    return [{"name": name, **row} for name, row in (block or {}).items()]
+
+
+def _pair(double) -> list[dict]:
+    """The double-score row, named by its channels; none without a double block."""
+    return [{"name": "{ood_channel} + {id_channel}".format_map(double), **double}] if double else []
+
+
+# Each Markdown table: the lines above it, its columns as (title, cell template:
+# a key path into the row and a format; a missing key renders "-") and the rows
+# it shows of a report. A table with no rows is not shown.
+_TABLES = (
+    ([], [("n_id", "{n_id}"), ("n_ood", "{n_ood}"), ("ID accuracy", "{id_accuracy[display]:.2f}")],
+     lambda report: [report["dataset"]] if "n_id" in report.get("dataset", {}) else []),
+    ([], [("Split", "{name}"), ("n_id", "{n_id}"), ("n_ood", "{n_ood}")],  # select's splits
+     lambda report: [] if "n_id" in report.get("dataset", {}) else _named(report.get("dataset"))),
+    (["Display scale: metrics x100, AURC x1000.", ""],
+     [("Scores", "{name}"), ("F1", "{f1[display]:.2f}"), ("AURC", "{aurc[display]:.2f}"),
+      ("DS-F1", "{ds_f1[display]:.2f}"), ("DS-AURC", "{ds_aurc[display]:.2f}")],
+     lambda report: _named(report.get("single")) + _pair(report.get("double"))),
+    ([], [("OOD channel", "{channel}"), ("AUROC", "{auroc[display]:.2f}"),
+          ("FPR@95", "{fpr_at_95[display]:.2f}"), ("AUPR", "{aupr[display]:.2f}")],
+     lambda report: [report["ood_detection"]] if report.get("ood_detection") else []),
+    ([], [("Mode", "{name}"), ("tau_id", "{frozen[tau_id]}"), ("tau_ood", "{frozen[tau_ood]}"),
+          ("val F1", "{val_f1[display]:.2f}"),
+          ("test F1 (transfer)", "{test_f1_transfer[display]:.2f}"),
+          ("test F1 (test-opt, leaky)", "{test_f1_opt[display]:.2f}")],
+     lambda report: _named((report.get("selection") or {}).get("modes"))),
+)
+
+
+def _cell(row: dict, template: str) -> str:
+    try:
+        return template.format_map(row)
+    except KeyError:  # a key missing from the row
         return "-"
-    if isinstance(entry, dict):
-        return f"{entry['display']:.2f}"
-    return f"{float(entry):.2f}"
 
 
-def _render_markdown(data: dict[str, Any]) -> str:
+def _render_markdown(report: dict[str, Any]) -> str:
     lines = ["# dseval report", ""]
-    dataset = data.get("dataset")
-    if dataset and "n_id" in dataset:
-        lines += [
-            "| n_id | n_ood | ID accuracy |",
-            "| --- | --- | --- |",
-            f"| {dataset['n_id']} | {dataset['n_ood']} | "
-            f"{_fmt2(dataset.get('id_accuracy'))} |",
-            "",
-        ]
-    elif dataset:  # select's val and test splits
-        lines += ["| Split | n_id | n_ood |", "| --- | --- | --- |",
-                  *(f"| {k} | {v['n_id']} | {v['n_ood']} |" for k, v in dataset.items()), ""]
-    single = data.get("single") or {}
-    double = data.get("double")
-    if single or double:
-        lines += [
-            "Display scale: metrics x100, AURC x1000.",
-            "",
-            "| Scores | F1 | AURC | DS-F1 | DS-AURC |",
-            "| --- | --- | --- | --- | --- |",
-        ]
-        for ch, block in single.items():
-            lines.append(
-                f"| {ch} | {_fmt2(block['f1'])} | {_fmt2(block['aurc'])} | - | - |"
-            )
-        if double:
-            pair = f"{double['ood_channel']} + {double['id_channel']}"
-            lines.append(
-                f"| {pair} | - | - | {_fmt2(double['ds_f1'])} | "
-                f"{_fmt2(double['ds_aurc'])} |"
-            )
-        lines.append("")
-    ood = data.get("ood_detection")
-    if ood:
-        lines += [
-            "| OOD channel | AUROC | FPR@95 | AUPR |",
-            "| --- | --- | --- | --- |",
-            f"| {ood['channel']} | {_fmt2(ood['auroc'])} | "
-            f"{_fmt2(ood['fpr_at_95'])} | {_fmt2(ood['aupr'])} |",
-            "",
-        ]
-    selection = data.get("selection")
-    if selection:
-        lines += [
-            "| Mode | tau_id | tau_ood | val F1 | test F1 (transfer) | test F1 (test-opt, leaky) |",
-            "| --- | --- | --- | --- | --- | --- |",
-        ]
-        for mode, block in selection["modes"].items():
-            frozen = block["frozen"]
-            lines.append(
-                f"| {mode} | {frozen['tau_id']} | {frozen['tau_ood']} | "
-                f"{_fmt2(block['val_f1'])} | {_fmt2(block['test_f1_transfer'])} | "
-                f"{_fmt2(block['test_f1_opt'])} |"
-            )
-        lines.append("")
-    config = data.get("config")
+    for above, columns, source in _TABLES:
+        rows = source(report)
+        if rows:
+            table = [[title for title, _ in columns], ["---"] * len(columns)]
+            table += [[_cell(row, template) for _, template in columns] for row in rows]
+            lines += [*above, *("| " + " | ".join(cells) + " |" for cells in table), ""]
+    config = report.get("config")
     if config:
         lines += ["## Config", "", "```json", json.dumps(config, indent=2), "```", ""]
     return "\n".join(lines)

@@ -166,6 +166,13 @@ class TestEvalCommand:
         assert report["ood_detection"] is None
         assert report["double"]["ds_aurc"]["display"] == 0.0
         assert report["single"]["s_id"]["aurc"]["display"] == 0.0
+        # Markdown leaves out the table that has no rows, and keeps the rest
+        md = tmp_path / "report.md"
+        run(["eval", "--scores", scores, "--id-channel", "s_id", "--ood-channel", "s_ood",
+             "--out", md])
+        text = md.read_text()
+        assert "| s_ood + s_id | - | - | 100.00 | 0.00 |" in text
+        assert "OOD channel" not in text
 
     def test_same_channel_on_both_axes(self, fixture_csv, tmp_path, capsys):
         # the report keys its single-score blocks by channel, so one channel on
@@ -291,6 +298,24 @@ class TestSelectCommand:
         assert modes["double"]["val_f1"]["raw"] == pytest.approx(0.8)
         assert modes["id_only"]["test_f1_transfer"]["raw"] == pytest.approx(2 / 3)
         assert modes["double"]["test_counts"]["ta"] == 2
+
+    def test_report_follows_the_display_convention(self, fixture_csv, tmp_path):
+        # criterion 7: every {raw, display} entry shows raw x1000 under a key
+        # that contains "aurc", else raw x100
+        out = tmp_path / "selection.json"
+        assert run(["select", "--val", fixture_csv, "--test", fixture_csv, "--out", out]) == 0
+        checked = []
+
+        def walk(node, key=""):
+            if isinstance(node, dict) and set(node) == {"raw", "display"}:
+                assert node["display"] == node["raw"] * (1000.0 if "aurc" in key else 100.0), key
+                checked.append(key)
+            elif isinstance(node, dict):
+                for k, v in node.items():
+                    walk(v, k)
+
+        walk(read_json(out))
+        assert sorted(checked) == sorted(["val_f1", "test_f1_transfer", "test_f1_opt"] * 3)
 
     def test_same_channel_on_both_axes(self, fixture_csv, tmp_path, capsys):
         out = tmp_path / "selection.json"

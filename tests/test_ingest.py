@@ -19,8 +19,6 @@ from dseval.core import DsevalError
 from dseval.cli import main
 from dseval.dsmetrics import PairSurface
 from dseval.ingest import (
-    AURC_SCALE,
-    METRIC_SCALE,
     EmptyIdPopulation,
     IoError,
     ParseError,
@@ -841,6 +839,14 @@ class TestVectorFiles:
             write_vector_file([], tmp_path / "features.csv")
         assert not (tmp_path / "features.csv").exists()
 
+    @pytest.mark.parametrize("record", [FeatureRecord, LogitRecord])
+    def test_empty_vectors_rejected(self, tmp_path, record):
+        # a width of 0 would write rows its own loaders refuse
+        path = tmp_path / "vectors.csv"
+        with pytest.raises(ValueError, match="^the records' vectors are empty"):
+            write_vector_file([record("a", Origin.ID, 1, np.empty(0))], path)
+        assert not path.exists()
+
     def test_label_on_ood_rejected(self, tmp_path):
         path = tmp_path / "logits.csv"
         path.write_text("sample_id,domain,label,v0,v1\nx,ood,3,0.0,0.0\n")
@@ -899,22 +905,21 @@ class TestVectorFiles:
 
 class TestReports:
     def test_scaled_entries(self):
-        entry = scaled(0.6742, METRIC_SCALE)
+        entry = scaled(f1=0.6742)["f1"]
         assert entry["display"] == entry["raw"] * 100.0
         assert f"{entry['display']:.2f}" == "67.42"
-        entry = scaled(0.20238, AURC_SCALE)
+        entry = scaled(aurc=0.20238)["aurc"]
         assert entry["display"] == entry["raw"] * 1000.0
         assert f"{entry['display']:.2f}" == "202.38"
 
     def test_json_round_trip_identity(self, tmp_path):
         report = {
-            "dataset": {"n_id": 3, "n_ood": 2, "id_accuracy": scaled(2 / 3)},
-            "single": {"s_id": {"f1": scaled(2 / 3), "aurc": scaled(0.1, 1000.0)}},
+            "dataset": {"n_id": 3, "n_ood": 2, **scaled(id_accuracy=2 / 3)},
+            "single": {"s_id": scaled(f1=2 / 3, aurc=0.1)},
             "double": {
                 "id_channel": "s_id",
                 "ood_channel": "s_ood",
-                "ds_f1": scaled(0.8),
-                "ds_aurc": scaled(0.05, 1000.0),
+                **scaled(ds_f1=0.8, ds_aurc=0.05),
             },
         }
         first = tmp_path / "r1.json"
@@ -937,15 +942,12 @@ class TestReports:
 
     def test_markdown_layout(self, tmp_path):
         report = {
-            "dataset": {"n_id": 3, "n_ood": 2, "id_accuracy": scaled(2 / 3)},
-            "single": {
-                "s_id": {"f1": scaled(0.6742), "aurc": scaled(0.20238, 1000.0)}
-            },
+            "dataset": {"n_id": 3, "n_ood": 2, **scaled(id_accuracy=2 / 3)},
+            "single": {"s_id": scaled(f1=0.6742, aurc=0.20238)},
             "double": {
                 "id_channel": "s_id",
                 "ood_channel": "s_ood",
-                "ds_f1": scaled(0.8),
-                "ds_aurc": scaled(0.19708, 1000.0),
+                **scaled(ds_f1=0.8, ds_aurc=0.19708),
             },
         }
         path = tmp_path / "report.md"
