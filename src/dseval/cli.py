@@ -176,14 +176,18 @@ def _fit_matrix(path, loader, kind: str):
 
 
 def _channels(methods, inputs: ScoreInputs, fitted: dict, sample_ids) -> dict:
-    """Every requested channel as one vector; a row's failure names its sample."""
+    """Every requested channel as one vector; a row's failure names its sample.
+
+    A cached column of the inputs is released after the last method that reads it.
+    """
     channels = {}
-    for name in methods:
+    for at, name in enumerate(methods):
         try:
             channels[name] = METHODS[name].score_batch(inputs, fitted[name])
         except ScoringError as exc:
             where = "" if exc.row is None else f" on sample {sample_ids[exc.row]!r}"
             raise type(exc)(f"method {name!r} failed{where}: {exc}") from None
+        inputs.release({c for later in methods[at + 1 :] for c in METHODS[later].columns})
     return channels
 
 

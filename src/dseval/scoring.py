@@ -61,6 +61,9 @@ __all__ = [
     "FEATURES",
     "FIT_LOGITS",
     "FIT_FEATURES",
+    "PROBS",
+    "MSP",
+    "L1",
     "ScoreOptions",
     "FitSplit",
     "ScoreInputs",
@@ -523,47 +526,65 @@ def _klm_rows(probs: np.ndarray, class_templates: np.ndarray) -> np.ndarray:
 def _mahalanobis_rows(x: np.ndarray, stats: GaussianStats) -> np.ndarray:
     """mahalanobis() of every row, bit for bit.
 
-    A matrix product gives every squared distance d'Cd to the class means;
-    it and mahalanobis()'s einsum are both sums of the D^2 products
-    d_j C_jk d_k, so they differ by at most about (D^2 + 2D + 3) eps times
-    |d|'|C||d| <= || |C| ||_2 |d|^2. Only the classes within ``slack`` (four
-    times that) of a row's nearest are recomputed with the einsum, so the
-    nearest class is never missed. The result equals mahalanobis() wherever
-    numpy's einsum gives a row the same value whatever rows surround it;
-    for 2-d features it does not (its summation order follows the row
-    count), and the two may differ in the last bit.
+    With C the inverse covariance, and the rows and class means centred on
+    the mean of the means (y and v), a squared distance is
+    y'Cy - 2 y'Cv + v'Cv. y'Cy is the same for every class of a row, so
+    ``pick`` = v'Cv - 2 y'Cv, one product of the centred rows with the
+    D x K matrix Cv, orders the classes as the distances do. With
+    rho = max_j sum_k |C_jk| >= || |C| ||_2 and r = |y| + max |v|, the pick
+    errs by (2D + 4) eps rho r^2; centring moves d = x - u by eps (|y| + |v|),
+    which moves d'Cd by 2 eps rho r^2; and mahalanobis()'s einsum, a sum of
+    the D^2 products d_j C_jk d_k, errs by (D^2 + 2D + 3) eps rho r^2. Only
+    the classes whose pick is within ``slack`` (twice those together, and
+    twice again) of a row's least are recomputed with the einsum, so the
+    nearest class is never missed; a row whose pick is not finite keeps
+    every class. The result equals mahalanobis() wherever numpy's einsum
+    gives a row the same value whatever rows surround it; for 2-d features
+    it does not (its summation order follows the row count), and the two
+    may differ in the last bit.
     """
-    n_classes, dim = stats.means.shape
-    cov_inv = stats.cov_inv
+    means, cov_inv = stats.means, stats.cov_inv
+    n_classes, dim = means.shape
     eps = np.finfo(np.float64).eps
-    scale = 2 * (dim * dim + 2 * dim + 3) * eps * np.linalg.norm(np.abs(cov_inv), 2)
-    # block buffers are allocated once and reused; _knn_rows() says why
-    step = max(1, BLOCK_BYTES // (16 * n_classes * dim))
-    diffs = np.empty((step, n_classes, dim))
-    products = np.empty_like(diffs)
-    out = np.empty(x.shape[0])
     # rows far from every mean overflow to an infinite distance, refused below
     with np.errstate(over="ignore", invalid="ignore"):
+        centre = means.mean(axis=0)
+        v = means - centre
+        cv = cov_inv @ v.T
+        vcv = np.einsum("kd,dk->k", v, cv)
+        v_norm = np.linalg.norm(v, axis=1).max()
+        scale = 4 * (dim * dim + 4 * dim + 9) * eps * np.abs(cov_inv).sum(axis=1).max()
+        # block buffers are allocated once and reused; _knn_rows() says why
+        step = _block_rows(x.shape[0], 3 * dim + 2 * n_classes)
+        centred = np.empty((step, dim))
+        picks = np.empty((step, n_classes))
+        diffs, near_means = np.empty((step, dim)), np.empty((step, dim))
+        out = np.empty(x.shape[0])
         for lo in range(0, x.shape[0], step):
             n = min(step, x.shape[0] - lo)
-            diff = np.subtract(x[lo : lo + n, None, :], stats.means, out=diffs[:n])
-            approx = np.einsum("nkd,nkd->nk", np.matmul(diff, cov_inv, out=products[:n]), diff)
-            slack = scale * np.einsum("nkd,nkd->nk", diff, diff)
+            block = x[lo : lo + n]
+            y = np.subtract(block, centre, out=centred[:n])
+            slack = scale * np.square(np.sqrt(np.einsum("ij,ij->i", y, y)) + v_norm)
+            pick = np.matmul(y, cv, out=picks[:n])
+            pick *= -2.0
+            pick += vcv
+            pick -= pick.min(axis=1, keepdims=True)
             # `not >` keeps every class a NaN would hide
-            near = ~(approx - slack > (approx + slack).min(axis=1, keepdims=True))
+            near = ~(pick > slack[:, None])
+            near[~np.isfinite(pick).all(axis=1)] = True
             row, cls = np.nonzero(near)
-            d = diff[row, cls]
             best = np.full(n, np.inf)
-            np.minimum.at(best, row, np.einsum("ij,jk,ik->i", d, cov_inv, d))
+            # in parts: a wide pick may keep several classes a row
+            for at in range(0, row.size, step):
+                r, c = row[at : at + step], cls[at : at + step]
+                # "clip": np.take() copies through a buffer when it may raise
+                d = np.take(block, r, axis=0, out=diffs[: r.size], mode="clip")
+                d -= np.take(means, c, axis=0, out=near_means[: c.size], mode="clip")
+                np.minimum.at(best, r, np.einsum("ij,jk,ik->i", d, cov_inv, d))
             out[lo : lo + n] = -best
     # finite features and inverse covariance give a distance that is not
     # finite only by overflow, and the sum of overflowed products may be nan
     return _finite_rows(out, "the Mahalanobis score", "the Mahalanobis distance overflows")
-
-
-def _knn_sample(size: int, k: int) -> slice:
-    """The bank columns whose k-th nearest bounds every row's: about 40 k, evenly spread."""
-    return slice(None, None, size // min(40 * k, size))
 
 
 def _padded_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
@@ -578,27 +599,60 @@ def _padded_rows(values: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
     return padded
 
 
+# The fewest column groups _knn_rows() takes minima over: over fewer, numpy's
+# reduction runs short strided loops (50x slower at 2 groups than at 256).
+_KNN_GROUPS = 256
+# The fewest rows a group of queries may hold for one tile to take the
+# whole bank; below it the bank is swept in narrower tiles.
+_KNN_WHOLE_ROWS = 16
+
+
+def _knn_blocks(n_rows: int, size: int, dim: int, k: int) -> tuple[int, int, int]:
+    """_knn_rows()' rows per group of queries, tile width and column groups.
+
+    A row holds 8 + 12 D bytes of queries, 40 per candidate (about 2 k) and
+    5 a tile column; a group takes half of BLOCK_BYTES. One tile takes the
+    whole bank when a group of _KNN_WHOLE_ROWS rows (or every row) fits that
+    way; otherwise a tile row is as large as the rest of the row, and never
+    narrower than the G >= k column groups.
+    """
+    groups = min(size, max(4 * k, _KNN_GROUPS))
+    budget = BLOCK_BYTES // 2
+    rest = 8 + 12 * dim + 80 * k
+    step = min(n_rows, budget // (rest + 5 * size))
+    if step >= min(n_rows, _KNN_WHOLE_ROWS):
+        return max(1, step), size, groups
+    step = max(1, min(n_rows, budget // (rest + 5 * max(groups, rest // 5))))
+    return step, min(size, max(groups, (budget - step * rest) // (5 * step))), groups
+
+
 def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
     """knn_score() of every row, bit for bit (Sun et al., ICML 2022).
 
     For unit vectors ||a-b||^2 = 2 - 2a.b, so ``near`` = -a.b orders the bank
     as the distances do. In float32 it errs by under (D + 2) eps32 / 2, so
     values over 2 (D + 4) eps32 apart keep their float64 order; ``margin``
-    is eight times that, also for the cuts' rounding and two products
-    rounding one ``near`` apart. With N_k a row's k-th smallest ``near``, a
-    vector above N_k + margin is never needed, one at or below N_k - margin
-    only counts, and the float64 distances of the rest decide: the score is
-    their (k - count)-th smallest. A sample's k-th smallest (``_knn_sample``)
-    bounds N_k from above: a cut there plus ``margin`` keeps all they need.
-    NaN sorts last and is never cut, as in knn_score().
+    is eight times that, also for the cuts' rounding. With N_k a row's k-th
+    smallest ``near``, a vector above N_k + margin is never needed, one at
+    or below N_k - margin only counts, and the float64 distances of the rest
+    decide: the score is their (k - count)-th smallest.
 
-    The float32 bank is held negated, sampled columns first. Per group of
-    rows, the sample's product, partitioned in place, gives the bound, a
-    sweep over column tiles keeps candidates and one exact stage finishes.
-    A row holds 8 + 12 D bytes of queries, 40 per candidate (about k
-    stride) and a tile row as large, at 5 a column, or as wide as the
-    sample; a group takes half of BLOCK_BYTES. Buffers are reused: glibc
-    may map each fresh temporary of 128 KiB or more, faulted in every group.
+    Each tile's columns fall into G >= k disjoint groups (every G-th
+    column; the last w mod G columns of a tile w wide join none), and a
+    row's minimum over each group is one bank vector's ``near``.
+    The k-th smallest of G minima is reached by k distinct vectors, so it
+    bounds N_k from above, and a cut there plus ``margin`` keeps all the
+    rest needs. Minima carry over from tile to tile: slot j keeps the least
+    of the j-th minimum so far and this tile's group j, so the slots stay
+    disjoint and the bound only tightens. NaN is carried by the minima and
+    never cut, as in knn_score().
+
+    The float32 bank is held negated. Per group of query rows (sized by
+    _knn_blocks()), a sweep over column tiles keeps candidates and one exact
+    stage finishes; where the whole bank fits one tile, candidates come out
+    in row order and the tile's own product gives the bound. Buffers are
+    reused: glibc may map each fresh temporary of 128 KiB or more, faulted
+    in every group.
     """
     vectors = bank.vectors
     size, dim = vectors.shape
@@ -606,14 +660,8 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
         raise KTooLarge(f"k={k} outside [1, {size}]")
     x = np.ascontiguousarray(x, dtype=np.float64)
     margin = np.float32(16 * (dim + 4) * np.finfo(np.float32).eps)
-    stride = _knn_sample(size, k).step
-    sampled = -(-size // stride)
-    rest = 8 + 12 * dim + 40 * k * stride
-    step = max(1, min(x.shape[0], BLOCK_BYTES // 2 // (rest + 5 * max(sampled, rest // 5))))
-    width = min(size, max(sampled, (BLOCK_BYTES // 2 - step * rest) // (5 * step)))
-    where = np.argsort(np.arange(size) % stride, kind="stable").astype(np.int32)
-    far = np.concatenate([vectors[o::stride].T for o in range(stride)], axis=1, dtype=np.float32)
-    np.negative(far, out=far)
+    step, width, groups = _knn_blocks(x.shape[0], size, dim, k)
+    far = np.negative(vectors.T, dtype=np.float32)
     squares = np.empty((step, 1, 1))
     queries = np.empty((step, dim))
     queries32 = np.empty((step, dim), dtype=np.float32)
@@ -636,26 +684,33 @@ def _knn_rows(x: np.ndarray, bank: FeatureBank, k: int) -> np.ndarray:
                 raise
         q32 = queries32[:n]
         np.copyto(q32, queries[:n])
-        low = np.matmul(q32, far[:, :sampled], out=tile[: n * sampled].reshape(n, sampled))
-        low.partition(k - 1, axis=1)
-        cut = low[:, k - 1 : k] + margin
+        least = None
         rows, members, values = [], [], []
         for c0 in range(0, size, width):
             w = min(width, size - c0)
             near = np.matmul(q32, far[:, c0 : c0 + w], out=tile[: n * w].reshape(n, w))
+            grouped = w - w % groups
+            if grouped:
+                minima = np.minimum.reduce(near[:, :grouped].reshape(n, -1, groups), axis=1)
+                least = minima if least is None else np.minimum(least, minima, out=least)
+                least.partition(k - 1, axis=1)
+                cut = least[:, k - 1 : k] + margin
             # `not >` keeps every vector a NaN would hide
             np.greater(near, cut, out=kept[: n * w].reshape(n, w))
             flat = np.flatnonzero(np.logical_not(kept[: n * w], out=kept[: n * w]))
             values.append(tile.take(flat))
             r, c = np.divmod(flat.astype(np.int32), w)
             rows.append(r)
-            members.append(where[c0 : c0 + w][c])
-        rows = np.concatenate(rows)
-        order = np.argsort(rows, kind="stable")
-        rows = rows[order]
-        values = np.concatenate(values)[order]
-        members = np.concatenate(members)[order]
-        del order
+            members.append(c + c0)
+        if len(rows) == 1:  # one tile: already in row order
+            (rows,), (values,), (members,) = rows, values, members
+        else:
+            rows = np.concatenate(rows)
+            order = np.argsort(rows, kind="stable")
+            rows = rows[order]
+            values = np.concatenate(values)[order]
+            members = np.concatenate(members)[order]
+            del order
         kept_near = _padded_rows(values, rows, n)
         kept_near.partition(k - 1, axis=1)
         kth = kept_near[:, k - 1]
@@ -726,9 +781,13 @@ class ScoreOptions:
     temperature: float = 1.0
 
 
+# The columns of ScoreInputs that ScoreMethod.columns may name.
+PROBS, MSP, L1 = "probs", "msp", "l1"
+
+
 class ScoreInputs:
     """Stacked rows (logits N x C, features N x D, or ``None``) and the
-    columns methods share, computed once."""
+    columns methods share, computed once and kept until released."""
 
     def __init__(self, logits=None, features=None):
         self.logits, self.features, self._residual = logits, features, (None,)
@@ -738,8 +797,17 @@ class ScoreInputs:
         return _softmax_rows(self.logits)
 
     @cached_property
+    def msp(self) -> np.ndarray:
+        return self.probs.max(axis=1)
+
+    @cached_property
     def l1(self) -> np.ndarray:
         return _l1_rows(self.features)
+
+    def release(self, keep) -> None:
+        """Drop the cached columns not named in ``keep``; a later read computes them again."""
+        for name in {PROBS, MSP, L1}.difference(keep):
+            self.__dict__.pop(name, None)
 
     def residual_norms(self, basis: PrincipalBasis) -> np.ndarray:
         if self._residual[0] is not basis:
@@ -773,12 +841,14 @@ def _no_fit(split: FitSplit) -> None:
 
 @dataclass(frozen=True)
 class ScoreMethod:
-    """One score: the inputs it needs, ``fit(split) -> artifact`` and
-    ``score_batch(inputs, artifact) -> one score per row``."""
+    """One score: the inputs it needs, ``fit(split) -> artifact``,
+    ``score_batch(inputs, artifact) -> one score per row`` and the cached
+    columns of the inputs it reads (``columns``)."""
 
     needs: tuple[str, ...]
     score_batch: Callable[[ScoreInputs, Any], np.ndarray]
     fit: Callable[[FitSplit], Any] = _no_fit
+    columns: tuple[str, ...] = ()
 
 
 def _fit_templates(split: FitSplit) -> np.ndarray:
@@ -807,18 +877,21 @@ def _vim_batch(x: ScoreInputs, fitted) -> np.ndarray:
 
 
 METHODS: dict[str, ScoreMethod] = {
-    "msp": ScoreMethod((LOGITS,), lambda x, _: x.probs.max(axis=1)),
+    "msp": ScoreMethod((LOGITS,), lambda x, _: x.msp, columns=(MSP,)),
     "mls": ScoreMethod((LOGITS,), lambda x, _: x.logits.max(axis=1)),
     "energy": ScoreMethod(
         (LOGITS,),
         lambda x, temperature: _energy_rows(x.logits, temperature),
         fit=lambda split: split.options.temperature,
     ),
-    "neg_entropy": ScoreMethod((LOGITS,), lambda x, _: _neg_entropy_rows(x.probs)),
+    "neg_entropy": ScoreMethod(
+        (LOGITS,), lambda x, _: _neg_entropy_rows(x.probs), columns=(PROBS,)
+    ),
     "klm": ScoreMethod(
         (LOGITS, FIT_LOGITS),
         lambda x, templates: _klm_rows(x.probs, templates),
         fit=_fit_templates,
+        columns=(PROBS,),
     ),
     "mds": ScoreMethod(
         (FEATURES, FIT_FEATURES),
@@ -831,7 +904,7 @@ METHODS: dict[str, ScoreMethod] = {
         fit=_fit_knn,
     ),
     "l1": ScoreMethod(
-        (FEATURES,), lambda x, _: _finite_rows(x.l1, "the L1 norm")
+        (FEATURES,), lambda x, _: _finite_rows(x.l1, "the L1 norm"), columns=(L1,)
     ),
     "residual": ScoreMethod(
         (FEATURES, FIT_FEATURES),
@@ -843,12 +916,14 @@ METHODS: dict[str, ScoreMethod] = {
     ),
     "sirc_msp_l1": ScoreMethod(
         (LOGITS, FEATURES, FIT_FEATURES),
-        lambda x, params: _sirc_rows(x.probs.max(axis=1), 1.0, x.l1, params),
+        lambda x, params: _sirc_rows(x.msp, 1.0, x.l1, params),
         fit=lambda split: fit_sirc_params(split.l1),
+        columns=(MSP, L1),
     ),
     "sirc_msp_res": ScoreMethod(
         (LOGITS, FEATURES, FIT_FEATURES),
-        lambda x, a: _sirc_rows(x.probs.max(axis=1), 1.0, -x.residual_norms(a[0]), a[1]),
+        lambda x, a: _sirc_rows(x.msp, 1.0, -x.residual_norms(a[0]), a[1]),
         fit=_fit_sirc_res,
+        columns=(MSP,),
     ),
 }

@@ -13,6 +13,7 @@ import pytest
 import dseval
 from dseval import (
     Origin, ThresholdGrid, best_f1_single, cli, ds_f1, ds_metrics, dsmetrics, metrics_single,
+    scoring,
 )
 from dseval.cli import main
 from dseval.ingest import load_features, load_logits, load_scores, write_scores, write_vector_file
@@ -20,7 +21,9 @@ from dseval.oracle import oracle_ds_aurc, oracle_ds_f1
 from dseval.scoring import (
     METHODS,
     FeatureRecord,
+    FitSplit,
     LogitRecord,
+    ScoreInputs,
     build_feature_bank,
     energy,
     knn_score,
@@ -752,6 +755,43 @@ class TestScoreCommand:
             tracemalloc.stop()
         assert matrix.shape == (2000, 64) and labels.tolist() == [i % 3 for i in range(2000)]
         assert fit_peak < load_peak + matrix.nbytes // 4, (fit_peak, load_peak, matrix.nbytes)
+
+    def test_softmax_rows_are_released_before_the_feature_scorers(self, monkeypatch):
+        # score-all's shapes and method order: the 5000 x 10 softmax rows
+        # (400 kB) are gone by the time mds, knn and l1 build their block
+        # buffers, and only the score columns so far are held
+        rng = np.random.default_rng(51)
+        labels = rng.integers(0, 10, 5000)
+        features = rng.normal(0, 0.35, (10, 64))[labels] + rng.standard_normal((5000, 64))
+        logits = rng.standard_normal((5000, 10))
+        methods = ["msp", "mls", "energy", "neg_entropy", "klm", "mds", "knn", "l1",
+                   "residual", "vim", "sirc_msp_l1", "sirc_msp_res"]
+        split = FitSplit(logits, features, labels)
+        fitted = {name: METHODS[name].fit(split) for name in methods}
+        inputs = ScoreInputs(logits.copy(), features.copy())
+        sample_ids = [f"s{i}" for i in range(5000)]
+        held = {}
+
+        def watched(name):
+            inner = getattr(scoring, name)
+
+            def call(*args):
+                held[name] = scoring.PROBS in vars(inputs), tracemalloc.get_traced_memory()[0]
+                return inner(*args)
+
+            return call
+
+        for name in ("_mahalanobis_rows", "_knn_rows", "_l1_rows"):
+            monkeypatch.setattr(scoring, name, watched(name))
+        tracemalloc.start()
+        try:
+            channels = cli._channels(methods, inputs, fitted, sample_ids)
+        finally:
+            tracemalloc.stop()
+        assert list(channels) == methods and len(held) == 3
+        for name, (probs_held, current) in held.items():
+            assert not probs_held, name
+            assert current < logits.nbytes, (name, current)
 
     def test_k_larger_than_bank(self, vector_files, capsys):
         paths, *_ = vector_files  # the bank holds the 24 fit rows

@@ -14,6 +14,7 @@ from dseval.scoring import (
     DegenerateSpread,
     EmptyClassTemplate,
     FitSplit,
+    GaussianStats,
     KTooLarge,
     NonPositiveTemperature,
     OutOfRange,
@@ -489,6 +490,28 @@ def test_shared_columns_are_computed_once_per_inputs(monkeypatch):
     assert calls == {"_softmax_rows": 1, "_l1_rows": 1, "_residual_norms": 1}
 
 
+def test_methods_declare_the_columns_they_read():
+    """A method's ``columns`` name exactly the cached columns it computes on
+    fresh inputs, so releasing the others never drops one it still reads."""
+    _, split = _batch_fixture()
+    for name, method in METHODS.items():
+        inputs, _ = _batch_fixture()
+        method.score_batch(inputs, method.fit(split))
+        cached = {c for c in (scoring.PROBS, scoring.MSP, scoring.L1) if c in vars(inputs)}
+        # the msp column is computed from the softmax rows
+        reads = set(method.columns) | ({scoring.PROBS} if scoring.MSP in method.columns else set())
+        assert cached == reads, name
+
+
+def test_release_keeps_only_the_columns_named():
+    inputs, _ = _batch_fixture()
+    msp_column, l1 = inputs.msp, inputs.l1
+    inputs.release({scoring.MSP})
+    assert inputs.msp is msp_column
+    assert scoring.PROBS not in vars(inputs) and scoring.L1 not in vars(inputs)
+    assert np.array_equal(inputs.l1, l1)  # computed again on the next read
+
+
 def _svd_basis(x, d):
     """The principal basis as a full SVD of the centered rows gives it."""
     mean = x.mean(axis=0)
@@ -625,21 +648,32 @@ class TestBatchedKnn:
                 METHODS["knn"].score_batch(ScoreInputs(None, np.eye(3)), (bank, k))
 
 
-# Banks larger than the sample the k-th nearest is first bounded from, at the
-# default block size, at one row per group with one tile as wide as the
-# sample (8 bytes), and at groups of a few rows over tiles that split the bank
-# unevenly, with a shorter last group (32 KiB).
+# Banks wider than the first tile's column groups. At the default block size
+# one tile holds the bank. At 8 bytes a group holds one row and the tiles are
+# as narrow as the column groups (256 or 4 k), so the minima carry over many
+# tiles and a last tile narrower than the groups adds none. At 32 KiB groups
+# of a few rows sweep tiles a little wider than the groups, which split the
+# bank unevenly, with a shorter last group.
 @pytest.fixture(params=[None, 8, 1 << 15], ids=["blocks", "rows", "tiles"])
 def knn_blocks(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(scoring, "BLOCK_BYTES", request.param)
+    return request.param
 
 
 class TestSampledKnn:
-    def test_sample_is_smaller_than_the_bank(self):
-        for k in (1, 3, 12):
-            assert len(range(1000)[scoring._knn_sample(1000, k)]) < 1000
-        assert len(range(1000)[scoring._knn_sample(1000, 25)]) == 1000
+    def test_neighbours_in_one_column_group(self, knn_blocks):
+        # the nearest vectors all sit in one column group (every 256th
+        # column of a whole-bank tile), so every other group's minimum, and
+        # with them the bound, lie far out
+        rng = np.random.default_rng(34)
+        centre = rng.normal(0, 1, 8)
+        bank = rng.normal(0, 1, (1200, 8))
+        bank[::256] = centre + rng.normal(0, 0.05, (5, 8))
+        queries = centre + rng.normal(0, 0.01, (12, 8))
+        for k in (1, 2, 5, 6, 40):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
 
     def test_random_bank(self, knn_blocks):
         rng = np.random.default_rng(34)
@@ -651,20 +685,29 @@ class TestSampledKnn:
             assert np.isnan(got[20])
             assert np.array_equal(got, want, equal_nan=True), k
 
-    def test_sample_holds_the_farthest_vectors(self, knn_blocks):
-        # every query lies near one direction and the sampled columns hold
-        # the vectors farthest from it, so the sampled bound is the loosest
+    def test_first_tile_holds_the_farthest_vectors(self, knn_blocks):
+        # every query lies near one direction and the bank runs from the
+        # vectors farthest from it to the nearest, so the first tile's
+        # minima give the loosest bound and the tiles after it tighten it
         rng = np.random.default_rng(35)
         centre = rng.normal(0, 1, 8)
         vectors = centre + rng.normal(0, 0.8, (1200, 8))
-        by_distance = np.argsort(-(vectors @ centre) / np.linalg.norm(vectors, axis=1))
-        for k in (1, 4, 1200):
-            sampled = np.arange(1200)[scoring._knn_sample(1200, k)]
-            rest = np.setdiff1d(np.arange(1200), sampled)
-            bank = np.empty_like(vectors)
-            bank[sampled] = vectors[by_distance[: sampled.size]]
-            bank[rest] = vectors[by_distance[sampled.size :]]
-            queries = centre + rng.normal(0, 0.1, (20, 8))
+        bank = vectors[np.argsort(vectors @ centre / np.linalg.norm(vectors, axis=1))]
+        queries = centre + rng.normal(0, 0.1, (20, 8))
+        for k in (1, 4, 70, 1200):
+            got, want = _knn_both(queries, bank, k)
+            assert np.array_equal(got, want), k
+
+    def test_k_above_the_budget_tile_width(self, knn_blocks):
+        # at 8 bytes the budget leaves no tile column, and at 32 KiB under
+        # 300; the tiles widen to the 4 k column groups (1196 of 1200
+        # columns at k = 299, leaving a last tile of 4) or to the whole bank
+        rng = np.random.default_rng(50)
+        bank = rng.normal(0, 1, (1200, 16))
+        queries = np.vstack([bank[:5], -bank[5:8], rng.normal(0, 1, (12, 16))])
+        for k in (100, 299, 300, 700):
+            _, width, groups = scoring._knn_blocks(queries.shape[0], 1200, 16, k)
+            assert k <= groups <= width
             got, want = _knn_both(queries, bank, k)
             assert np.array_equal(got, want), k
 
@@ -693,6 +736,26 @@ class TestSampledKnn:
         for k in (1, 3, 800):
             got, want = _knn_both(queries, bank, k)
             assert np.array_equal(got, want), k
+
+
+@pytest.mark.parametrize("k", [25, 100, 200])
+def test_knn_is_exact_on_a_score_all_bank(knn_blocks, k):
+    """A 5000 x 64 bank drawn as score-all draws it: one tile holds it at the
+    default block size, and the first tile is narrower at the other two."""
+    rng = np.random.default_rng(48)
+    means = rng.normal(0.0, 0.35, (10, 64))
+    fit = means[rng.integers(0, 10, 5000)] + rng.standard_normal((5000, 64))
+    queries = np.vstack(
+        [
+            fit[:50],
+            means[rng.integers(0, 10, 75)] + rng.standard_normal((75, 64)),
+            rng.standard_normal((75, 64)),
+        ]
+    )
+    _, width, _ = scoring._knn_blocks(queries.shape[0], 5000, 64, k)
+    assert (width == 5000) == (knn_blocks is None)
+    got, want = _knn_both(queries, fit, k)
+    assert np.array_equal(got, want)
 
 
 def test_batched_knn_peak_memory():
@@ -759,6 +822,18 @@ def test_subspace_fits_peak_memory():
     assert _traced_peak(fits) <= _block_bound(5000, 64)
 
 
+def test_batched_mahalanobis_peak_memory():
+    """mds at score-all shapes: blocks of centred rows, picks and near rows."""
+    rng = np.random.default_rng(47)
+    labels = rng.integers(0, 10, 5000)
+    means = rng.normal(0, 0.35, (10, 64))
+    stats = fit_gaussian_stats(means[labels] + rng.standard_normal((5000, 64)), labels)
+    inputs = ScoreInputs(None, np.vstack([means[labels[:2500]], np.zeros((2500, 64))]))
+    inputs.features += rng.standard_normal((5000, 64))
+    peak = _traced_peak(lambda: METHODS["mds"].score_batch(inputs, stats))
+    assert peak <= _block_bound(5000, 64)
+
+
 @pytest.mark.parametrize("name", ["residual", "l1"])
 def test_row_norms_peak_memory(name):
     rng = np.random.default_rng(44)
@@ -801,6 +876,27 @@ def _mds_both(queries, features, labels):
     return got, want
 
 
+@pytest.mark.parametrize("dim, n", [(64, 5000), (512, 1500)])
+def test_batched_mahalanobis_is_exact_at_real_widths(dim, n):
+    """Score-all's class layout at 64 and 512 features, shifted 50 from the
+    origin as non-negative features are: rows near a mean, rows halfway
+    between two means, and rows far from all of them."""
+    rng = np.random.default_rng(49)
+    means = 50.0 + rng.normal(0.0, 0.35, (10, dim))
+    labels = rng.integers(0, 10, 5000)
+    fit = means[labels] + rng.standard_normal((5000, dim))
+    pairs = rng.integers(0, 10, (n // 4, 2))
+    queries = np.vstack(
+        [
+            means[rng.integers(0, 10, n // 2)] + rng.standard_normal((n // 2, dim)),
+            (means[pairs[:, 0]] + means[pairs[:, 1]]) / 2,
+            50.0 + 3.0 * rng.standard_normal((n - n // 2 - n // 4, dim)),
+        ]
+    )
+    got, want = _mds_both(queries, fit, labels)
+    assert np.array_equal(got, want)
+
+
 def test_batched_mahalanobis_ties():
     # classes mirrored through the origin: the origin and every point on the
     # mirror plane are equally far from two class means
@@ -811,6 +907,37 @@ def test_batched_mahalanobis_ties():
     on_plane = rng.normal(0, 1, (10, 4)) * [1, 1, 0, 1]
     queries = np.vstack([np.zeros(4), features[:5], on_plane])
     got, want = _mds_both(queries, features, labels)
+    assert np.array_equal(got, want)
+
+
+def test_batched_mahalanobis_overflowed_pick_keeps_every_class():
+    """1-d means about 1e153 apart under C = 100: the pick of the first class
+    overflows to -inf (2 y'Cv does) while its distance is finite, and the
+    nearest class, at distance 0, has a finite pick. A row with a pick that
+    is not finite keeps every class, or it would lose the nearest."""
+    means = np.array([[1.2247e153], [7.757e152], [-(1.2247e153 + 7.757e152)]])
+    stats = GaussianStats(classes=np.arange(3), means=means, cov_inv=np.array([[100.0]]))
+    queries = np.array([[7.757e152], [7.757e152 * (1 + 1e-15)]])
+    got = METHODS["mds"].score_batch(ScoreInputs(None, queries), stats)
+    with np.errstate(over="ignore"):  # the einsum of the farthest class overflows
+        want = np.array([mahalanobis(q, stats) for q in queries])
+    assert np.array_equal(got, want) and got[0] == 0.0
+
+
+def test_batched_mahalanobis_near_ties_need_the_slack():
+    """Two classes mirrored through the plane x_0 = 50 up to the rounding of
+    their fitted means, and rows on that plane: the two distances differ by
+    less than the pick's rounding, which orders them the other way from the
+    einsum on some rows. Without its slack the pick gives 29 of them wrong."""
+    rng = np.random.default_rng(52)
+    dim = 32
+    half = rng.normal(0, 1, (40, dim))
+    half[:, 0] += 2.0
+    flip = np.ones(dim)
+    flip[0] = -1.0
+    features = 50.0 + np.vstack([half, half * flip])
+    on_plane = 50.0 + rng.normal(0, 1, (4000, dim)) * (flip > 0)
+    got, want = _mds_both(on_plane, features, np.repeat([0, 1], 40))
     assert np.array_equal(got, want)
 
 
