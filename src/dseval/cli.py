@@ -178,16 +178,15 @@ def _fit_matrix(path, loader, kind: str):
 def _channels(methods, inputs: ScoreInputs, fitted: dict, sample_ids) -> dict:
     """Every requested channel as one vector; a row's failure names its sample.
 
-    A cached column of the inputs is released after the last method that reads it.
+    The inputs cache per-row columns only: no N x C softmax rows outlive their method.
     """
     channels = {}
-    for at, name in enumerate(methods):
+    for name in methods:
         try:
             channels[name] = METHODS[name].score_batch(inputs, fitted[name])
         except ScoringError as exc:
             where = "" if exc.row is None else f" on sample {sample_ids[exc.row]!r}"
             raise type(exc)(f"method {name!r} failed{where}: {exc}") from None
-        inputs.release({c for later in methods[at + 1 :] for c in METHODS[later].columns})
     return channels
 
 
@@ -254,7 +253,7 @@ def _cmd_score(args) -> int:
 
     channels, correct = {}, np.zeros(base.is_id.size, dtype=bool)
     if base.is_id.size:
-        # the inputs, with the columns they cache, are dropped once scored
+        # the inputs, with the per-row columns they cache, are dropped once scored
         inputs = ScoreInputs(
             None if logits is None else logits.matrix,
             None if features is None else features.matrix,

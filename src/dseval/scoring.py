@@ -61,9 +61,6 @@ __all__ = [
     "FEATURES",
     "FIT_LOGITS",
     "FIT_FEATURES",
-    "PROBS",
-    "MSP",
-    "L1",
     "ScoreOptions",
     "FitSplit",
     "ScoreInputs",
@@ -781,33 +778,20 @@ class ScoreOptions:
     temperature: float = 1.0
 
 
-# The columns of ScoreInputs that ScoreMethod.columns may name.
-PROBS, MSP, L1 = "probs", "msp", "l1"
-
-
 class ScoreInputs:
-    """Stacked rows (logits N x C, features N x D, or ``None``) and the
-    columns methods share, computed once and kept until released."""
+    """Stacked rows (logits N x C, features N x D, or ``None``) and the per-row
+    columns methods share, each computed once; no N x C matrix is cached."""
 
     def __init__(self, logits=None, features=None):
         self.logits, self.features, self._residual = logits, features, (None,)
 
     @cached_property
-    def probs(self) -> np.ndarray:
-        return _softmax_rows(self.logits)
-
-    @cached_property
     def msp(self) -> np.ndarray:
-        return self.probs.max(axis=1)
+        return _softmax_rows(self.logits).max(axis=1)
 
     @cached_property
     def l1(self) -> np.ndarray:
         return _l1_rows(self.features)
-
-    def release(self, keep) -> None:
-        """Drop the cached columns not named in ``keep``; a later read computes them again."""
-        for name in {PROBS, MSP, L1}.difference(keep):
-            self.__dict__.pop(name, None)
 
     def residual_norms(self, basis: PrincipalBasis) -> np.ndarray:
         if self._residual[0] is not basis:
@@ -820,7 +804,8 @@ class FitSplit(ScoreInputs):
 
     ``logits`` is N x C, ``features`` N x D and ``labels`` the N class labels
     of the features file; each is ``None`` when that fit file is absent. The
-    principal basis, which three methods share, is fitted once on first use.
+    principal basis, which three methods share, is fitted once on first use;
+    like :class:`ScoreInputs`, the split caches per-row columns only.
     """
 
     def __init__(self, logits=None, features=None, labels=None, options=ScoreOptions()):
@@ -841,14 +826,12 @@ def _no_fit(split: FitSplit) -> None:
 
 @dataclass(frozen=True)
 class ScoreMethod:
-    """One score: the inputs it needs, ``fit(split) -> artifact``,
-    ``score_batch(inputs, artifact) -> one score per row`` and the cached
-    columns of the inputs it reads (``columns``)."""
+    """One score: the inputs it needs, ``fit(split) -> artifact`` and
+    ``score_batch(inputs, artifact) -> one score per row``."""
 
     needs: tuple[str, ...]
     score_batch: Callable[[ScoreInputs, Any], np.ndarray]
     fit: Callable[[FitSplit], Any] = _no_fit
-    columns: tuple[str, ...] = ()
 
 
 def _fit_templates(split: FitSplit) -> np.ndarray:
@@ -877,7 +860,7 @@ def _vim_batch(x: ScoreInputs, fitted) -> np.ndarray:
 
 
 METHODS: dict[str, ScoreMethod] = {
-    "msp": ScoreMethod((LOGITS,), lambda x, _: x.msp, columns=(MSP,)),
+    "msp": ScoreMethod((LOGITS,), lambda x, _: x.msp),
     "mls": ScoreMethod((LOGITS,), lambda x, _: x.logits.max(axis=1)),
     "energy": ScoreMethod(
         (LOGITS,),
@@ -885,13 +868,12 @@ METHODS: dict[str, ScoreMethod] = {
         fit=lambda split: split.options.temperature,
     ),
     "neg_entropy": ScoreMethod(
-        (LOGITS,), lambda x, _: _neg_entropy_rows(x.probs), columns=(PROBS,)
+        (LOGITS,), lambda x, _: _neg_entropy_rows(_softmax_rows(x.logits))
     ),
     "klm": ScoreMethod(
         (LOGITS, FIT_LOGITS),
-        lambda x, templates: _klm_rows(x.probs, templates),
+        lambda x, templates: _klm_rows(_softmax_rows(x.logits), templates),
         fit=_fit_templates,
-        columns=(PROBS,),
     ),
     "mds": ScoreMethod(
         (FEATURES, FIT_FEATURES),
@@ -903,9 +885,7 @@ METHODS: dict[str, ScoreMethod] = {
         lambda x, fitted: _knn_rows(x.features, *fitted),
         fit=_fit_knn,
     ),
-    "l1": ScoreMethod(
-        (FEATURES,), lambda x, _: _finite_rows(x.l1, "the L1 norm"), columns=(L1,)
-    ),
+    "l1": ScoreMethod((FEATURES,), lambda x, _: _finite_rows(x.l1, "the L1 norm")),
     "residual": ScoreMethod(
         (FEATURES, FIT_FEATURES),
         lambda x, basis: _finite_rows(-x.residual_norms(basis), "the residual score"),
@@ -918,12 +898,10 @@ METHODS: dict[str, ScoreMethod] = {
         (LOGITS, FEATURES, FIT_FEATURES),
         lambda x, params: _sirc_rows(x.msp, 1.0, x.l1, params),
         fit=lambda split: fit_sirc_params(split.l1),
-        columns=(MSP, L1),
     ),
     "sirc_msp_res": ScoreMethod(
         (LOGITS, FEATURES, FIT_FEATURES),
         lambda x, a: _sirc_rows(x.msp, 1.0, -x.residual_norms(a[0]), a[1]),
         fit=_fit_sirc_res,
-        columns=(MSP,),
     ),
 }

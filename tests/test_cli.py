@@ -455,6 +455,26 @@ class TestScoreCommand:
         assert len(es.channel_names) == 12
         assert es.n_id == 8 and es.n_ood == 4
 
+    def test_channels_do_not_depend_on_method_order(self, vector_files):
+        # the per-row columns the inputs cache, and the softmax rows each
+        # reader builds anew, give the same scores whether the softmax
+        # readers run before or after mds, knn and l1, or alone
+        paths, *_ = vector_files
+        out = paths["logits"].parent / "out.csv"
+        forward = list(METHODS)
+        runs = [forward, forward[::-1], *([name] for name in forward)]
+        channels = {}
+        for methods in runs:
+            assert self._score(paths, ",".join(methods), "--pca-dim", 3) == 0
+            es = load_scores(out)
+            assert es.channel_names == tuple(methods)
+            for name in methods:
+                channels.setdefault(name, []).append(es.channel(name))
+        assert len(channels) == 12
+        for name, columns in channels.items():
+            assert len(columns) == 3, name
+            assert all(np.array_equal(c, columns[0]) for c in columns[1:]), name
+
     def _score(self, paths, method, *flags, features=None, fit_logits=None):
         return run(
             [
@@ -757,9 +777,9 @@ class TestScoreCommand:
         assert fit_peak < load_peak + matrix.nbytes // 4, (fit_peak, load_peak, matrix.nbytes)
 
     def test_softmax_rows_are_released_before_the_feature_scorers(self, monkeypatch):
-        # score-all's shapes and method order: the 5000 x 10 softmax rows
-        # (400 kB) are gone by the time mds, knn and l1 build their block
-        # buffers, and only the score columns so far are held
+        # score-all's shapes and method order: no 5000 x 10 softmax rows
+        # (400 kB) are held by the time mds, knn and l1 build their block
+        # buffers, only the score columns so far
         rng = np.random.default_rng(51)
         labels = rng.integers(0, 10, 5000)
         features = rng.normal(0, 0.35, (10, 64))[labels] + rng.standard_normal((5000, 64))
@@ -776,7 +796,7 @@ class TestScoreCommand:
             inner = getattr(scoring, name)
 
             def call(*args):
-                held[name] = scoring.PROBS in vars(inputs), tracemalloc.get_traced_memory()[0]
+                held[name] = tracemalloc.get_traced_memory()[0]
                 return inner(*args)
 
             return call
@@ -789,8 +809,7 @@ class TestScoreCommand:
         finally:
             tracemalloc.stop()
         assert list(channels) == methods and len(held) == 3
-        for name, (probs_held, current) in held.items():
-            assert not probs_held, name
+        for name, current in held.items():
             assert current < logits.nbytes, (name, current)
 
     def test_k_larger_than_bank(self, vector_files, capsys):
